@@ -21,6 +21,7 @@ Exit codes: 0 success and zero bound violations; 1 runtime failure
 from __future__ import annotations
 
 import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -227,7 +228,12 @@ def _spawn_worker(cfg: RunConfig, index: int) -> tuple[subprocess.Popen, int]:
                 "--markov_smoothing", repr(cfg.markov_smoothing)]
     if cfg.model == "trace":
         cmd += ["--trace_dir", cfg.trace_dir]
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
+    # the workers import this same package, also where it is not installed
+    # and only the parent's sys.path finds it
+    env = dict(os.environ)
+    package_root = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
     line = proc.stdout.readline().strip()
     if not line.startswith("LISTENING "):
         proc.kill()

@@ -141,13 +141,29 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
     Ties are broken by ascending token id, both for which tokens enter the
     top-K set and for the order of the entries, so the selection is a total
     order and identical everywhere.
+
+    Selection is a threshold select in O(|V|): a partition finds the k-th
+    largest probability ``v``; every token above ``v`` is kept, and the
+    remaining slots go to the lowest ids with probability exactly ``v``.
+    Only those k entries are then sorted by (probability desc, id asc).
+    At k == |V| there is nothing to select, and the whole vocabulary is
+    sorted.
     """
     size = d.vocab_size
     if not 1 <= k <= size:
         raise ValueError(f"k={k} out of range [1, {size}]")
+    p = d.probs
+    if k == size:
+        kept = np.arange(size)
+    else:
+        v = np.partition(p, size - k)[size - k]
+        above = np.flatnonzero(p > v)
+        # flatnonzero returns ascending ids, so the cut keeps the lowest tied ids
+        tied = np.flatnonzero(p == v)[: k - above.size]
+        kept = np.concatenate((above, tied))
     # lexsort: primary key last; ascending ids break exact ties.
-    order = np.lexsort((np.arange(size), -d.probs))[:k]
-    return TopKPayload(size, order, d.probs[order])
+    order = kept[np.lexsort((kept, -p[kept]))]
+    return TopKPayload(size, order, p[order])
 
 
 def mass_split(p: TopKPayload) -> MassSplit:

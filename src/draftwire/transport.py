@@ -333,50 +333,64 @@ def worker_serve(
                     return
 
 
+class _PeerGone(Exception):
+    """A socket call failed mid-session: the peer reset or closed."""
+
+
 def _serve_session(conn: socket.socket, factory: ModelFactory, worker_index: int) -> bool:
-    """Handle one connection; True means SHUTDOWN was received."""
+    """Handle one connection; True means SHUTDOWN was received.
+
+    Any socket error (reset, broken pipe) ends the session, never the
+    worker: the caller goes back to accept.
+    """
     core = WorkerCore(worker_index, factory)
     greeted = False
     last_corr = -1
 
     def reply(kind: Kind, corr_id: int, body: bytes = b"") -> None:
-        conn.sendall(frame_encode(Message(kind, corr_id, body)))
+        try:
+            conn.sendall(frame_encode(Message(kind, corr_id, body)))
+        except OSError as exc:
+            raise _PeerGone from exc
 
-    while True:
-        try:
-            msg = frame_decode(lambda n: _read_exact(conn, n))
-        except TruncatedStreamError:
-            return False  # peer went away; back to accept
-        except FramingError as exc:
-            reply(Kind.ERROR, 0, str(exc).encode())
-            return False
-        if msg.corr_id <= last_corr:
-            reply(Kind.ERROR, msg.corr_id, b"correlation id did not increase")
-            return False
-        last_corr = msg.corr_id
-        try:
-            if msg.kind == Kind.SHUTDOWN:
-                return True
-            if msg.kind == Kind.HELLO:
-                unpack_hello(msg.body)
-                greeted = True
-                reply(Kind.HELLO, msg.corr_id, pack_hello())
-            elif not greeted:
-                raise ProtocolError("expected HELLO first")
-            elif msg.kind == Kind.CONFIGURE:
-                core.configure(unpack_configure(msg.body))
-                reply(Kind.CONFIGURE, msg.corr_id)
-            elif msg.kind == Kind.DRAFT_BROADCAST:
-                delta, draft = unpack_draft_broadcast(msg.body)
-                checksum, bodies, _ = core.handle_draft(delta, draft)
-                reply(Kind.SCORES_UPLOAD, msg.corr_id, pack_scores(checksum, bodies))
-            elif msg.kind == Kind.COMMIT_NOTICE:
-                core.handle_commit(unpack_commit(msg.body))
-            else:
-                raise ProtocolError(f"unexpected {msg.kind.name}")
-        except (ProtocolError, FramingError, ValueError) as exc:
-            reply(Kind.ERROR, msg.corr_id, str(exc).encode())
-            return False
+    try:
+        while True:
+            try:
+                msg = frame_decode(lambda n: _read_exact(conn, n))
+            except (TruncatedStreamError, OSError):
+                return False  # peer went away; back to accept
+            except FramingError as exc:
+                reply(Kind.ERROR, 0, str(exc).encode())
+                return False
+            if msg.corr_id <= last_corr:
+                reply(Kind.ERROR, msg.corr_id, b"correlation id did not increase")
+                return False
+            last_corr = msg.corr_id
+            try:
+                if msg.kind == Kind.SHUTDOWN:
+                    return True
+                if msg.kind == Kind.HELLO:
+                    unpack_hello(msg.body)
+                    greeted = True
+                    reply(Kind.HELLO, msg.corr_id, pack_hello())
+                elif not greeted:
+                    raise ProtocolError("expected HELLO first")
+                elif msg.kind == Kind.CONFIGURE:
+                    core.configure(unpack_configure(msg.body))
+                    reply(Kind.CONFIGURE, msg.corr_id)
+                elif msg.kind == Kind.DRAFT_BROADCAST:
+                    delta, draft = unpack_draft_broadcast(msg.body)
+                    checksum, bodies, _ = core.handle_draft(delta, draft)
+                    reply(Kind.SCORES_UPLOAD, msg.corr_id, pack_scores(checksum, bodies))
+                elif msg.kind == Kind.COMMIT_NOTICE:
+                    core.handle_commit(unpack_commit(msg.body))
+                else:
+                    raise ProtocolError(f"unexpected {msg.kind.name}")
+            except (ProtocolError, FramingError, ValueError) as exc:
+                reply(Kind.ERROR, msg.corr_id, str(exc).encode())
+                return False
+    except _PeerGone:
+        return False
 
 
 # ---------------------------------------------------------------------------

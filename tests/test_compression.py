@@ -27,6 +27,27 @@ from draftwire.dist import Distribution, l1_distance
 SOURCE = Distribution([0.5, 0.3, 0.15, 0.05])
 
 
+def _reference_topk(d, k):
+    """Independent oracle: full stable sort by (probability desc, id asc)."""
+    return np.lexsort((np.arange(d.vocab_size), -d.probs))[:k]
+
+
+def _assert_matches_reference(d, k):
+    ids = _reference_topk(d, k)
+    p = truncate_topk(d, k)
+    np.testing.assert_array_equal(p.ids, ids)
+    np.testing.assert_array_equal(p.probs, d.probs[ids])
+
+
+def _tie_split_ks(d, rng, n=3):
+    """Up to n values of k whose cut falls inside a group of tied probabilities."""
+    ranked = d.probs[_reference_topk(d, d.vocab_size)]
+    splits = np.flatnonzero(ranked[:-1] == ranked[1:]) + 1
+    if splits.size == 0:
+        return []
+    return [int(k) for k in rng.choice(splits, size=min(n, splits.size), replace=False)]
+
+
 class TestTruncate:
     def test_two_largest(self):
         p = truncate_topk(SOURCE, 2)
@@ -61,6 +82,40 @@ class TestTruncate:
             outside = np.setdiff1d(np.arange(size), p.ids)
             if outside.size:
                 assert d.probs[outside].max() <= p.probs.min() + 0.0
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 17, 100, 1000, 4096])
+    def test_matches_full_sort_reference(self, size):
+        rng = np.random.default_rng(size)
+        inputs = [
+            np.ones(size),  # all equal
+            rng.integers(0, 4, size),  # tie-heavy, with exact zeros
+            rng.integers(0, 2, size),  # mostly two tie groups, half zeros
+            rng.random(size) * (rng.random(size) < 0.5),  # distinct values plus zeros
+        ]
+        for weights in inputs:
+            weights = weights.astype(np.float64)
+            if weights.sum() == 0.0:
+                weights[0] = 1.0
+            d = Distribution(weights / weights.sum())
+            ks = {1, size - 1, size, int(rng.integers(1, size + 1))}
+            ks.update(_tie_split_ks(d, rng))
+            for k in sorted(ks):
+                _assert_matches_reference(d, k)
+
+    def test_matches_full_sort_reference_large_vocab(self):
+        rng = np.random.default_rng(32000)
+        logits = np.round(rng.normal(size=32000) * 4.0) / 4.0  # many ties
+        weights = np.exp(logits - logits.max())
+        d = Distribution(weights / weights.sum())
+        ks = {1, 64, 31999, 32000}
+        ks.update(_tie_split_ks(d, rng))
+        for k in sorted(ks):
+            _assert_matches_reference(d, k)
+
+    @given(distributions(min_size=2, max_size=40), st.data())
+    def test_matches_full_sort_reference_property(self, d, data):
+        k = data.draw(st.integers(min_value=1, max_value=d.vocab_size))
+        _assert_matches_reference(d, k)
 
     def test_epsilon_monotone_in_k(self):
         rng = np.random.default_rng(6)

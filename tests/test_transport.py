@@ -1,6 +1,7 @@
 import io
 import queue
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -326,6 +327,25 @@ class TestWorkerServer:
                 send(sock, Kind.HELLO, 1, pack_hello())
                 recv(sock)
             # session dropped without SHUTDOWN: server must accept again
+            with connect(port) as sock:
+                send(sock, Kind.HELLO, 1, pack_hello())
+                assert recv(sock).kind == Kind.HELLO
+        finally:
+            shutdown_worker(thread, port)
+
+    def test_server_survives_peer_reset(self):
+        thread, port = start_worker(FACTORY)
+        try:
+            sock = connect(port)
+            send(sock, Kind.HELLO, 1, pack_hello())
+            recv(sock)
+            send(sock, Kind.CONFIGURE, 2, pack_configure(self.CFG))
+            recv(sock)
+            send(sock, Kind.DRAFT_BROADCAST, 3, pack_draft_broadcast((0,), (1, 2)))
+            # linger 0: close sends RST, so the worker's next read or its
+            # reply fails with a socket error
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
             with connect(port) as sock:
                 send(sock, Kind.HELLO, 1, pack_hello())
                 assert recv(sock).kind == Kind.HELLO
