@@ -21,7 +21,6 @@ from .compression import (
 )
 from .dist import (
     Distribution,
-    Vocab,
     l1_distance,
     sample,
     sample_from_uniform,
@@ -39,7 +38,6 @@ from .engine import (
     sample_seed_for,
 )
 from .metrics import (
-    BoundReport,
     StepMetrics,
     SweepRecord,
     acceptance_variation,

@@ -96,9 +96,36 @@ def _print_record(rec: SweepRecord) -> None:
     print(
         f"strategy={rec.strategy.name.lower()} K={rec.k} T={rec.temperature} "
         f"steps={rec.steps} delta_bar={rec.delta_bar:.6g} eps_bar={rec.eps_bar:.6g} "
-        f"delta_alpha_bar={rec.delta_alpha_bar:.6g} violations="
-        f"{rec.lemma1_violations + rec.thm1_violations + rec.thm2_violations}"
+        f"delta_alpha_bar={rec.delta_alpha_bar:.6g} violations={rec.violations}"
     )
+
+
+def _report_point(cfg: RunConfig, records: list[BlockRecord], k_profile: TopKProfile,
+                  samples: int) -> int:
+    """Score the recorded blocks at one config point; print the row, write
+    it to ``cfg.csv`` if set, and return the exit code."""
+    k = _homogeneous_k(cfg)
+    steps = [step for rec in records
+             for step in block_step_metrics(rec, cfg.weights, k_profile)]
+    row = sweep_aggregate(
+        steps,
+        strategy=cfg.strategy,
+        m=cfg.workers,
+        gamma=cfg.gamma,
+        vocab_size=cfg.vocab_size,
+        k=k,
+        temperature=cfg.temperature,
+        seed=cfg.seed,
+        samples=samples,
+    )
+    _print_record(row)
+    if cfg.csv:
+        write_sweep_csv([row], cfg.csv)
+        print(f"wrote {cfg.csv}")
+    if row.violations:
+        print(f"BOUND VIOLATIONS: {row.violations}", file=sys.stderr)
+        return EXIT_VIOLATION
+    return EXIT_OK
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -126,35 +153,14 @@ def cmd_run(cfg: RunConfig) -> int:
 
     if not instrumented:
         return EXIT_OK
-
-    k = _homogeneous_k(cfg)
-    steps = [m for rec in records
-             for m in block_step_metrics(rec, cfg.weights, cfg.settings().k_profile)]
-    row = sweep_aggregate(
-        steps,
-        strategy=cfg.strategy,
-        m=cfg.workers,
-        gamma=cfg.gamma,
-        vocab_size=cfg.vocab_size,
-        k=k,
-        temperature=cfg.temperature,
-        seed=cfg.seed,
-        samples=cfg.samples,
-    )
-    _print_record(row)
-    if cfg.csv:
-        write_sweep_csv([row], cfg.csv)
-        print(f"wrote {cfg.csv}")
-    violations = row.lemma1_violations + row.thm1_violations + row.thm2_violations
-    if violations:
-        print(f"BOUND VIOLATIONS: {violations}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _report_point(cfg, records, settings.k_profile, cfg.samples)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     cfg.validate_sweep()
-    point_steps = {}
+    # Each (T, K) point is aggregated as soon as it is scored, so only one
+    # point's steps are held at a time; rows go strategy, T, ascending K.
+    rows: dict[Strategy, list[SweepRecord]] = {strategy: [] for strategy in Strategy}
     for temp in cfg.sweep_temperatures:
         cfg_t = cfg.with_temperature(temp)
         records: list[BlockRecord] = []
@@ -163,18 +169,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
             res = run_reference_sample(cfg_t.draft_model(ss), cfg_t.worker_models(ss),
                                        cfg_t.settings(), ss)
             records.extend(res.records)
-        for k in cfg.sweep_ks:
+        for k in sorted(cfg.sweep_ks):
             profile = TopKProfile.homogeneous(k, cfg.workers, cfg.vocab_size)
-            point_steps[(temp, k)] = [
-                m for rec in records for m in block_step_metrics(rec, cfg.weights, profile)
-            ]
-
-    rows: list[SweepRecord] = []
-    for strategy in (Strategy.RENORMALIZED, Strategy.RESIDUAL_UNIFORM):
-        for temp in cfg.sweep_temperatures:
-            for k in sorted(cfg.sweep_ks):
-                rows.append(sweep_aggregate(
-                    point_steps[(temp, k)],
+            steps = [step for rec in records
+                     for step in block_step_metrics(rec, cfg.weights, profile)]
+            for strategy in Strategy:
+                rows[strategy].append(sweep_aggregate(
+                    steps,
                     strategy=strategy,
                     m=cfg.workers,
                     gamma=cfg.gamma,
@@ -186,20 +187,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 ))
 
     out = cfg.csv or "sweep.csv"
-    write_sweep_csv(rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
+    all_rows = [row for strategy in Strategy for row in rows[strategy]]
+    write_sweep_csv(all_rows, out)
+    print(f"wrote {len(all_rows)} rows to {out}")
 
-    violations = 0
-    for strategy in (Strategy.RENORMALIZED, Strategy.RESIDUAL_UNIFORM):
+    for strategy in Strategy:
         for temp in cfg.sweep_temperatures:
-            group = [r for r in rows
-                     if r.strategy == strategy and r.temperature == temp]
-            deltas = [r.delta_bar for r in group]
+            deltas = [r.delta_bar for r in rows[strategy] if r.temperature == temp]
             mono = all(a >= b - 1e-12 for a, b in zip(deltas, deltas[1:]))
             print(f"{strategy.name.lower()} T={temp}: delta_bar by K "
                   f"{['%.5g' % d for d in deltas]} non-increasing={mono}")
-            violations += sum(r.lemma1_violations + r.thm1_violations + r.thm2_violations
-                              for r in group)
+    violations = sum(row.violations for row in all_rows)
     if violations:
         print(f"BOUND VIOLATIONS: {violations}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -362,28 +360,8 @@ def cmd_trace_replay(cfg: RunConfig) -> int:
     if not cfg.trace_dir:
         print("trace-replay requires --trace_dir", file=sys.stderr)
         return EXIT_USAGE
-    trace_dir = Path(cfg.trace_dir)
-    records = _load_trace_records(trace_dir, cfg.workers, cfg.gamma)
-    k = _homogeneous_k(cfg)
-    profile = TopKProfile(cfg.ks, cfg.vocab_size)
-    steps = [m for rec in records for m in block_step_metrics(rec, cfg.weights, profile)]
-    row = sweep_aggregate(
-        steps,
-        strategy=cfg.strategy,
-        m=cfg.workers,
-        gamma=cfg.gamma,
-        vocab_size=cfg.vocab_size,
-        k=k,
-        temperature=cfg.temperature,
-        seed=cfg.seed,
-        samples=1,
-    )
-    _print_record(row)
-    if cfg.csv:
-        write_sweep_csv([row], cfg.csv)
-        print(f"wrote {cfg.csv}")
-    violations = row.lemma1_violations + row.thm1_violations + row.thm2_violations
-    return EXIT_VIOLATION if violations else EXIT_OK
+    records = _load_trace_records(Path(cfg.trace_dir), cfg.workers, cfg.gamma)
+    return _report_point(cfg, records, TopKProfile(cfg.ks, cfg.vocab_size), 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

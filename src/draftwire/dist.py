@@ -8,22 +8,9 @@ parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SUM_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class Vocab:
-    """Shared token vocabulary, identified only by its size."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 2:
-            raise ValueError(f"vocab size must be an integer >= 2, got {self.size!r}")
 
 
 class Distribution:

@@ -3,16 +3,16 @@
 Per scored position the instrumentation computes, from exact float64
 shadow distributions:
 
-* per-worker residual mass eps_i and local reconstruction error (L1 between
-  the worker's distribution and its top-K reconstruction), for both
-  reconstruction strategies;
-* aggregation bias (L1 between the compressed and exact weighted averages),
-  per strategy;
-* acceptance rates of the draft proposal against the exact and compressed
-  averages, and their absolute difference, per strategy (draft positions
-  only; the bonus position has no proposal).
+* per-worker residual mass eps_i, their weighted sum, and the acceptance
+  rate of the draft proposal against the exact weighted average (draft
+  positions only; the bonus position has no proposal);
+* for each reconstruction strategy, one ``StrategyMetrics`` record: the
+  per-worker local reconstruction errors (L1 between the worker's
+  distribution and its top-K reconstruction), the aggregation bias (L1
+  between the compressed and exact weighted averages), the acceptance rate
+  against the compressed average and its absolute change.
 
-The checked bounds, at 1e-9 tolerance:
+``check_bounds`` checks one strategy's record at a time, at 1e-9 tolerance:
 
 * renormalized local error == 2 eps exactly; residual-uniform <= 2 eps;
 * aggregation bias <= 2 * sum_i w_i eps_i;
@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .aggregation import TopKProfile, WeightVector, aggregate
 from .compression import Strategy, mass_split, reconstruct, truncate_topk
@@ -72,48 +72,47 @@ def acceptance_variation(q: Distribution, p_exact: Distribution, p_comp: Distrib
     return abs(acceptance_rate(p_comp, q) - acceptance_rate(p_exact, q))
 
 
-@dataclass(frozen=True)
-class StepMetrics:
-    """Everything measured at one scored position, both strategies at once.
+@dataclass(frozen=True, slots=True)
+class StrategyMetrics:
+    """One reconstruction strategy's figures at one scored position.
 
-    Acceptance fields are None at the bonus position, where there is no
-    draft proposal to accept against.
+    ``alpha`` and ``dalpha`` are None at the bonus position, where there is
+    no draft proposal to accept against.
+    """
+
+    local_errors: tuple[float, ...]
+    bias: float
+    alpha: float | None
+    dalpha: float | None
+
+
+@dataclass(frozen=True, slots=True)
+class StepMetrics:
+    """Everything measured at one scored position, one record per strategy.
+
+    ``alpha_exact`` is None at the bonus position. ``by_strategy`` covers
+    every ``Strategy``.
     """
 
     worker_epsilons: tuple[float, ...]
     weighted_epsilon: float
-    local_errors_renormalized: tuple[float, ...]
-    local_errors_residual: tuple[float, ...]
-    bias_renormalized: float
-    bias_residual: float
     alpha_exact: float | None
-    alpha_renormalized: float | None
-    alpha_residual: float | None
-    dalpha_renormalized: float | None
-    dalpha_residual: float | None
+    by_strategy: dict[Strategy, StrategyMetrics]
 
     def __post_init__(self) -> None:
+        missing = set(Strategy) - self.by_strategy.keys()
+        if missing:
+            raise ValueError(f"no metrics for {sorted(s.name for s in missing)}")
         for e in self.worker_epsilons:
             if not 0.0 <= e <= 1.0:
                 raise ValueError(f"residual mass {e} outside [0, 1]")
-        for err in (*self.local_errors_renormalized, *self.local_errors_residual,
-                    self.bias_renormalized, self.bias_residual):
-            if not 0.0 <= err <= 2.0 + BOUND_TOLERANCE:
-                raise ValueError(f"L1 value {err} outside [0, 2]")
-        for a in (self.alpha_exact, self.alpha_renormalized, self.alpha_residual):
+        for rec in self.by_strategy.values():
+            for err in (*rec.local_errors, rec.bias):
+                if not 0.0 <= err <= 2.0 + BOUND_TOLERANCE:
+                    raise ValueError(f"L1 value {err} outside [0, 2]")
+        for a in (self.alpha_exact, *(rec.alpha for rec in self.by_strategy.values())):
             if a is not None and not 0.0 <= a <= 1.0:
                 raise ValueError(f"acceptance rate {a} outside [0, 1]")
-
-    def bias(self, strategy: Strategy) -> float:
-        return self.bias_renormalized if strategy == Strategy.RENORMALIZED else self.bias_residual
-
-    def dalpha(self, strategy: Strategy) -> float | None:
-        return (self.dalpha_renormalized if strategy == Strategy.RENORMALIZED
-                else self.dalpha_residual)
-
-    def local_errors(self, strategy: Strategy) -> tuple[float, ...]:
-        return (self.local_errors_renormalized if strategy == Strategy.RENORMALIZED
-                else self.local_errors_residual)
 
 
 def instrument_position(
@@ -133,102 +132,57 @@ def instrument_position(
     payloads = [truncate_topk(d, k_profile[i]) for i, d in enumerate(worker_dists)]
     epsilons = tuple(mass_split(p).epsilon for p in payloads)
     weighted_eps = float(sum(w[i] * epsilons[i] for i in range(len(w))))
-
-    recon_ren = [reconstruct(p, Strategy.RENORMALIZED) for p in payloads]
-    recon_res = [reconstruct(p, Strategy.RESIDUAL_UNIFORM) for p in payloads]
-    err_ren = tuple(local_error(d, r) for d, r in zip(worker_dists, recon_ren))
-    err_res = tuple(local_error(d, r) for d, r in zip(worker_dists, recon_res))
-
     p_exact = aggregate(list(worker_dists), w)
-    p_ren = aggregate(recon_ren, w)
-    p_res = aggregate(recon_res, w)
-    bias_ren = aggregation_bias(p_exact, p_ren)
-    bias_res = aggregation_bias(p_exact, p_res)
+    alpha_exact = None if q is None else acceptance_rate(p_exact, q)
 
-    if q is None:
-        alphas = (None,) * 5
-    else:
-        a_exact = acceptance_rate(p_exact, q)
-        a_ren = acceptance_rate(p_ren, q)
-        a_res = acceptance_rate(p_res, q)
-        alphas = (a_exact, a_ren, a_res, abs(a_ren - a_exact), abs(a_res - a_exact))
+    by_strategy = {}
+    for strategy in Strategy:
+        recon = [reconstruct(p, strategy) for p in payloads]
+        p_comp = aggregate(recon, w)
+        alpha = None if q is None else acceptance_rate(p_comp, q)
+        by_strategy[strategy] = StrategyMetrics(
+            local_errors=tuple(local_error(d, r) for d, r in zip(worker_dists, recon)),
+            bias=aggregation_bias(p_exact, p_comp),
+            alpha=alpha,
+            dalpha=None if alpha is None else abs(alpha - alpha_exact),
+        )
 
     return StepMetrics(
         worker_epsilons=epsilons,
         weighted_epsilon=weighted_eps,
-        local_errors_renormalized=err_ren,
-        local_errors_residual=err_res,
-        bias_renormalized=bias_ren,
-        bias_residual=bias_res,
-        alpha_exact=alphas[0],
-        alpha_renormalized=alphas[1],
-        alpha_residual=alphas[2],
-        dalpha_renormalized=alphas[3],
-        dalpha_residual=alphas[4],
+        alpha_exact=alpha_exact,
+        by_strategy=by_strategy,
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Violation counts for one step, split by strategy."""
+class BoundCounts(NamedTuple):
+    """Violation counts of one strategy at one step."""
 
-    lemma1_renormalized: int
-    lemma1_residual: int
-    thm1_renormalized: int
-    thm1_residual: int
-    thm2_renormalized: int
-    thm2_residual: int
-
-    def for_strategy(self, strategy: Strategy) -> tuple[int, int, int]:
-        if strategy == Strategy.RENORMALIZED:
-            return (self.lemma1_renormalized, self.thm1_renormalized, self.thm2_renormalized)
-        return (self.lemma1_residual, self.thm1_residual, self.thm2_residual)
-
-    @property
-    def total(self) -> int:
-        return (self.lemma1_renormalized + self.lemma1_residual
-                + self.thm1_renormalized + self.thm1_residual
-                + self.thm2_renormalized + self.thm2_residual)
+    lemma1: int
+    thm1: int
+    thm2: int
 
 
-def check_bounds(step: StepMetrics, tol: float = BOUND_TOLERANCE) -> BoundReport:
-    """Count bound violations at one step; never raises on a violation.
+def check_bounds(step: StepMetrics, strategy: Strategy,
+                 tol: float = BOUND_TOLERANCE) -> BoundCounts:
+    """Count one strategy's bound violations at one step; never raises on one.
 
     Renormalized local error must EQUAL 2 eps (both directions checked);
     residual-uniform only has the upper bound. The acceptance check is the
     two-link chain dalpha <= bias/2 <= weighted eps; a broken link on
     either side counts once.
     """
-    lemma1 = {Strategy.RENORMALIZED: 0, Strategy.RESIDUAL_UNIFORM: 0}
-    for e, err in zip(step.worker_epsilons, step.local_errors_renormalized):
-        if abs(err - 2.0 * e) > tol:
-            lemma1[Strategy.RENORMALIZED] += 1
-    for e, err in zip(step.worker_epsilons, step.local_errors_residual):
-        if err > 2.0 * e + tol:
-            lemma1[Strategy.RESIDUAL_UNIFORM] += 1
-
-    thm1 = {}
-    ceiling = 2.0 * step.weighted_epsilon + tol
-    thm1[Strategy.RENORMALIZED] = int(step.bias_renormalized > ceiling)
-    thm1[Strategy.RESIDUAL_UNIFORM] = int(step.bias_residual > ceiling)
-
-    thm2 = {Strategy.RENORMALIZED: 0, Strategy.RESIDUAL_UNIFORM: 0}
-    for strategy in (Strategy.RENORMALIZED, Strategy.RESIDUAL_UNIFORM):
-        da = step.dalpha(strategy)
-        if da is None:
-            continue
-        half_bias = step.bias(strategy) / 2.0
-        if da > half_bias + tol or half_bias > step.weighted_epsilon + tol:
-            thm2[strategy] = 1
-
-    return BoundReport(
-        lemma1_renormalized=lemma1[Strategy.RENORMALIZED],
-        lemma1_residual=lemma1[Strategy.RESIDUAL_UNIFORM],
-        thm1_renormalized=thm1[Strategy.RENORMALIZED],
-        thm1_residual=thm1[Strategy.RESIDUAL_UNIFORM],
-        thm2_renormalized=thm2[Strategy.RENORMALIZED],
-        thm2_residual=thm2[Strategy.RESIDUAL_UNIFORM],
-    )
+    rec = step.by_strategy[strategy]
+    pairs = zip(step.worker_epsilons, rec.local_errors)
+    if strategy == Strategy.RENORMALIZED:
+        lemma1 = sum(abs(err - 2.0 * e) > tol for e, err in pairs)
+    else:
+        lemma1 = sum(err > 2.0 * e + tol for e, err in pairs)
+    thm1 = int(rec.bias > 2.0 * step.weighted_epsilon + tol)
+    half_bias = rec.bias / 2.0
+    thm2 = int(rec.dalpha is not None
+               and (rec.dalpha > half_bias + tol or half_bias > step.weighted_epsilon + tol))
+    return BoundCounts(lemma1, thm1, thm2)
 
 
 @dataclass(frozen=True)
@@ -262,6 +216,10 @@ class SweepRecord:
     @property
     def half_delta_bar(self) -> float:
         return self.delta_bar / 2.0
+
+    @property
+    def violations(self) -> int:
+        return self.lemma1_violations + self.thm1_violations + self.thm2_violations
 
     def to_row(self) -> dict[str, object]:
         return {
@@ -312,13 +270,13 @@ def sweep_aggregate(
     dalpha_n = 0
     l1 = t1 = t2 = 0
     for s in steps:
-        delta_sum += s.bias(strategy)
+        rec = s.by_strategy[strategy]
+        delta_sum += rec.bias
         eps_sum += s.weighted_epsilon
-        da = s.dalpha(strategy)
-        if da is not None:
-            dalpha_sum += da
+        if rec.dalpha is not None:
+            dalpha_sum += rec.dalpha
             dalpha_n += 1
-        a, b, c = check_bounds(s).for_strategy(strategy)
+        a, b, c = check_bounds(s, strategy)
         l1 += a
         t1 += b
         t2 += c

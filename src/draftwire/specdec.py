@@ -33,12 +33,6 @@ class InvalidDraftError(ValueError):
     """A draft token has zero probability under its own proposal."""
 
 
-class UniformSource(Protocol):
-    """Anything with numpy's ``random()`` method producing u in [0, 1)."""
-
-    def random(self) -> float: ...
-
-
 class PrefixState:
     """The committed token sequence: prompt plus verified output.
 
@@ -167,7 +161,7 @@ def residual_distribution(p_bar: Distribution, q: Distribution) -> Distribution:
 def verify_block(
     draft: DraftBlock,
     aggregated: Sequence[Distribution],
-    rng: UniformSource,
+    rng: np.random.Generator,
 ) -> VerificationOutcome:
     """Accept/reject a draft block against gamma+1 target distributions.
 

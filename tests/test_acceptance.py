@@ -125,8 +125,8 @@ def test_gate_2_aggregate_bias_bound(federated_corpus):
     assert len(steps) == 1_000
     for step in steps:
         bound = 2.0 * step.weighted_epsilon
-        assert step.bias_renormalized <= bound + TOL
-        assert step.bias_residual <= bound + TOL
+        assert step.by_strategy[Strategy.RENORMALIZED].bias <= bound + TOL
+        assert step.by_strategy[Strategy.RESIDUAL_UNIFORM].bias <= bound + TOL
     dt = build_dt + (time.monotonic() - t0)
     assert dt < 10.0
     _report(
@@ -141,11 +141,11 @@ def test_gate_3_acceptance_drop_chain(federated_corpus):
     steps, _ = federated_corpus
     for step in steps:
         for strategy in (Strategy.RENORMALIZED, Strategy.RESIDUAL_UNIFORM):
-            half_bias = step.bias(strategy) / 2.0
-            assert step.dalpha(strategy) <= half_bias + TOL
+            half_bias = step.by_strategy[strategy].bias / 2.0
+            assert step.by_strategy[strategy].dalpha <= half_bias + TOL
             assert half_bias <= step.weighted_epsilon + TOL
-        # the library's own checker must agree there is nothing to flag
-        assert check_bounds(step).total == 0
+            # the library's own checker must agree there is nothing to flag
+            assert check_bounds(step, strategy) == (0, 0, 0)
     _report(
         "gate 3 acceptance drop chain: dalpha <= bias/2 <= weighted epsilon "
         "on the same 1000 steps, zero violations at 1e-9"

@@ -272,6 +272,20 @@ class TestCliSweep:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+        # rows go strategy, temperature, ascending K whatever the K order given
+        two_temps = [*SWEEP_ARGS, "--sweep_temperatures", "1.2,0.8"]
+        outputs = []
+        for ks in ("1,4,16", "16,1,4"):
+            path = tmp_path / f"ks_{ks}.csv"
+            assert main([*two_temps, "--sweep_ks", ks, "--csv", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        rows = read_sweep_csv(tmp_path / "ks_16,1,4.csv")
+        assert [(r["strategy"], r["temperature"], r["K"]) for r in rows] == [
+            (strategy, t, k) for strategy in ("renormalized", "residual_uniform")
+            for t in ("1.2", "0.8") for k in ("1", "4", "16")]
+
 
 class TestCliTrace:
     RECORD = ["trace-record", "--vocab_size", "16", "--samples", "1",

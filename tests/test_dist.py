@@ -8,23 +8,12 @@ from hypothesis import strategies as st
 from conftest import distribution_pairs, distributions, random_distribution
 from draftwire.dist import (
     Distribution,
-    Vocab,
     l1_distance,
     sample,
     sample_from_uniform,
     softmax_with_temperature,
     tv_distance,
 )
-
-
-class TestVocab:
-    def test_minimum_size(self):
-        assert Vocab(2).size == 2
-
-    @pytest.mark.parametrize("size", [1, 0, -3])
-    def test_rejects_degenerate_sizes(self, size):
-        with pytest.raises(ValueError):
-            Vocab(size)
 
 
 class TestDistribution:

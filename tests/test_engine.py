@@ -292,7 +292,7 @@ class TestInstrumentedRecords:
         assert len(steps) == 4
         assert all(s.alpha_exact is not None for s in steps[:3])
         assert steps[3].alpha_exact is None
-        assert all(check_bounds(s).total == 0 for s in steps)
+        assert all(check_bounds(s, strategy) == (0, 0, 0) for s in steps for strategy in Strategy)
 
     def test_live_and_reference_shadows_agree(self):
         # same models, same seed: instrumented pool shadows must equal the
@@ -349,10 +349,12 @@ class TestTraceCrossPath:
 
         assert len(replay_steps) == len(live_steps)
         for a, b in zip(live_steps, replay_steps):
-            assert abs(a.bias_renormalized - b.bias_renormalized) < 1e-5
+            ren_a = a.by_strategy[Strategy.RENORMALIZED]
+            ren_b = b.by_strategy[Strategy.RENORMALIZED]
+            assert abs(ren_a.bias - ren_b.bias) < 1e-5
             assert abs(a.weighted_epsilon - b.weighted_epsilon) < 1e-5
-            if a.dalpha_renormalized is not None:
-                assert abs(a.dalpha_renormalized - b.dalpha_renormalized) < 1e-5
+            if ren_a.dalpha is not None:
+                assert abs(ren_a.dalpha - ren_b.dalpha) < 1e-5
 
 
 class TestMirrorChecksum:

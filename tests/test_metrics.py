@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from draftwire.dist import Distribution
 from draftwire.metrics import (
     CSV_COLUMNS,
     StepMetrics,
+    StrategyMetrics,
     acceptance_variation,
     aggregation_bias,
     check_bounds,
@@ -24,10 +27,20 @@ P2 = Distribution([0.1, 0.2, 0.3, 0.4])
 Q = Distribution([0.4, 0.4, 0.1, 0.1])
 W = WeightVector.uniform(2)
 PROFILE = TopKProfile((2, 2), 4)
+REN = Strategy.RENORMALIZED
+RES = Strategy.RESIDUAL_UNIFORM
+CLEAN = (0, 0, 0)
 
 
 def reference_step(q=Q):
     return instrument_position([P1, P2], q, W, PROFILE)
+
+
+def with_strategy(step, strategy, **changes):
+    """``step`` with some of one strategy's fields replaced."""
+    by_strategy = dict(step.by_strategy)
+    by_strategy[strategy] = dataclasses.replace(by_strategy[strategy], **changes)
+    return dataclasses.replace(step, by_strategy=by_strategy)
 
 
 class TestPointwiseMeasures:
@@ -59,37 +72,37 @@ class TestInstrumentedReferencePoint:
 
     def test_local_errors(self):
         step = reference_step()
-        assert step.local_errors_renormalized == pytest.approx((0.4, 0.6), abs=1e-12)
-        assert step.local_errors_residual == pytest.approx((0.1, 0.1), abs=1e-12)
+        assert step.by_strategy[REN].local_errors == pytest.approx((0.4, 0.6), abs=1e-12)
+        assert step.by_strategy[RES].local_errors == pytest.approx((0.1, 0.1), abs=1e-12)
 
     def test_biases(self):
         step = reference_step()
         # exact avg [0.3,0.25,0.225,0.225]; renorm avg [0.3125,0.1875,3/14,2/7]
-        assert step.bias_renormalized == pytest.approx(0.1464285714285714, abs=1e-12)
+        assert step.by_strategy[REN].bias == pytest.approx(0.1464285714285714, abs=1e-12)
         # residual avg [0.325,0.225,0.2,0.25]
-        assert step.bias_residual == pytest.approx(0.1, abs=1e-12)
+        assert step.by_strategy[RES].bias == pytest.approx(0.1, abs=1e-12)
 
     def test_acceptance_rates(self):
         step = reference_step()
         assert step.alpha_exact == pytest.approx(0.75, abs=1e-12)
-        assert step.alpha_renormalized == pytest.approx(0.70, abs=1e-12)
-        assert step.alpha_residual == pytest.approx(0.75, abs=1e-12)
-        assert step.dalpha_renormalized == pytest.approx(0.05, abs=1e-12)
-        assert step.dalpha_residual == pytest.approx(0.0, abs=1e-12)
+        assert step.by_strategy[REN].alpha == pytest.approx(0.70, abs=1e-12)
+        assert step.by_strategy[RES].alpha == pytest.approx(0.75, abs=1e-12)
+        assert step.by_strategy[REN].dalpha == pytest.approx(0.05, abs=1e-12)
+        assert step.by_strategy[RES].dalpha == pytest.approx(0.0, abs=1e-12)
 
     def test_bonus_position_has_no_acceptance(self):
         step = reference_step(q=None)
         assert step.alpha_exact is None
-        assert step.dalpha_renormalized is None
-        assert step.bias_renormalized == pytest.approx(0.1464285714285714, abs=1e-12)
+        assert step.by_strategy[REN].dalpha is None
+        assert step.by_strategy[REN].bias == pytest.approx(0.1464285714285714, abs=1e-12)
 
     def test_worker_count_mismatch(self):
         with pytest.raises(ValueError):
             instrument_position([P1], Q, W, PROFILE)
 
     def test_all_bounds_hold_at_reference_point(self):
-        report = check_bounds(reference_step())
-        assert report.total == 0
+        step = reference_step()
+        assert all(check_bounds(step, strategy) == CLEAN for strategy in Strategy)
 
 
 class TestCheckBounds:
@@ -99,10 +112,10 @@ class TestCheckBounds:
     def test_lossless_equality_at_zero(self):
         step = self.lossless_step()
         assert step.weighted_epsilon <= 1e-12
-        assert step.bias_renormalized == 0.0
-        assert step.bias_residual == 0.0
-        assert step.dalpha_renormalized == 0.0
-        assert check_bounds(step).total == 0
+        assert step.by_strategy[REN].bias == 0.0
+        assert step.by_strategy[RES].bias == 0.0
+        assert step.by_strategy[REN].dalpha == 0.0
+        assert all(check_bounds(step, strategy) == CLEAN for strategy in Strategy)
 
     def test_random_corpus_zero_violations(self):
         rng = np.random.default_rng(70)
@@ -117,89 +130,51 @@ class TestCheckBounds:
             weights[-1] = 1.0 - weights[:-1].sum()
             profile = TopKProfile([int(rng.integers(1, size + 1)) for _ in range(m)], size)
             step = instrument_position(dists, q, WeightVector(weights), profile)
-            total += check_bounds(step).total
+            total += sum(sum(check_bounds(step, strategy)) for strategy in Strategy)
         assert total == 0
 
     def test_fabricated_lemma1_violation_detected(self):
         step = reference_step()
-        bad = StepMetrics(
-            worker_epsilons=step.worker_epsilons,
-            weighted_epsilon=step.weighted_epsilon,
-            local_errors_renormalized=(0.5, 0.6),  # 0.5 != 2 * 0.2
-            local_errors_residual=step.local_errors_residual,
-            bias_renormalized=step.bias_renormalized,
-            bias_residual=step.bias_residual,
-            alpha_exact=step.alpha_exact,
-            alpha_renormalized=step.alpha_renormalized,
-            alpha_residual=step.alpha_residual,
-            dalpha_renormalized=step.dalpha_renormalized,
-            dalpha_residual=step.dalpha_residual,
-        )
-        report = check_bounds(bad)
-        assert report.lemma1_renormalized == 1
-        assert report.for_strategy(Strategy.RENORMALIZED)[0] == 1
-        assert report.for_strategy(Strategy.RESIDUAL_UNIFORM)[0] == 0
+        above = with_strategy(step, REN, local_errors=(0.5, 0.6))  # 0.5 != 2 * 0.2
+        assert check_bounds(above, REN).lemma1 == 1
+        assert check_bounds(above, RES).lemma1 == 0
+        # below 2 eps: breaks the renormalized equality, not the residual bound
+        below = step
+        for strategy in Strategy:
+            below = with_strategy(below, strategy, local_errors=(0.3, 0.6))
+        assert check_bounds(below, REN).lemma1 == 1  # 0.3 != 2 * 0.2
+        assert check_bounds(below, RES).lemma1 == 0
 
     def test_fabricated_thm1_violation_detected(self):
-        step = reference_step()
-        bad = StepMetrics(
-            worker_epsilons=step.worker_epsilons,
-            weighted_epsilon=step.weighted_epsilon,
-            local_errors_renormalized=step.local_errors_renormalized,
-            local_errors_residual=step.local_errors_residual,
-            bias_renormalized=0.75,  # above 2 * 0.25
-            bias_residual=step.bias_residual,
-            alpha_exact=step.alpha_exact,
-            alpha_renormalized=step.alpha_renormalized,
-            alpha_residual=step.alpha_residual,
-            dalpha_renormalized=step.dalpha_renormalized,
-            dalpha_residual=step.dalpha_residual,
-        )
-        report = check_bounds(bad)
-        assert report.thm1_renormalized == 1
-        assert report.thm1_residual == 0
+        bad = with_strategy(reference_step(), REN, bias=0.75)  # above 2 * 0.25
+        assert check_bounds(bad, REN).thm1 == 1
+        assert check_bounds(bad, RES).thm1 == 0
         # 0.75 also breaks the chain link bias/2 <= weighted eps
-        assert report.thm2_renormalized == 1
+        assert check_bounds(bad, REN).thm2 == 1
 
     def test_fabricated_thm2_violation_detected(self):
-        step = reference_step()
-        bad = StepMetrics(
-            worker_epsilons=step.worker_epsilons,
-            weighted_epsilon=step.weighted_epsilon,
-            local_errors_renormalized=step.local_errors_renormalized,
-            local_errors_residual=step.local_errors_residual,
-            bias_renormalized=step.bias_renormalized,
-            bias_residual=step.bias_residual,
-            alpha_exact=step.alpha_exact,
-            alpha_renormalized=step.alpha_renormalized,
-            alpha_residual=step.alpha_residual,
-            dalpha_renormalized=0.2,  # above bias/2 = 0.0732...
-            dalpha_residual=step.dalpha_residual,
-        )
-        report = check_bounds(bad)
-        assert report.thm2_renormalized == 1
-        assert report.thm2_residual == 0
+        bad = with_strategy(reference_step(), REN, dalpha=0.2)  # above bias/2 = 0.0732...
+        assert check_bounds(bad, REN).thm2 == 1
+        assert check_bounds(bad, RES).thm2 == 0
 
     def test_bonus_position_skips_thm2(self):
-        report = check_bounds(reference_step(q=None))
-        assert report.thm2_renormalized == 0
-        assert report.thm2_residual == 0
+        step = reference_step(q=None)
+        assert check_bounds(step, REN).thm2 == 0
+        assert check_bounds(step, RES).thm2 == 0
 
     def test_step_metric_validation(self):
-        with pytest.raises(ValueError):
-            StepMetrics(
-                worker_epsilons=(1.5,),  # impossible residual mass
-                weighted_epsilon=0.0,
-                local_errors_renormalized=(0.0,),
-                local_errors_residual=(0.0,),
-                bias_renormalized=0.0,
-                bias_residual=0.0,
-                alpha_exact=None,
-                alpha_renormalized=None,
-                alpha_residual=None,
-                dalpha_renormalized=None,
-                dalpha_residual=None,
-            )
+        blank = StrategyMetrics(local_errors=(0.0,), bias=0.0, alpha=None, dalpha=None)
+        for worker_epsilons, by_strategy in (
+            ((1.5,), {s: blank for s in Strategy}),  # impossible residual mass
+            ((0.0,), {REN: blank}),  # a strategy without metrics
+        ):
+            with pytest.raises(ValueError):
+                StepMetrics(
+                    worker_epsilons=worker_epsilons,
+                    weighted_epsilon=0.0,
+                    alpha_exact=None,
+                    by_strategy=by_strategy,
+                )
 
 
 class TestSweepAggregate:
@@ -211,7 +186,7 @@ class TestSweepAggregate:
     def test_single_step_passthrough(self):
         step = reference_step()
         rec = self.record([step])
-        assert rec.delta_bar == pytest.approx(step.bias_renormalized, abs=1e-15)
+        assert rec.delta_bar == pytest.approx(step.by_strategy[REN].bias, abs=1e-15)
         assert rec.eps_bar == pytest.approx(0.25, abs=1e-12)
         assert rec.delta_alpha_bar == pytest.approx(0.05, abs=1e-12)
         assert rec.steps == 1
@@ -222,7 +197,7 @@ class TestSweepAggregate:
         bonus = reference_step(q=None)
         rec = self.record([draft, bonus])
         assert rec.steps == 2
-        assert rec.delta_bar == pytest.approx(draft.bias_renormalized, abs=1e-15)
+        assert rec.delta_bar == pytest.approx(draft.by_strategy[REN].bias, abs=1e-15)
         # only the draft position contributes to the acceptance average
         assert rec.delta_alpha_bar == pytest.approx(0.05, abs=1e-12)
 
@@ -249,7 +224,7 @@ class TestSweepAggregate:
             q = random_distribution(rng, 8)
             steps.append(instrument_position(dists, q, W, TopKProfile((3, 3), 8)))
         rec = self.record(steps)
-        biases = [s.bias_renormalized for s in steps]
+        biases = [s.by_strategy[REN].bias for s in steps]
         assert min(biases) - 1e-15 <= rec.delta_bar <= max(biases) + 1e-15
 
 
@@ -297,9 +272,10 @@ class TestBiasOrderingIsReportedNotAssumed:
             dists = [random_distribution(rng, 12, sparsity=0.4) for _ in range(2)]
             profile = TopKProfile((int(rng.integers(1, 12)),) * 2, 12)
             step = instrument_position(dists, None, W, profile)
-            if step.bias_residual < step.bias_renormalized - 1e-12:
+            ren, res = step.by_strategy[REN].bias, step.by_strategy[RES].bias
+            if res < ren - 1e-12:
                 res_wins += 1
-            elif step.bias_renormalized < step.bias_residual - 1e-12:
+            elif ren < res - 1e-12:
                 ren_wins += 1
         assert res_wins > 0
         assert ren_wins > 0
