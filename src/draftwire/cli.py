@@ -7,10 +7,12 @@ Subcommands:
 * ``sweep``        - cross product of sweep_ks x sweep_temperatures x both
                      strategies from one recorded uncompressed run per
                      temperature; CSV out plus a monotonicity summary.
-* ``serve-worker`` - one TCP worker process; prints LISTENING <port>.
+* ``serve-worker`` - one TCP worker process; prints LISTENING <port>, then
+                     serves runs one after another until SHUTDOWN.
 * ``launch-demo``  - spawns local worker processes, runs a networked
                      generation, reruns it in-process, checks the
-                     transcripts match, prints uplink accounting.
+                     transcripts match, prints uplink accounting; shuts
+                     the workers down.
 * ``trace-record`` - records an uncompressed run's distributions to files.
 * ``trace-replay`` - recomputes metrics offline from recorded traces.
 
@@ -256,7 +258,7 @@ def cmd_launch_demo(cfg: RunConfig) -> int:
             net = run_sample(cfg.draft_model(ss), net_pool, settings, ss)
             net_uplink = list(net_pool.uplink_totals)
         finally:
-            net_pool.close()
+            net_pool.shutdown()  # the spawned workers exit now, not at cfg.timeout
 
         in_pool = InProcessPool(cfg.workers, cfg.worker_factory())
         try:

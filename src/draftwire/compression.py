@@ -15,6 +15,13 @@ Payload body layout (little-endian):
 
 entries ordered by (probability desc, token id asc). Framing belongs to the
 transport layer; this module only defines the body.
+
+Validation: ``TopKPayload(...)`` checks every invariant (range, duplicates,
+order, ties, mass). ``decode_payload`` is the entry point for bytes from a
+peer and re-checks them all at ``POST_WIRE_TOLERANCE`` (f32 rounding
+slack). Payloads that ``truncate_topk`` builds locally are trusted by
+construction and skip the checks; a property test holds them to the
+validating constructor at ``PRE_WIRE_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -120,6 +127,18 @@ class TopKPayload:
         object.__setattr__(self, "ids", ids_arr)
         object.__setattr__(self, "probs", probs_arr)
 
+    @classmethod
+    def unchecked(cls, vocab_size: int, ids: np.ndarray, probs: np.ndarray) -> "TopKPayload":
+        """Wrap int64 ids and float64 probabilities already known to form a
+        valid payload; no checks. Internal fast path for ``truncate_topk``."""
+        self = object.__new__(cls)
+        ids.setflags(write=False)
+        probs.setflags(write=False)
+        object.__setattr__(self, "vocab_size", int(vocab_size))
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "probs", probs)
+        return self
+
     @property
     def k(self) -> int:
         return int(self.ids.shape[0])
@@ -148,6 +167,9 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
     Only those k entries are then sorted by (probability desc, id asc).
     At k == |V| there is nothing to select, and the whole vocabulary is
     sorted.
+
+    The selection yields distinct in-range ids in payload order, so the
+    result skips validation (``TopKPayload.unchecked``).
     """
     size = d.vocab_size
     if not 1 <= k <= size:
@@ -163,7 +185,7 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
         kept = np.concatenate((above, tied))
     # lexsort: primary key last; ascending ids break exact ties.
     order = kept[np.lexsort((kept, -p[kept]))]
-    return TopKPayload(size, order, p[order])
+    return TopKPayload.unchecked(size, order, p[order])
 
 
 def mass_split(p: TopKPayload) -> MassSplit:

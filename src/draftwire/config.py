@@ -267,6 +267,12 @@ class RunConfig:
         for t in self.sweep_temperatures:
             if not t > 0:
                 raise ConfigError("temperatures must be > 0")
+        # a repeated value would score and report the same point twice
+        for key, values in (("sweep_ks", self.sweep_ks),
+                            ("sweep_temperatures", self.sweep_temperatures)):
+            for i, v in enumerate(values):
+                if v in values[:i]:
+                    raise ConfigError(f"{key} repeats {v!r}")
 
     def settings(self) -> SessionSettings:
         return SessionSettings(

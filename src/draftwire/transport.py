@@ -16,6 +16,9 @@ Conversation, orchestrator side:
     COMMIT_NOTICE                  committed tokens, no reply
     SHUTDOWN                       no reply, worker exits
 
+Closing the connection without SHUTDOWN ends the session only: the worker
+goes back to accept and serves the next one.
+
 Both modes share ``WorkerCore`` for scoring, so a loopback TCP run and an
 in-process run execute identical arithmetic in identical order; payload
 bytes pass through the same codec either way. Aggregation order is fixed by
@@ -314,7 +317,8 @@ def worker_serve(
 ) -> None:
     """Serve score requests until a SHUTDOWN frame arrives.
 
-    One session at a time; a dropped connection returns to accept. The
+    One session at a time; a closed or dropped connection returns to
+    accept, so one worker serves any number of runs in turn. The
     bound port (useful with port 0) is reported through ``ready``.
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
@@ -571,13 +575,19 @@ class TcpPool:
             self._send(i, Kind.COMMIT_NOTICE, body, self._next_corr())
 
     def close(self) -> None:
+        """Disconnect; each worker goes back to accept its next session."""
+        for sock in self._socks:
+            try:
+                sock.close()
+            except OSError:
+                pass
+
+    def shutdown(self) -> None:
+        """Ask every worker process to exit, then disconnect."""
         for i, sock in enumerate(self._socks):
             try:
                 sock.sendall(frame_encode(Message(Kind.SHUTDOWN, self._corr + 1 + i)))
             except OSError:
                 pass
-            try:
-                sock.close()
-            except OSError:
-                pass
         self._corr += len(self._socks)
+        self.close()

@@ -286,7 +286,7 @@ def test_gate_6_cross_mode_determinism():
             assert remote.uplink_bytes == local.uplink_bytes
     finally:
         if net_pool is not None:
-            net_pool.close()
+            net_pool.shutdown()
         local_pool.close()
         for thread, _ in workers:
             thread.join(timeout=5)

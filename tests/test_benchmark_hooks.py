@@ -5,6 +5,7 @@ its ``targets()`` lists must resolve, so a refactor that renames or drops a
 wrapped function fails here rather than only when the benchmark runs.
 """
 
+import csv
 import importlib.util
 from pathlib import Path
 
@@ -24,3 +25,40 @@ def test_every_traced_call_site_resolves():
     missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in sites
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_sweep_scores_each_position_through_engine_attribute(monkeypatch, tmp_path):
+    """A traced sweep run requires its ``metrics.instrument_position`` span
+    count to equal the CSV's steps column. That holds only while
+    ``block_step_metrics`` calls ``engine.instrument_position`` once per
+    scored position: gamma draft positions plus the bonus position."""
+    from draftwire import cli, engine
+
+    gamma = 3
+    calls = {"positions": 0, "blocks": 0}
+    position, block = engine.instrument_position, cli.block_step_metrics
+
+    def counted_position(*args, **kwargs):
+        calls["positions"] += 1
+        return position(*args, **kwargs)
+
+    def counted_block(*args, **kwargs):
+        before = calls["positions"]
+        steps = block(*args, **kwargs)
+        assert calls["positions"] - before == len(steps) == gamma + 1
+        calls["blocks"] += 1
+        return steps
+
+    monkeypatch.setattr(engine, "instrument_position", counted_position)
+    monkeypatch.setattr(cli, "block_step_metrics", counted_block)
+    csv_path = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", "--vocab_size", "16", "--workers", "2", "--k", "4",
+                     "--gamma", str(gamma), "--samples", "2", "--max_tokens", "12",
+                     "--sweep_ks", "1,4,16", "--sweep_temperatures", "0.8,1.2",
+                     "--csv", str(csv_path)])
+    assert code == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    positions = sum(int(r["steps"]) for r in rows if r["strategy"] == rows[0]["strategy"])
+    assert calls["blocks"] > 0
+    assert calls["positions"] == positions == calls["blocks"] * (gamma + 1)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import distributions, random_distribution
 from draftwire.compression import (
+    PRE_WIRE_TOLERANCE,
     DuplicateTokenError,
     EntryOrderError,
     PayloadError,
@@ -37,15 +38,40 @@ def _assert_matches_reference(d, k):
     p = truncate_topk(d, k)
     np.testing.assert_array_equal(p.ids, ids)
     np.testing.assert_array_equal(p.probs, d.probs[ids])
+    _assert_passes_validation(p)
+
+
+def _assert_passes_validation(p):
+    """truncate_topk skips the payload checks; the validating constructor
+    must accept its output unchanged."""
+    checked = TopKPayload(p.vocab_size, p.ids, p.probs, tol=PRE_WIRE_TOLERANCE)
+    assert checked.vocab_size == p.vocab_size
+    for got, want in ((checked.ids, p.ids), (checked.probs, p.probs)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert not p.ids.flags.writeable and not p.probs.flags.writeable
+
+
+def _all_tie_split_ks(d):
+    """Every k whose cut falls inside a group of tied probabilities."""
+    ranked = d.probs[_reference_topk(d, d.vocab_size)]
+    return [int(k) for k in np.flatnonzero(ranked[:-1] == ranked[1:]) + 1]
 
 
 def _tie_split_ks(d, rng, n=3):
     """Up to n values of k whose cut falls inside a group of tied probabilities."""
-    ranked = d.probs[_reference_topk(d, d.vocab_size)]
-    splits = np.flatnonzero(ranked[:-1] == ranked[1:]) + 1
-    if splits.size == 0:
+    splits = _all_tie_split_ks(d)
+    if not splits:
         return []
-    return [int(k) for k in rng.choice(splits, size=min(n, splits.size), replace=False)]
+    return [int(k) for k in rng.choice(splits, size=min(n, len(splits)), replace=False)]
+
+
+def _body(vocab_size, ids, probs):
+    """A payload body written field by field, with no checks."""
+    rec = np.zeros(len(ids), dtype=[("id", "<u4"), ("p", "<f4")])
+    rec["id"] = ids
+    rec["p"] = probs
+    return np.array([vocab_size, len(ids)], dtype="<u4").tobytes() + rec.tobytes()
 
 
 class TestTruncate:
@@ -115,6 +141,16 @@ class TestTruncate:
     @given(distributions(min_size=2, max_size=40), st.data())
     def test_matches_full_sort_reference_property(self, d, data):
         k = data.draw(st.integers(min_value=1, max_value=d.vocab_size))
+        _assert_matches_reference(d, k)
+
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=64).filter(any), st.data())
+    def test_tie_heavy_output_passes_validation_property(self, weights, data):
+        # small integer weights: all-equal runs, tie groups and exact zeros;
+        # k at the edges or cutting inside a tie group
+        w = np.asarray(weights, dtype=np.float64)
+        d = Distribution(w / w.sum())
+        n = d.vocab_size
+        k = data.draw(st.sampled_from(sorted({1, n - 1, n, *_all_tie_split_ks(d)})))
         _assert_matches_reference(d, k)
 
     def test_epsilon_monotone_in_k(self):
@@ -324,6 +360,27 @@ class TestCodec:
         bad = np.array([4, 1], dtype="<u4").tobytes() + rec.tobytes()
         with pytest.raises(ProbabilityValueError):
             decode_payload(bad)
+
+    MALFORMED = [
+        (TruncatedPayloadError, _body(4, [0], [1.0])[:-1]),
+        (PayloadHeaderError, _body(1, [0], [1.0])),
+        (PayloadHeaderError, _body(4, [], [])),
+        (DuplicateTokenError, _body(4, [2, 2], [0.5, 0.5])),
+        (TokenRangeError, _body(4, [4], [1.0])),
+        (ProbabilityValueError, _body(4, [0], [float("nan")])),
+        (ProbabilityValueError, _body(4, [0, 1], [0.75, 0.5])),  # mass 1.25
+        (ProbabilityValueError, _body(4, [0], [0.0])),  # no retained mass
+        (EntryOrderError, _body(4, [0, 1], [0.25, 0.5])),
+        (EntryOrderError, _body(4, [2, 1], [0.25, 0.25])),  # tie, ids descending
+    ]
+
+    @pytest.mark.parametrize("error, body", MALFORMED)
+    def test_malformed_body_raises_typed_error(self, error, body):
+        with pytest.raises(error):
+            decode_payload(body)
+
+    def test_malformed_cases_cover_every_error_type(self):
+        assert {error for error, _ in self.MALFORMED} == set(PayloadError.__subclasses__())
 
     def test_f32_tie_creation_reorders_entries(self):
         # Two f64 probabilities that collapse to the same f32; the encoder

@@ -264,6 +264,22 @@ class TestCliSweep:
         assert code == 2
         assert "sweep k=99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ks, temps, message", [
+        ("4,4", "1.0", "sweep_ks repeats 4"),
+        ("1,4,1", "1.0", "sweep_ks repeats 1"),
+        ("4", "1.0,1.0", "sweep_temperatures repeats 1.0"),
+        ("4", "0.8,1,1.0", "sweep_temperatures repeats 1.0"),
+    ])
+    def test_sweep_repeated_value_exits_2(self, tmp_path, capsys, ks, temps, message):
+        csv_path = tmp_path / "sweep.csv"
+        code = main(["sweep", "--vocab_size", "16", "--samples", "1",
+                     "--max_tokens", "8", "--gamma", "2", "--k", "4",
+                     "--sweep_ks", ks, "--sweep_temperatures", temps,
+                     "--csv", str(csv_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_sweep_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -380,7 +380,7 @@ class TestTcpPool:
             assert pool.uplink_totals == [2 * expected_upload_bytes(2, 3)] * 2
         finally:
             if pool is not None:
-                pool.close()
+                pool.shutdown()
             for thread, port in workers:
                 thread.join(timeout=5)
                 assert not thread.is_alive()
@@ -404,7 +404,7 @@ class TestTcpPool:
                     assert list(a.probs) == list(b.probs)
         finally:
             if pool is not None:
-                pool.close()
+                pool.shutdown()
             for thread, port in workers:
                 thread.join(timeout=5)
 
@@ -465,6 +465,33 @@ class TestTcpPool:
             pool.close()
             thread.join(timeout=5)
 
+    def test_close_disconnects_and_shutdown_stops_worker(self):
+        settings = SessionSettings(
+            vocab_size=8, gamma=2, strategy=Strategy.RENORMALIZED,
+            weights=WeightVector.uniform(1),
+            k_profile=TopKProfile.homogeneous(3, 1, 8),
+            max_tokens=12, prompt=(0,))
+        draft = SyntheticModel(vocab_size=8, seed=derive_seed(23, ROLE_DRAFT_MODEL),
+                               concentration=3.0)
+        thread, port = start_worker(FACTORY)
+        first = TcpPool([("127.0.0.1", port)])
+        try:
+            a = run_sample(draft, first, settings, 23)
+        finally:
+            first.close()
+        thread.join(timeout=0.5)
+        assert thread.is_alive()  # close() only ends the session
+
+        second = TcpPool([("127.0.0.1", port)])
+        try:
+            b = run_sample(draft, second, settings, 23)
+        finally:
+            second.shutdown()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert (a.tokens, a.blocks, a.accepted, a.uplink_bytes) == (
+            b.tokens, b.blocks, b.accepted, b.uplink_bytes)
+
     def test_connection_refused(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -493,7 +520,7 @@ class TestCrossModeDeterminism:
                 remote = run_sample(draft, pool, settings, sample_seed)
             finally:
                 if pool is not None:
-                    pool.close()
+                    pool.shutdown()
                 for thread, port in workers:
                     thread.join(timeout=5)
                     assert not thread.is_alive()
