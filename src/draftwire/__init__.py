@@ -40,7 +40,6 @@ from .engine import (
 from .metrics import (
     StepMetrics,
     SweepRecord,
-    acceptance_variation,
     aggregation_bias,
     check_bounds,
     instrument_position,

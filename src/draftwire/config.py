@@ -8,14 +8,14 @@ starting with # (or blank) are ignored; arrays are comma-separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
 from .engine import SessionSettings
-from .models import MarkovModel, SyntheticModel, TraceModel, load_corpus
+from .models import MarkovModel, NormalMemo, SyntheticModel, TraceModel, load_corpus
 from .seeding import ROLE_DRAFT_MODEL, ROLE_WORKER_MODEL_BASE, derive_seed
 from .specdec import ModelProvider
 from .transport import DEFAULT_TIMEOUT, ModelFactory
@@ -124,6 +124,16 @@ def _float_list(raw: str, key: str) -> tuple[float, ...]:
     return tuple(_float(part.strip(), key) for part in raw.split(",") if part.strip())
 
 
+class _SharedModelState:
+    """Built at most once per config and shared with its temperature variants."""
+
+    __slots__ = ("memo", "markov")
+
+    def __init__(self) -> None:
+        self.memo: NormalMemo | None = None
+        self.markov: MarkovModel | None = None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     vocab_size: int
@@ -153,6 +163,8 @@ class RunConfig:
     csv: str
     sweep_ks: tuple[int, ...]
     sweep_temperatures: tuple[float, ...]
+    _shared: _SharedModelState = field(
+        init=False, default_factory=_SharedModelState, compare=False, repr=False)
 
     @classmethod
     def from_mapping(cls, raw: Mapping[str, str]) -> "RunConfig":
@@ -287,8 +299,14 @@ class RunConfig:
         )
 
     def with_temperature(self, t: float) -> "RunConfig":
-        """Sweep variant: both model temperatures follow the sweep point."""
-        return RunConfig(**{**self.__dict__, "temperature": t, "draft_temperature": t})
+        """Sweep variant: both model temperatures follow the sweep point.
+
+        The variant shares this config's memo and fitted Markov model:
+        neither depends on a temperature.
+        """
+        variant = replace(self, temperature=t, draft_temperature=t)
+        object.__setattr__(variant, "_shared", self._shared)
+        return variant
 
     # -- model wiring -------------------------------------------------------
 
@@ -299,6 +317,7 @@ class RunConfig:
                 seed=derive_seed(sample_seed, ROLE_DRAFT_MODEL),
                 concentration=self.draft_concentration,
                 temperature=self.draft_temperature,
+                memo=self._memo(),
             )
         if self.model == "markov":
             return self._markov()
@@ -310,6 +329,7 @@ class RunConfig:
                 concentration=self.concentration,
                 temperature=self.temperature,
                 correlation=self.correlation,
+                memo=self._memo(),
             )
         if self.model == "markov":
             fitted = self._markov()
@@ -339,24 +359,33 @@ class RunConfig:
         factory = self.worker_factory()
         return [factory(self.vocab_size, sample_seed, i) for i in range(self.workers)]
 
+    def _memo(self) -> NormalMemo:
+        """One block's distinct draws: gamma draft positions plus the bonus."""
+        if self._shared.memo is None:
+            self._shared.memo = NormalMemo(self.gamma + 1)
+        return self._shared.memo
+
     def _markov(self) -> MarkovModel:
-        corpus = load_corpus(self.corpus)
-        return MarkovModel.fit(
-            corpus,
-            vocab_size=self.vocab_size,
-            order=self.markov_order,
-            smoothing=self.markov_smoothing,
-        )
+        if self._shared.markov is None:
+            self._shared.markov = MarkovModel.fit(
+                load_corpus(self.corpus),
+                vocab_size=self.vocab_size,
+                order=self.markov_order,
+                smoothing=self.markov_smoothing,
+            )
+        return self._shared.markov
 
 
 def synthetic_worker_factory(
-    *, concentration: float, temperature: float, correlation: float
+    *, concentration: float, temperature: float, correlation: float,
+    memo: NormalMemo | None = None,
 ) -> ModelFactory:
     """Workers keyed off the sample seed, sharing the draft model's noise.
 
     Worker i's own seed comes from (seed material, worker role + i); the
     shared component is keyed exactly like the draft model's seed, so
-    correlation 1 reproduces the draft model's logits.
+    correlation 1 reproduces the draft model's logits. Given the draft
+    model's ``memo``, every worker reads that shared component from it.
     """
 
     def factory(vocab_size: int, seed_material: int, index: int) -> ModelProvider:
@@ -367,6 +396,7 @@ def synthetic_worker_factory(
             temperature=temperature,
             correlation=correlation,
             shared_seed=derive_seed(seed_material, ROLE_DRAFT_MODEL),
+            memo=memo,
         )
 
     return factory

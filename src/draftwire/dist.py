@@ -90,9 +90,11 @@ def softmax_with_temperature(logits, temperature: float) -> Distribution:
         raise ValueError("logits must be a 1-D vector of length >= 2")
     if not np.all(np.isfinite(arr)):
         raise ValueError("logits must be finite")
-    shifted = (arr - arr.max()) / temperature
-    exps = np.exp(shifted)
-    return Distribution.unchecked(exps / exps.sum())
+    out = arr - arr.max()  # a new array: the caller's logits are never written
+    out /= temperature
+    np.exp(out, out=out)
+    out /= out.sum()
+    return Distribution.unchecked(out)
 
 
 def l1_distance(a: Distribution, b: Distribution) -> float:

@@ -67,11 +67,6 @@ def aggregation_bias(exact: Distribution, compressed: Distribution) -> float:
     return l1_distance(exact, compressed)
 
 
-def acceptance_variation(q: Distribution, p_exact: Distribution, p_comp: Distribution) -> float:
-    """Absolute change in expected acceptance rate caused by compression."""
-    return abs(acceptance_rate(p_comp, q) - acceptance_rate(p_exact, q))
-
-
 @dataclass(frozen=True, slots=True)
 class StrategyMetrics:
     """One reconstruction strategy's figures at one scored position.

@@ -6,6 +6,13 @@ Three families, all deterministic given their construction parameters:
   (seed, prefix hash). A correlation knob blends in a second normal vector
   drawn from a shared seed, so a worker can overlap the draft model by a
   tunable amount and acceptance rates become tunable rather than accidental.
+  Models built by one ``RunConfig`` share a ``NormalMemo``: the draw keyed
+  by the draft model's seed (the draft model's own noise, every worker's
+  ``z_shared``) is made once per position and reused, while each worker's
+  own noise is always drawn directly. The memo is keyed by what is drawn,
+  so outputs are the same with or without it; it only saves work when the
+  draft model and the workers live in one process, which makes in-process
+  runs cheaper than TCP runs by construction.
 * ``MarkovModel``  - add-lambda smoothed n-gram counts from an integer
   token corpus, backing off to uniform for unseen contexts.
 * ``TraceModel``   - replays distributions recorded to a binary trace file,
@@ -17,7 +24,8 @@ No neural inference, no tokenizers; vocabularies are plain integer ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -50,6 +58,40 @@ def synthetic_logits(seed: int, prefix: Sequence[int], vocab_size: int, concentr
     return concentration * keyed_normals(seed, h, vocab_size)
 
 
+class NormalMemo:
+    """The most recent ``keyed_normals`` vectors, keyed by (seed, context, n).
+
+    The key is the whole content of a draw, so every model that asks for it
+    gets the same vector whatever its temperature or concentration. Entries
+    are read-only, and the least recently used is dropped once more than
+    ``capacity`` are held. Not thread-safe: one run uses it at a time.
+    """
+
+    __slots__ = ("capacity", "_entries")
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("memo capacity must be >= 1")
+        self.capacity = capacity
+        self._entries: OrderedDict[tuple[int, int, int], np.ndarray] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def normals(self, seed: int, context: int, n: int) -> np.ndarray:
+        key = (seed, context, n)
+        z = self._entries.get(key)
+        if z is not None:
+            self._entries.move_to_end(key)
+            return z
+        z = keyed_normals(seed, context, n)
+        z.setflags(write=False)
+        self._entries[key] = z
+        if len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        return z
+
+
 @dataclass(frozen=True)
 class SyntheticModel:
     """Deterministic random-logit model.
@@ -58,6 +100,9 @@ class SyntheticModel:
     rho * z_shared + sqrt(1 - rho^2) * z_own, where z_shared is keyed by
     ``shared_seed`` (typically the draft model's seed). rho = 1 reproduces
     the shared model's logits exactly; rho = 0 is independent.
+
+    With a ``memo``, only the draw keyed by the draft seed goes through it:
+    ``shared_seed`` when one is set, otherwise (the draft model) ``seed``.
     """
 
     vocab_size: int
@@ -66,6 +111,7 @@ class SyntheticModel:
     temperature: float = 1.0
     correlation: float = 0.0
     shared_seed: int | None = None
+    memo: NormalMemo | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
@@ -79,18 +125,27 @@ class SyntheticModel:
         if self.correlation > 0.0 and self.shared_seed is None:
             raise ValueError("correlation > 0 requires a shared_seed")
 
+    def _draft_seed_normals(self, h: int) -> np.ndarray:
+        """The draw keyed by the draft seed; read-only when memoized."""
+        seed = self.seed if self.shared_seed is None else self.shared_seed
+        if self.memo is None:
+            return keyed_normals(seed, h, self.vocab_size)
+        return self.memo.normals(seed, h, self.vocab_size)
+
     def distribution(self, prefix: Sequence[int]) -> Distribution:
         h = stable_prefix_hash(prefix)
         rho = self.correlation
-        if rho == 0.0:
+        if 0.0 < rho < 1.0:
             z = keyed_normals(self.seed, h, self.vocab_size)
-        elif rho == 1.0:
-            z = keyed_normals(self.shared_seed, h, self.vocab_size)
-        else:
-            z_shared = keyed_normals(self.shared_seed, h, self.vocab_size)
-            z_own = keyed_normals(self.seed, h, self.vocab_size)
-            z = rho * z_shared + math.sqrt(1.0 - rho * rho) * z_own
-        return softmax_with_temperature(self.concentration * z, self.temperature)
+            z *= math.sqrt(1.0 - rho * rho)
+            z += rho * self._draft_seed_normals(h)
+            z *= self.concentration
+        elif rho == 0.0 and self.shared_seed is not None:  # worker independent of the draft
+            z = keyed_normals(self.seed, h, self.vocab_size)
+            z *= self.concentration
+        else:  # the draft model, or a worker that copies it
+            z = self.concentration * self._draft_seed_normals(h)
+        return softmax_with_temperature(z, self.temperature)
 
 
 class MarkovModel:

@@ -12,6 +12,7 @@ from draftwire.config import (
     parse_config_text,
 )
 from draftwire.metrics import CSV_COLUMNS, read_sweep_csv
+from draftwire.models import MarkovModel
 
 
 def config_from(**overrides):
@@ -127,6 +128,9 @@ class TestRunConfigTyping:
         assert hot.temperature == 1.2
         assert hot.draft_temperature == 1.2
         assert hot.seed == cfg.seed
+        # the noise memo is keyed by content, not temperature, so it is shared
+        assert hot.draft_model(5).memo is cfg.draft_model(5).memo
+        assert config_from().draft_model(5).memo is not cfg.draft_model(5).memo
 
     def test_sweep_validation_only_on_demand(self):
         # run-style configs may shrink the vocab below default sweep ks
@@ -214,6 +218,24 @@ class TestCliRun:
         assert main(["run", "--vocab_size", "not_a_number"]) == 2
         assert main(["run", "--strategy", "nope"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_markov_run_fits_corpus_once(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(" ".join(str(t % 16) for t in range(200)))
+        fit = MarkovModel.fit.__func__
+        calls = []
+
+        def counted_fit(cls, *args, **kwargs):
+            calls.append(args)
+            return fit(cls, *args, **kwargs)
+
+        monkeypatch.setattr(MarkovModel, "fit", classmethod(counted_fit))
+        code = main(["run", *RUN_ARGS[:2], "--samples", "3", *RUN_ARGS[4:],
+                     "--model", "markov", "--corpus", str(corpus)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "sample 2:" in out
+        assert len(calls) == 1
 
     def test_networked_refused_exits_1(self, capsys):
         with socket.socket() as probe:

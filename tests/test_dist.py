@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import distribution_pairs, distributions, random_distribution
@@ -89,6 +89,24 @@ class TestSoftmax:
                 # Strictly ordered logits must stay strictly ordered.
                 order = np.argsort(logits, kind="stable")
                 assert np.all(np.diff(d.probs[order]) >= 0.0)
+
+
+    @settings(deadline=None)
+    @given(
+        logits=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=2, max_size=64),
+        temp=st.sampled_from([0.25, 0.8, 1.0, 1.3, 4.0]),
+        read_only=st.booleans(),
+    )
+    def test_in_place_softmax_matches_out_of_place_oracle(self, logits, temp, read_only):
+        arr = np.asarray(logits, dtype=np.float64)
+        arr.setflags(write=not read_only)
+        before = arr.copy()
+        d = softmax_with_temperature(arr, temp)
+        assert arr.tobytes() == before.tobytes()  # the caller's array is untouched
+        assert not d.probs.flags.writeable
+        assert d.probs is not arr
+        exps = np.exp((before - before.max()) / temp)
+        assert d.probs.tobytes() == (exps / exps.sum()).tobytes()
 
 
 class TestDistances:

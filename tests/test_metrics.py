@@ -11,7 +11,6 @@ from draftwire.metrics import (
     CSV_COLUMNS,
     StepMetrics,
     StrategyMetrics,
-    acceptance_variation,
     aggregation_bias,
     check_bounds,
     instrument_position,
@@ -54,12 +53,6 @@ class TestPointwiseMeasures:
 
     def test_lossless_error_is_zero(self):
         assert local_error(P1, P1) == 0.0
-
-    def test_acceptance_variation_symmetric_inputs(self):
-        exact = Distribution([0.3, 0.25, 0.225, 0.225])
-        comp = Distribution([0.3125, 0.1875, 3 / 14, 2 / 7])
-        assert acceptance_variation(Q, exact, comp) == pytest.approx(0.05, abs=1e-12)
-        assert acceptance_variation(Q, comp, exact) == pytest.approx(0.05, abs=1e-12)
 
 
 class TestInstrumentedReferencePoint:

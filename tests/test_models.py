@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from draftwire import InProcessPool, models, run_sample
+from draftwire.config import RunConfig, merge_config
 from draftwire.dist import Distribution
 from draftwire.models import (
     MarkovModel,
+    NormalMemo,
     SyntheticModel,
     TraceError,
     TraceExhaustedError,
@@ -13,6 +20,7 @@ from draftwire.models import (
     synthetic_logits,
     write_trace,
 )
+from draftwire.seeding import keyed_normals, stable_prefix_hash
 
 
 class TestSyntheticModel:
@@ -85,6 +93,131 @@ class TestSyntheticModel:
         z1 = synthetic_logits(3, (1, 2), 8, 1.0)
         z2 = synthetic_logits(3, (1, 2), 8, 2.5)
         assert np.allclose(z2, 2.5 * z1)
+
+
+def old_synthetic_probs(vocab_size, seed, concentration, temperature, correlation,
+                        shared_seed, prefix):
+    """The synthetic distribution from fresh draws and out-of-place
+    arithmetic: the oracle that the memoized, in-place path must match bit
+    for bit."""
+    h = stable_prefix_hash(prefix)
+    if correlation == 0.0:
+        z = keyed_normals(seed, h, vocab_size)
+    elif correlation == 1.0:
+        z = keyed_normals(shared_seed, h, vocab_size)
+    else:
+        z = (correlation * keyed_normals(shared_seed, h, vocab_size)
+             + math.sqrt(1.0 - correlation * correlation) * keyed_normals(seed, h, vocab_size))
+    shifted = (concentration * z - (concentration * z).max()) / temperature
+    exps = np.exp(shifted)
+    return exps / exps.sum()
+
+
+def memo_config(**overrides):
+    raw = {"vocab_size": "64", "workers": "2", "k": "8", "gamma": "4",
+           "mode": "inprocess", **overrides}
+    return RunConfig.from_mapping(merge_config(raw))
+
+
+class TestNormalMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        correlation=st.sampled_from([0.0, 0.5, 0.98, 1.0]),
+        temperature=st.sampled_from([0.3, 0.8, 1.0, 1.7]),
+        vocab_size=st.sampled_from([2, 7, 64, 512, 4096]),
+        concentration=st.sampled_from([0.0, 0.7, 3.0, 4.0]),
+        prefixes=st.lists(st.lists(st.integers(0, 1000), max_size=6), min_size=1, max_size=8),
+    )
+    def test_bit_identical_with_and_without_memo(self, correlation, temperature, vocab_size,
+                                                 concentration, prefixes):
+        memo = NormalMemo(3)
+        params = dict(vocab_size=vocab_size, concentration=concentration,
+                      temperature=temperature)
+        draft = SyntheticModel(seed=11, **params)
+        draft_memo = SyntheticModel(seed=11, memo=memo, **params)
+        worker = SyntheticModel(seed=999, correlation=correlation, shared_seed=11, **params)
+        worker_memo = SyntheticModel(seed=999, correlation=correlation, shared_seed=11,
+                                     memo=memo, **params)
+        for prefix in map(tuple, prefixes):
+            for plain, memoized, seed, rho, shared in (
+                (draft, draft_memo, 11, 0.0, None),
+                (worker, worker_memo, 999, correlation, 11),
+            ):
+                expected = old_synthetic_probs(vocab_size, seed, concentration, temperature,
+                                               rho, shared, prefix)
+                assert plain.distribution(prefix).probs.tobytes() == expected.tobytes()
+                assert memoized.distribution(prefix).probs.tobytes() == expected.tobytes()
+        assert len(memo) <= memo.capacity
+
+    def test_entries_are_read_only_and_reused(self):
+        memo = NormalMemo(2)
+        z = memo.normals(3, 17, 32)
+        assert not z.flags.writeable
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        assert memo.normals(3, 17, 32) is z
+        assert np.array_equal(z, keyed_normals(3, 17, 32))
+
+    def test_drops_least_recently_used_beyond_capacity(self):
+        memo = NormalMemo(2)
+        a = memo.normals(1, 1, 8)
+        memo.normals(1, 2, 8)
+        assert memo.normals(1, 1, 8) is a  # touch: (1, 2) is now the oldest
+        memo.normals(1, 3, 8)
+        assert len(memo) == 2
+        assert memo.normals(1, 1, 8) is a
+        with pytest.raises(ValueError):
+            NormalMemo(0)
+
+    def test_distribution_never_writes_a_memo_entry(self):
+        memo = NormalMemo(4)
+        shared = memo.normals(11, stable_prefix_hash((1, 2)), 16)
+        before = shared.copy()
+        for rho in (0.0, 0.5, 1.0):
+            SyntheticModel(vocab_size=16, seed=5, concentration=3.0, correlation=rho,
+                           shared_seed=11, memo=memo).distribution((1, 2))
+        SyntheticModel(vocab_size=16, seed=11, concentration=3.0, memo=memo).distribution((1, 2))
+        assert np.array_equal(shared, before)
+
+    def test_run_config_memo_holds_at_most_one_block(self):
+        cfg = memo_config(max_tokens="40")
+        draft = cfg.draft_model(3)
+        memo = draft.memo
+        assert memo is not None and memo.capacity == cfg.gamma + 1
+        pool = InProcessPool(cfg.workers, cfg.worker_factory())
+        inner = pool.score_block
+        sizes = []
+
+        def watched(delta, draft_tokens):
+            result = inner(delta, draft_tokens)
+            sizes.append(len(memo))
+            return result
+
+        pool.score_block = watched
+        run_sample(draft, pool, cfg.settings(), 3)
+        assert len(sizes) > 1
+        assert max(sizes) == cfg.gamma + 1
+
+    @pytest.mark.parametrize("correlation, draws", [("0.98", 15), ("1.0", 5), ("0", 14)])
+    def test_one_block_draws_each_vector_once(self, monkeypatch, correlation, draws):
+        # M = 2, gamma = 4: the draft model draws 4 positions, each worker
+        # scores 5. With 0 < rho < 1 the 5 shared draws are made once and
+        # each worker adds 5 of its own: (M + 1)(gamma + 1) = 15, not 24.
+        # rho = 1 needs only the shared draws; rho = 0 shares nothing.
+        calls = []
+        inner = models.keyed_normals
+
+        def counted(seed, context, n):
+            calls.append((seed, context, n))
+            return inner(seed, context, n)
+
+        monkeypatch.setattr(models, "keyed_normals", counted)
+        cfg = memo_config(vocab_size="512", max_tokens="1", correlation=correlation)
+        res = run_sample(cfg.draft_model(8), InProcessPool(cfg.workers, cfg.worker_factory()),
+                         cfg.settings(), 8)
+        assert res.blocks == 1
+        assert len(calls) == draws
+        assert len(set(calls)) == draws
 
 
 class TestMarkovModel:
