@@ -32,7 +32,6 @@ from .engine import (
     SampleResult,
     SessionSettings,
     block_step_metrics,
-    run_autoregressive_sample,
     run_reference_sample,
     run_sample,
     sample_seed_for,

@@ -17,7 +17,8 @@ Subcommands:
 * ``trace-replay`` - recomputes metrics offline from recorded traces.
 
 Exit codes: 0 success and zero bound violations; 1 runtime failure
-(worker unreachable, divergence); 2 usage/config error; 3 bound violations.
+(worker unreachable, divergence, bad or exhausted trace); 2 usage/config error;
+3 bound violations.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .engine import (
 )
 from .dist import Distribution
 from .metrics import SweepRecord, sweep_aggregate, write_sweep_csv
-from .models import read_trace, write_trace
+from .models import TraceError, read_trace, write_trace
 from .transport import (
     InProcessPool,
     TcpPool,
@@ -321,6 +322,8 @@ def cmd_trace_record(cfg: RunConfig) -> int:
         "samples": 1,
         "max_tokens": cfg.max_tokens,
         "prompt": ",".join(str(t) for t in cfg.prompt),
+        "eos": -1 if cfg.eos is None else cfg.eos,
+        "weights": ",".join(repr(w) for w in cfg.weights.weights.tolist()),
         "model": "trace",
         "trace_dir": str(out),
     }
@@ -414,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (WorkerFailureError, OSError) as exc:
         print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except TraceError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -1,50 +1,39 @@
-"""Generation driver: speculative decode loop over a worker pool.
+"""Generation driver: one speculative decode loop, two ways to score a block.
 
-One sample = one seeded generation. Per block the driver drafts gamma
-tokens, fans the draft out to the workers, aggregates their decoded top-K
-payloads position by position, verifies the block, and commits the emitted
-tokens everywhere (local prefix and worker mirrors).
+One sample = one seeded generation. Per block the loop drafts gamma
+tokens, scores them, verifies the block, and commits the emitted tokens.
+The loop (``_decode``) owns the RNG streams, the prefix, the EOS and
+max_tokens stop rules, the block records and the counters; its two callers
+differ only in the scorer and the commit they pass it:
+
+* ``run_sample`` sends the draft to a worker pool, checks each worker's
+  prefix-mirror checksum, aggregates the decoded top-K payloads position
+  by position, and commits to the worker mirrors;
+* ``run_reference_sample`` is the uncompressed baseline: it queries the
+  worker models directly and aggregates their dense float32-rounded
+  vectors, never touching the top-K/codec machinery. At k = |V| the
+  compressed path must reproduce it byte for byte.
 
 RNG discipline (the determinism contract): a sample owns two streams keyed
 by (sample seed, role) - one consumed only by draft sampling, one only by
 verification (a uniform per examined step, then one sampling draw). Worker
 scoring consumes no randomness at all, so transport mode and completion
 order cannot change the transcript.
-
-``run_reference_sample`` is the uncompressed baseline: identical flow and
-RNG schedule, but worker distributions reach aggregation as dense
-float32-rounded vectors without the top-K/codec machinery. At k = |V| the
-compressed path must reproduce it byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .aggregation import TopKProfile, WeightVector, aggregate, aggregate_compressed
 from .compression import Strategy
 from .dist import Distribution
-from .dist import sample as sample_token
 from .metrics import StepMetrics, instrument_position
-from .seeding import (
-    MASK64,
-    ROLE_AUTOREGRESSIVE,
-    ROLE_DRAFT_SAMPLING,
-    ROLE_VERIFICATION,
-    stable_prefix_hash,
-    stream,
-)
-from .specdec import (
-    DraftBlock,
-    ModelProvider,
-    PrefixState,
-    VerificationOutcome,
-    generate_draft,
-    verify_block,
-)
+from .seeding import MASK64, ROLE_DRAFT_SAMPLING, ROLE_VERIFICATION, stable_prefix_hash, stream
+from .specdec import ModelProvider, PrefixState, generate_draft, verify_block
 from .transport import WorkerConfig, WorkerFailureError, WorkerPool
 
 
@@ -120,24 +109,71 @@ def sample_seed_for(seed: int, sample_index: int) -> int:
     return (seed + sample_index) & MASK64
 
 
-def _commit(
-    prefix: PrefixState,
-    outcome: VerificationOutcome,
+# What a block scorer returns: the gamma + 1 aggregated targets, the exact
+# worker distributions behind them (None: nothing to record) and the
+# block's uplink bytes.
+_BlockScores = tuple[list[Distribution], Sequence[Sequence[Distribution]] | None, int]
+
+
+def _decode(
+    draft_model: ModelProvider,
     settings: SessionSettings,
-    emitted_so_far: int,
-) -> tuple[tuple[int, ...], bool]:
-    """Truncate a block's emission at EOS / max_tokens and extend the prefix."""
-    tokens = list(outcome.emitted_tokens)
-    done = False
-    if settings.eos is not None and settings.eos in tokens:
-        tokens = tokens[: tokens.index(settings.eos) + 1]
-        done = True
-    room = settings.max_tokens - emitted_so_far
-    if len(tokens) >= room:
-        tokens = tokens[:room]
-        done = True
-    prefix.extend(tokens)
-    return tuple(tokens), done
+    sample_seed: int,
+    score: Callable[[tuple[int, ...], tuple[int, ...]], _BlockScores],
+    commit: Callable[[tuple[int, ...]], None],
+) -> SampleResult:
+    """The speculative decode loop that both paths share.
+
+    Per block: draft gamma tokens, ``score`` them against the committed
+    prefix, verify, cut the emission at EOS / max_tokens, extend the prefix
+    and hand the committed tokens to ``commit``. A block is recorded when
+    ``score`` returns the worker distributions behind its targets.
+    """
+    draft_rng = stream(sample_seed, ROLE_DRAFT_SAMPLING)
+    verify_rng = stream(sample_seed, ROLE_VERIFICATION)
+
+    prefix = PrefixState(settings.prompt)
+    emitted: list[int] = []
+    records: list[BlockRecord] = []
+    blocks = accepted = uplink = 0
+
+    while True:
+        draft = generate_draft(draft_model, prefix, settings.gamma, draft_rng)
+        p_bars, worker_dists, block_uplink = score(prefix.tokens, draft.tokens)
+        outcome = verify_block(draft, p_bars, verify_rng)
+        blocks += 1
+        accepted += outcome.accepted_count
+        uplink += block_uplink
+        if worker_dists is not None:
+            records.append(
+                BlockRecord(
+                    draft_tokens=draft.tokens,
+                    q_dists=draft.draft_dists,
+                    worker_dists=tuple(tuple(d) for d in worker_dists),
+                )
+            )
+
+        committed = list(outcome.emitted_tokens)
+        done = False
+        if settings.eos is not None and settings.eos in committed:
+            committed = committed[: committed.index(settings.eos) + 1]
+            done = True
+        room = settings.max_tokens - len(emitted)
+        if len(committed) >= room:
+            committed = committed[:room]
+            done = True
+        prefix.extend(committed)
+        emitted.extend(committed)
+        commit(tuple(committed))
+        if done:
+            return SampleResult(
+                tokens=tuple(emitted),
+                blocks=blocks,
+                drafted=blocks * settings.gamma,
+                accepted=accepted,
+                uplink_bytes=uplink,
+                records=tuple(records),
+            )
 
 
 def run_sample(
@@ -150,26 +186,19 @@ def run_sample(
 ) -> SampleResult:
     """One seeded generation through a worker pool."""
     pool.configure(settings.worker_configs(sample_seed))
-    draft_rng = stream(sample_seed, ROLE_DRAFT_SAMPLING)
-    verify_rng = stream(sample_seed, ROLE_VERIFICATION)
-
-    prefix = PrefixState(settings.prompt)
     synced = 0  # prefix tokens already reflected in worker mirrors
-    emitted: list[int] = []
-    records: list[BlockRecord] = []
-    blocks = drafted = accepted = uplink = 0
 
-    while True:
-        draft = generate_draft(draft_model, prefix, settings.gamma, draft_rng)
-        delta = prefix.tokens[synced:]
-        result = pool.score_block(delta, draft.tokens)
+    def score(prefix: tuple[int, ...], draft: tuple[int, ...]) -> _BlockScores:
+        nonlocal synced
+        delta = prefix[synced:]
+        result = pool.score_block(delta, draft)
         synced = len(prefix)
-        expected_sum = stable_prefix_hash(prefix.tokens)
+        expected_sum = stable_prefix_hash(prefix)
         for i, checksum in enumerate(result.checksums):
             if checksum != expected_sum:
                 raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
-        uplink += sum(result.uplink_bytes)
-
+        if instrumented and result.shadows is None:
+            raise WorkerFailureError("pool does not expose shadow distributions")
         p_bars = [
             aggregate_compressed(
                 [result.payloads[i][t] for i in range(settings.m)],
@@ -178,35 +207,14 @@ def run_sample(
             )
             for t in range(settings.gamma + 1)
         ]
-        outcome = verify_block(draft, p_bars, verify_rng)
-        blocks += 1
-        drafted += settings.gamma
-        accepted += outcome.accepted_count
+        return p_bars, result.shadows if instrumented else None, sum(result.uplink_bytes)
 
-        if instrumented:
-            if result.shadows is None:
-                raise WorkerFailureError("pool does not expose shadow distributions")
-            records.append(
-                BlockRecord(
-                    draft_tokens=draft.tokens,
-                    q_dists=draft.draft_dists,
-                    worker_dists=tuple(tuple(s) for s in result.shadows),
-                )
-            )
-
-        committed, done = _commit(prefix, outcome, settings, len(emitted))
-        emitted.extend(committed)
+    def commit(committed: tuple[int, ...]) -> None:
+        nonlocal synced
         pool.commit(committed)
         synced += len(committed)
-        if done:
-            return SampleResult(
-                tokens=tuple(emitted),
-                blocks=blocks,
-                drafted=drafted,
-                accepted=accepted,
-                uplink_bytes=uplink,
-                records=tuple(records),
-            )
+
+    return _decode(draft_model, settings, sample_seed, score, commit)
 
 
 def run_reference_sample(
@@ -214,35 +222,21 @@ def run_reference_sample(
     worker_models: Sequence[ModelProvider],
     settings: SessionSettings,
     sample_seed: int,
-    *,
-    record: bool = True,
 ) -> SampleResult:
     """Uncompressed baseline: dense f32 uplink, no top-K, no codec.
 
-    Matches ``run_sample``'s RNG schedule exactly, so a lossless k profile
+    Runs ``run_sample``'s loop with a dense scorer, so a lossless k profile
     must reproduce its transcript bitwise. The recorded shadows feed
     offline sweeps and trace files.
     """
     if len(worker_models) != settings.m:
         raise ValueError("one worker model per weight required")
-    draft_rng = stream(sample_seed, ROLE_DRAFT_SAMPLING)
-    verify_rng = stream(sample_seed, ROLE_VERIFICATION)
 
-    prefix = PrefixState(settings.prompt)
-    emitted: list[int] = []
-    records: list[BlockRecord] = []
-    blocks = drafted = accepted = 0
-
-    while True:
-        draft = generate_draft(draft_model, prefix, settings.gamma, draft_rng)
-        context = list(prefix.tokens)
-        worker_dists: list[list[Distribution]] = []
-        for model in worker_models:
-            dists = [
-                model.distribution(tuple(context + list(draft.tokens[:t])))
-                for t in range(settings.gamma + 1)
-            ]
-            worker_dists.append(dists)
+    def score(prefix: tuple[int, ...], draft: tuple[int, ...]) -> _BlockScores:
+        worker_dists = [
+            [model.distribution(prefix + draft[:t]) for t in range(settings.gamma + 1)]
+            for model in worker_models
+        ]
         p_bars = [
             aggregate(
                 [
@@ -255,68 +249,9 @@ def run_reference_sample(
             )
             for t in range(settings.gamma + 1)
         ]
-        outcome = verify_block(draft, p_bars, verify_rng)
-        blocks += 1
-        drafted += settings.gamma
-        accepted += outcome.accepted_count
+        return p_bars, worker_dists, 0
 
-        if record:
-            records.append(
-                BlockRecord(
-                    draft_tokens=draft.tokens,
-                    q_dists=draft.draft_dists,
-                    worker_dists=tuple(tuple(d) for d in worker_dists),
-                )
-            )
-
-        committed, done = _commit(prefix, outcome, settings, len(emitted))
-        emitted.extend(committed)
-        if done:
-            return SampleResult(
-                tokens=tuple(emitted),
-                blocks=blocks,
-                drafted=drafted,
-                accepted=accepted,
-                uplink_bytes=0,
-                records=tuple(records),
-            )
-
-
-def run_autoregressive_sample(
-    worker_models: Sequence[ModelProvider],
-    weights: WeightVector,
-    settings: SessionSettings,
-    sample_seed: int,
-) -> SampleResult:
-    """No speculation: sample each token directly from the dense average.
-
-    Uses its own RNG role with one draw per committed token; serves as the
-    distribution-level baseline that speculative decoding must match.
-    """
-    rng = stream(sample_seed, ROLE_AUTOREGRESSIVE)
-    prefix = PrefixState(settings.prompt)
-    emitted: list[int] = []
-    while len(emitted) < settings.max_tokens:
-        dense = [
-            Distribution.unchecked(
-                m.distribution(prefix.tokens).probs.astype(np.float32).astype(np.float64)
-            )
-            for m in worker_models
-        ]
-        p_bar = aggregate(dense, weights)
-        tok = sample_token(p_bar, rng)
-        emitted.append(tok)
-        prefix.extend((tok,))
-        if settings.eos is not None and tok == settings.eos:
-            break
-    return SampleResult(
-        tokens=tuple(emitted),
-        blocks=len(emitted),
-        drafted=0,
-        accepted=0,
-        uplink_bytes=0,
-        records=(),
-    )
+    return _decode(draft_model, settings, sample_seed, score, lambda committed: None)
 
 
 def block_step_metrics(

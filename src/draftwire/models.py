@@ -47,17 +47,6 @@ class TraceExhaustedError(TraceError):
     """A replay asked for more steps than were recorded."""
 
 
-def synthetic_logits(seed: int, prefix: Sequence[int], vocab_size: int, concentration: float) -> np.ndarray:
-    """Deterministic pseudo-logits for a prefix.
-
-    concentration scales i.i.d. standard normals keyed by
-    (seed, stable hash of prefix); zero concentration means uniform after
-    softmax.
-    """
-    h = stable_prefix_hash(prefix)
-    return concentration * keyed_normals(seed, h, vocab_size)
-
-
 class NormalMemo:
     """The most recent ``keyed_normals`` vectors, keyed by (seed, context, n).
 

@@ -18,7 +18,6 @@ MASK64 = (1 << 64) - 1
 # Fixed role words for the per-sample Philox streams.
 ROLE_DRAFT_SAMPLING = 0x44524146_54534D50  # draft-token sampling draws
 ROLE_VERIFICATION = 0x56455249_46595354  # server-side accept/resample draws
-ROLE_AUTOREGRESSIVE = 0x41524547_53414D50  # plain federated sampling draws
 ROLE_DRAFT_MODEL = 0x44524146_544D4F44  # draft model logit noise
 ROLE_WORKER_MODEL_BASE = 0x574F524B_4D4F4400  # + worker index
 

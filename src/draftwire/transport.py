@@ -248,14 +248,6 @@ class WorkerCore:
         self._model: ModelProvider | None = None
         self._mirror: list[int] = []
 
-    @property
-    def configured(self) -> bool:
-        return self._config is not None
-
-    @property
-    def mirror(self) -> tuple[int, ...]:
-        return tuple(self._mirror)
-
     def configure(self, cfg: WorkerConfig) -> None:
         if not 1 <= cfg.k <= cfg.vocab_size:
             raise ProtocolError(f"k={cfg.k} out of range [1, {cfg.vocab_size}]")

@@ -233,7 +233,6 @@ def test_gate_5_lossless_equivalence():
                     [GATE_FACTORY(vocab, ss, i) for i in range(m)],
                     settings,
                     ss,
-                    record=False,
                 )
                 assert _transcript_bytes(live.tokens) == _transcript_bytes(ref.tokens)
                 assert (live.blocks, live.accepted) == (ref.blocks, ref.accepted)

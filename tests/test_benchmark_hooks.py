@@ -62,3 +62,49 @@ def test_sweep_scores_each_position_through_engine_attribute(monkeypatch, tmp_pa
     positions = sum(int(r["steps"]) for r in rows if r["strategy"] == rows[0]["strategy"])
     assert calls["blocks"] > 0
     assert calls["positions"] == positions == calls["blocks"] * (gamma + 1)
+
+
+def test_one_score_call_per_block(monkeypatch):
+    """The decode workload cuts blocks at ``score_block`` calls directly
+    inside ``run_sample`` and raises when their count differs from the
+    ``blocks`` that the samples report."""
+    from draftwire import InProcessPool, run_sample, sample_seed_for
+    from draftwire.config import RunConfig, merge_config
+
+    cfg = RunConfig.from_mapping(merge_config({"vocab_size": "64", "max_tokens": "24",
+                                               "mode": "inprocess"}))
+    pool = InProcessPool(cfg.workers, cfg.worker_factory())
+    calls = []
+    score = pool.score_block
+
+    def counted(delta, draft):
+        calls.append(len(draft))
+        return score(delta, draft)
+
+    monkeypatch.setattr(pool, "score_block", counted)
+    ss = sample_seed_for(cfg.seed, 0)
+    res = run_sample(cfg.draft_model(ss), pool, cfg.settings(), ss)
+    assert res.blocks > 1
+    assert calls == [cfg.gamma] * res.blocks
+
+
+def test_one_draft_per_reference_block(monkeypatch):
+    """The sweep workload cuts reference blocks at ``engine.generate_draft``
+    calls directly inside ``run_reference_sample`` and raises when their
+    count differs from the ``blocks`` that the samples report."""
+    from draftwire import engine, run_reference_sample, sample_seed_for
+    from draftwire.config import RunConfig, merge_config
+
+    cfg = RunConfig.from_mapping(merge_config({"vocab_size": "64", "max_tokens": "24"}))
+    calls = []
+    draft = engine.generate_draft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return draft(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "generate_draft", counted)
+    ss = sample_seed_for(cfg.seed, 0)
+    res = run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss), cfg.settings(), ss)
+    assert res.blocks > 1
+    assert len(calls) == res.blocks

@@ -362,6 +362,34 @@ class TestCliTrace:
         line = next(l for l in out.splitlines() if l.startswith("sample 0:"))
         assert line.split()[2:] == transcript
 
+    @pytest.mark.parametrize("extra", [["--eos", "12"],
+                                       ["--weights", "1.0,0.0", "--correlation", "0.3"]],
+                             ids=["eos", "weights"])
+    def test_meta_cfg_replays_recording(self, tmp_path, capsys, extra):
+        # an EOS that ends the recording early and weights that favour one
+        # worker both shape the transcript, so meta.cfg must carry them
+        trace_dir = tmp_path / "traces"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir), *extra]) == 0
+        capsys.readouterr()
+        transcript = (trace_dir / "transcript.txt").read_text().split()
+
+        code = main(["run", "--config", str(trace_dir / "meta.cfg"),
+                     "--mode", "inprocess", "--k", "full", "--samples", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("sample 0:"))
+        assert line.split()[2:] == transcript
+
+    def test_exhausted_trace_exits_1(self, tmp_path, capsys):
+        trace_dir = tmp_path / "traces"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        code = main(["run", "--config", str(trace_dir / "meta.cfg"), "--mode", "inprocess",
+                     "--k", "full", "--max_tokens", "32"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["trace error: trace exhausted after 8 steps"]
+
     def test_record_requires_dir(self, capsys):
         assert main(self.RECORD) == 2
         assert "trace_dir" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from draftwire.dist import Distribution
 from draftwire.engine import (
     SessionSettings,
     block_step_metrics,
-    run_autoregressive_sample,
     run_reference_sample,
     run_sample,
     sample_seed_for,
@@ -190,19 +189,10 @@ class TestDeterminism:
         }
         assert len(outs) > 1
 
-    def test_autoregressive_deterministic(self):
-        settings = make_settings(max_tokens=16)
-        workers = [FACTORY(8, 3, i) for i in range(2)]
-        a = run_autoregressive_sample(workers, settings.weights, settings, 3)
-        b = run_autoregressive_sample(workers, settings.weights, settings, 3)
-        assert a.tokens == b.tokens
-        assert len(a.tokens) == 16
-
 
 class TestFirstTokenMarginal:
     """Distribution-preservation check in integration form: over many
-    seeds the first emitted token follows the dense aggregated target,
-    for both the speculative and the plain autoregressive paths."""
+    seeds the first emitted token follows the dense aggregated target."""
 
     VOCAB = 4
     TRIALS = 3_000
@@ -230,18 +220,6 @@ class TestFirstTokenMarginal:
             res = run_sample(draft, pool, settings, sample_seed)
             counts[res.tokens[0]] += 1
         target = self.target_at_prompt(base_workers, WeightVector.uniform(2))
-        assert np.max(np.abs(counts / self.TRIALS - target)) < 0.04
-
-    def test_autoregressive_first_token(self):
-        settings = make_settings(vocab_size=self.VOCAB, gamma=2, k=self.VOCAB,
-                                 max_tokens=1)
-        workers = [FACTORY(self.VOCAB, 5_000, i) for i in range(2)]
-        counts = np.zeros(self.VOCAB)
-        for trial in range(self.TRIALS):
-            res = run_autoregressive_sample(workers, WeightVector.uniform(2),
-                                            settings, sample_seed_for(9_000, trial))
-            counts[res.tokens[0]] += 1
-        target = self.target_at_prompt(workers, WeightVector.uniform(2))
         assert np.max(np.abs(counts / self.TRIALS - target)) < 0.04
 
 
@@ -381,6 +359,25 @@ class TestMirrorChecksum:
         pool = self.DroppingPool(InProcessPool(2, FACTORY))
         with pytest.raises(WorkerFailureError, match="mirror diverged"):
             run_sample(draft_model_for(17), pool, settings, 17)
+
+
+class TestReferenceIsDense:
+    def test_reference_never_touches_the_codec(self, monkeypatch):
+        # gate 5 compares the codec path with this one; if the reference
+        # truncated, encoded or decoded, it would compare the codec with itself
+        from draftwire import engine, transport
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reference path reached the top-K codec")
+
+        for owner, name in ((transport, "truncate_topk"), (transport, "encode_payload"),
+                            (transport, "decode_payload"), (engine, "aggregate_compressed")):
+            monkeypatch.setattr(owner, name, forbidden)
+        settings = make_settings(vocab_size=16, k=16, gamma=3, max_tokens=16)
+        workers = [FACTORY(16, 21, i) for i in range(2)]
+        ref = run_reference_sample(draft_model_for(21, vocab_size=16), workers, settings, 21)
+        assert len(ref.tokens) == 16
+        assert len(ref.records) == ref.blocks
 
 
 class TestReferenceValidation:

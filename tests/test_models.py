@@ -17,7 +17,6 @@ from draftwire.models import (
     TraceModel,
     load_corpus,
     read_trace,
-    synthetic_logits,
     write_trace,
 )
 from draftwire.seeding import keyed_normals, stable_prefix_hash
@@ -88,11 +87,6 @@ class TestSyntheticModel:
             prefix = tuple(int(t) for t in rng.integers(0, 128, size=rng.integers(1, 6)))
             d = m.distribution(prefix)
             Distribution(d.probs)  # re-run the checked constructor
-
-    def test_logits_scale_with_concentration(self):
-        z1 = synthetic_logits(3, (1, 2), 8, 1.0)
-        z2 = synthetic_logits(3, (1, 2), 8, 2.5)
-        assert np.allclose(z2, 2.5 * z1)
 
 
 def old_synthetic_probs(vocab_size, seed, concentration, temperature, correlation,

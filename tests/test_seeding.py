@@ -2,7 +2,6 @@ import numpy as np
 
 from draftwire.seeding import (
     MASK64,
-    ROLE_AUTOREGRESSIVE,
     ROLE_DRAFT_MODEL,
     ROLE_DRAFT_SAMPLING,
     ROLE_VERIFICATION,
@@ -62,7 +61,7 @@ class TestStablePrefixHash:
 
 class TestDeriveSeed:
     def test_role_separation(self):
-        roles = [ROLE_DRAFT_SAMPLING, ROLE_VERIFICATION, ROLE_AUTOREGRESSIVE,
+        roles = [ROLE_DRAFT_SAMPLING, ROLE_VERIFICATION,
                  ROLE_DRAFT_MODEL, ROLE_WORKER_MODEL_BASE,
                  ROLE_WORKER_MODEL_BASE + 1]
         outs = {derive_seed(42, r) for r in roles}

@@ -6,13 +6,17 @@ Each case builds its models the way ``draftwire run --mode inprocess`` does
 sample. A change that only makes generation faster must leave these digests
 alone; one that changes a draw, a rounding or an acceptance decision moves
 them.
+
+The dense reference path and the records of an instrumented run are pinned
+the same way, down to the bytes of every recorded distribution: they feed
+the sweep, trace files and gate 5, which compares the two decode paths.
 """
 
 import hashlib
 
 import pytest
 
-from draftwire import InProcessPool, run_sample, sample_seed_for
+from draftwire import InProcessPool, run_reference_sample, run_sample, sample_seed_for
 from draftwire.config import RunConfig, merge_config
 
 CASES = {
@@ -51,10 +55,14 @@ DIGESTS = {
 }
 
 
-def transcript_digest(overrides: dict[str, str], samples: int) -> str:
+def make_config(overrides: dict[str, str]) -> RunConfig:
     raw = {"vocab_size": "512", "workers": "2", "k": "64", "gamma": "4",
            "max_tokens": "48", "seed": "7", "mode": "inprocess", **overrides}
-    cfg = RunConfig.from_mapping(merge_config(raw))
+    return RunConfig.from_mapping(merge_config(raw))
+
+
+def transcript_digest(overrides: dict[str, str], samples: int) -> str:
+    cfg = make_config(overrides)
     pool = InProcessPool(cfg.workers, cfg.worker_factory())
     lines = []
     for s in range(samples):
@@ -68,3 +76,78 @@ def transcript_digest(overrides: dict[str, str], samples: int) -> str:
 def test_transcript_digest_is_pinned(name):
     overrides, samples = CASES[name]
     assert transcript_digest(overrides, samples) == DIGESTS[name]
+
+
+# The reference path ignores the strategy and the k profile; eos and
+# non-uniform weights exercise its stop rule and aggregation.
+REFERENCE_CASES = {
+    "v512-rho0.98": ({}, 2),
+    "v512-rho0.6-eos-weighted": ({"correlation": "0.6", "eos": "5",
+                                  "weights": "0.3,0.7", "max_tokens": "64"}, 3),
+}
+
+REFERENCE_DIGESTS = {
+    "v512-rho0.98":
+        "d6654db065ba59267f1a717da2d55c385b7bd051270dbb527146e677bb67e178",
+    "v512-rho0.6-eos-weighted":
+        "587d92ed52d7f41da7af6a4d2e55a6ecd46d6678ab69cf04e21eb459b83cbc0c",
+}
+
+RECORD_CASES = {
+    "v512-rho0.98-renormalized": ({}, 2),
+    "v512-rho0.6-residual-eos": ({"correlation": "0.6", "strategy": "residual_uniform",
+                                  "eos": "5", "k": "8", "max_tokens": "64"}, 3),
+}
+
+RECORD_DIGESTS = {
+    "v512-rho0.98-renormalized":
+        "40769886c61faf6f339fc657ea99497741cfc9a596c5f6e0a3a3d297f44f3fe4",
+    "v512-rho0.6-residual-eos":
+        "3934878ade5bd946a3734361ed97b1a57f247806316bc2a5979cd5077f434357",
+}
+
+
+def hash_result(h, res) -> None:
+    """Counters, tokens and the bytes of every recorded distribution."""
+    h.update(f"{res.tokens} {res.blocks} {res.drafted} {res.accepted} "
+             f"{res.uplink_bytes} {len(res.records)}\n".encode())
+    for rec in res.records:
+        h.update(repr(rec.draft_tokens).encode())
+        for d in rec.q_dists:
+            h.update(d.probs.tobytes())
+        for dists in rec.worker_dists:
+            for d in dists:
+                h.update(d.probs.tobytes())
+
+
+def reference_digest(overrides: dict[str, str], samples: int) -> str:
+    cfg = make_config(overrides)
+    h = hashlib.sha256()
+    for s in range(samples):
+        ss = sample_seed_for(cfg.seed, s)
+        hash_result(h, run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss),
+                                            cfg.settings(), ss))
+    return h.hexdigest()
+
+
+def record_digest(overrides: dict[str, str], samples: int) -> str:
+    cfg = make_config({"mode": "instrumented", **overrides})
+    pool = InProcessPool(cfg.workers, cfg.worker_factory(), instrumented=True)
+    h = hashlib.sha256()
+    for s in range(samples):
+        ss = sample_seed_for(cfg.seed, s)
+        hash_result(h, run_sample(cfg.draft_model(ss), pool, cfg.settings(), ss,
+                                  instrumented=True))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CASES))
+def test_reference_digest_is_pinned(name):
+    overrides, samples = REFERENCE_CASES[name]
+    assert reference_digest(overrides, samples) == REFERENCE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+def test_instrumented_record_digest_is_pinned(name):
+    overrides, samples = RECORD_CASES[name]
+    assert record_digest(overrides, samples) == RECORD_DIGESTS[name]
