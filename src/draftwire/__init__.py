@@ -39,10 +39,8 @@ from .engine import (
 from .metrics import (
     StepMetrics,
     SweepRecord,
-    aggregation_bias,
     check_bounds,
     instrument_position,
-    local_error,
     sweep_aggregate,
     write_sweep_csv,
 )

@@ -49,7 +49,7 @@ from .engine import (
     sample_seed_for,
 )
 from .dist import Distribution
-from .metrics import SweepRecord, sweep_aggregate, write_sweep_csv
+from .metrics import SweepRecord, SweepTally, sweep_aggregate, write_sweep_csv
 from .models import TraceError, read_trace, write_trace
 from .transport import (
     InProcessPool,
@@ -161,25 +161,28 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     cfg.validate_sweep()
-    # Each (T, K) point is aggregated as soon as it is scored, so only one
-    # point's steps are held at a time; rows go strategy, T, ascending K.
+    # Each reference sample is scored at every K as soon as it is decoded;
+    # only the running tallies outlive it. A tally adds its K's steps in
+    # (sample, block, position) order; rows go strategy, T, ascending K.
+    profiles = {k: TopKProfile.homogeneous(k, cfg.workers, cfg.vocab_size)
+                for k in sorted(cfg.sweep_ks, reverse=True)}
     rows: dict[Strategy, list[SweepRecord]] = {strategy: [] for strategy in Strategy}
     for temp in cfg.sweep_temperatures:
         cfg_t = cfg.with_temperature(temp)
-        records: list[BlockRecord] = []
+        tallies = {k: [SweepTally(strategy) for strategy in Strategy] for k in profiles}
         for s in range(cfg.samples):
             ss = sample_seed_for(cfg.seed, s)
             res = run_reference_sample(cfg_t.draft_model(ss), cfg_t.worker_models(ss),
                                        cfg_t.settings(), ss)
-            records.extend(res.records)
-        for k in sorted(cfg.sweep_ks):
-            profile = TopKProfile.homogeneous(k, cfg.workers, cfg.vocab_size)
-            steps = [step for rec in records
-                     for step in block_step_metrics(rec, cfg.weights, profile)]
-            for strategy in Strategy:
-                rows[strategy].append(sweep_aggregate(
-                    steps,
-                    strategy=strategy,
+            for rec in res.records:
+                widest = {}  # Ks widest first: each shadow is truncated once
+                for k, profile in profiles.items():
+                    for step in block_step_metrics(rec, cfg.weights, profile, widest=widest):
+                        for tally in tallies[k]:
+                            tally.add(step)
+        for k in sorted(profiles):
+            for tally in tallies[k]:
+                rows[tally.strategy].append(tally.record(
                     m=cfg.workers,
                     gamma=cfg.gamma,
                     vocab_size=cfg.vocab_size,
@@ -325,7 +328,7 @@ def cmd_trace_record(cfg: RunConfig) -> int:
         "eos": -1 if cfg.eos is None else cfg.eos,
         "weights": ",".join(repr(w) for w in cfg.weights.weights.tolist()),
         "model": "trace",
-        "trace_dir": str(out),
+        "trace_dir": str(out.resolve()),  # so meta.cfg runs from any directory
     }
     (out / "meta.cfg").write_text(
         "".join(f"{k} = {v}\n" for k, v in meta.items())

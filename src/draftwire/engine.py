@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregation import TopKProfile, WeightVector, aggregate, aggregate_compressed
-from .compression import Strategy
+from .compression import Strategy, TopKPayload
 from .dist import Distribution
 from .metrics import StepMetrics, instrument_position
 from .seeding import MASK64, ROLE_DRAFT_SAMPLING, ROLE_VERIFICATION, stable_prefix_hash, stream
@@ -258,17 +258,26 @@ def block_step_metrics(
     record: BlockRecord,
     weights: WeightVector,
     k_profile: TopKProfile,
+    *,
+    widest: dict[int, list[TopKPayload | None]] | None = None,
 ) -> list[StepMetrics]:
     """Score every position of a recorded block at the given k profile.
 
     Draft positions carry acceptance metrics; the bonus position only has
     distortion metrics. Pure float64 math over the shadows, so the same
     record can be re-scored for any number of profiles.
+
+    ``widest``, when given, keeps each position's widest top-K payloads
+    (see ``instrument_position``) from one call to the next. Score a
+    record's profiles widest first through one dict, and each shadow is
+    truncated once; the narrower profiles slice its payload.
     """
     gamma = len(record.draft_tokens)
+    m = len(record.worker_dists)
     out: list[StepMetrics] = []
     for t in range(gamma + 1):
         q = record.q_dists[t] if t < gamma else None
         dists = [record.worker_dists[i][t] for i in range(len(weights))]
-        out.append(instrument_position(dists, q, weights, k_profile))
+        slots = None if widest is None else widest.setdefault(t, [None] * m)
+        out.append(instrument_position(dists, q, weights, k_profile, widest=slots))
     return out

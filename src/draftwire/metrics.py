@@ -19,6 +19,13 @@ shadow distributions:
 * acceptance variation <= bias / 2 <= sum_i w_i eps_i.
 
 Violations are counted, never raised, so a sweep reports them in its CSV.
+
+``instrument_position`` scores one position as array operations over the
+stacked (M, |V|) rows, and can reuse a wider top-K payload of the same
+shadows (a prefix of it is the narrower payload), so a sweep that scores a
+record at its widest K first truncates each shadow once. A ``SweepTally``
+folds one strategy's steps into a CSV row as they arrive; the sweep keeps
+one per (K, strategy) and ``sweep_aggregate`` folds a finished list.
 """
 
 from __future__ import annotations
@@ -28,12 +35,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .aggregation import TopKProfile, WeightVector, aggregate
-from .compression import Strategy, mass_split, reconstruct, truncate_topk
-from .dist import Distribution, l1_distance
-from .specdec import acceptance_rate
+import numpy as np
+
+from .aggregation import TopKProfile, WeightVector
+from .compression import Strategy, TopKPayload, truncate_topk
+from .dist import Distribution
 
 BOUND_TOLERANCE = 1e-9
+
+# The reconstructions in the order ``instrument_position`` stacks them.
+_LAYERS = (Strategy.RENORMALIZED, Strategy.RESIDUAL_UNIFORM)
 
 CSV_COLUMNS = [
     "strategy",
@@ -55,16 +66,6 @@ CSV_COLUMNS = [
     "thm1_violations",
     "thm2_violations",
 ]
-
-
-def local_error(original: Distribution, reconstructed: Distribution) -> float:
-    """L1 distance between a worker distribution and its reconstruction."""
-    return l1_distance(original, reconstructed)
-
-
-def aggregation_bias(exact: Distribution, compressed: Distribution) -> float:
-    """L1 distance between the exact and compressed weighted averages."""
-    return l1_distance(exact, compressed)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,35 +116,88 @@ def instrument_position(
     q: Distribution | None,
     w: WeightVector,
     k_profile: TopKProfile,
+    *,
+    widest: list[TopKPayload | None] | None = None,
 ) -> StepMetrics:
     """Score one position from exact shadow distributions.
 
     Truncation, reconstruction and aggregation all run at float64 here, so
     bound checks see the mathematics rather than 32-bit wire rounding.
+
+    The exact rows and both strategies' reconstructions sit in one
+    (3, M, |V|) array, and one weighted sum over its worker axis gives the
+    exact and both compressed aggregates; the L1 errors, biases and
+    acceptance rates are reductions along the vocabulary axis. Each value
+    is bit-identical to the per-distribution functions in ``compression``,
+    ``aggregation``, ``dist`` and ``specdec``: the same float operations
+    in the same order, workers summed in index order.
+
+    ``widest``, when given, holds one slot per worker: the widest payload
+    truncated so far from that worker's distribution at this position. A
+    payload at least k wide is sliced (its first k entries are exactly
+    ``truncate_topk`` at k); otherwise the distribution is truncated at k
+    and the slot keeps the result. Pass one list per position, and only
+    with that position's distributions.
     """
-    if len(worker_dists) != len(w) or len(worker_dists) != len(k_profile):
+    m = len(worker_dists)
+    if m != len(w) or m != len(k_profile):
         raise ValueError("worker count mismatch between distributions, weights, profile")
+    slots = widest if widest is not None else [None] * m
+    size = worker_dists[0].vocab_size
+    # One allocation holds every |V|-sized array of the call, so that at a
+    # large |V| the allocator hands the same pages back on the next call
+    # rather than faulting in fresh ones for each temporary. Per layer
+    # (exact, then each strategy): the M rows, their weighted sum, scratch.
+    work = np.empty((1 + len(_LAYERS), m + 2, size))
+    rows, p_bars, scratch = work[:, :m], work[:, m], work[:, m + 1]
+    epsilons = []
+    for i, d in enumerate(worker_dists):
+        k = k_profile[i]
+        payload = slots[i]
+        if payload is None or payload.k < k:
+            payload = slots[i] = truncate_topk(d, k)
+        ids, probs = payload.ids[:k], payload.probs[:k]
+        rho = float(probs.sum())
+        eps = max(0.0, 1.0 - rho)
+        epsilons.append(eps)
+        exact, renormalized, residual = rows[:, i]
+        exact[:] = d.probs
+        renormalized.fill(0.0)
+        if k == size:  # lossless: the payload already is the distribution
+            renormalized[ids] = probs
+            residual[:] = renormalized
+        else:
+            renormalized[ids] = probs / rho
+            residual.fill(eps / (size - k))
+            residual[ids] = probs
+    weighted_eps = float(sum(w[i] * epsilons[i] for i in range(m)))
 
-    payloads = [truncate_topk(d, k_profile[i]) for i, d in enumerate(worker_dists)]
-    epsilons = tuple(mass_split(p).epsilon for p in payloads)
-    weighted_eps = float(sum(w[i] * epsilons[i] for i in range(len(w))))
-    p_exact = aggregate(list(worker_dists), w)
-    alpha_exact = None if q is None else acceptance_rate(p_exact, q)
+    np.multiply(rows[:, 0], w[0], out=p_bars)
+    for i in range(1, m):
+        p_bars += np.multiply(rows[:, i], w[i], out=scratch)
+    gaps = rows[1:]  # the reconstructions, no longer needed, become |r - d|
+    gaps -= rows[0]
+    errors = np.abs(gaps, out=gaps).sum(axis=2).tolist()
+    bias_gaps = np.subtract(p_bars[1:], p_bars[0], out=scratch[1:])
+    biases = np.abs(bias_gaps, out=bias_gaps).sum(axis=1).tolist()
+    if q is None:
+        alphas = [None] * len(p_bars)
+    else:
+        alphas = [min(1.0, max(0.0, a))
+                  for a in np.minimum(p_bars, q.probs, out=scratch).sum(axis=1).tolist()]
+    alpha_exact = alphas[0]
 
-    by_strategy = {}
-    for strategy in Strategy:
-        recon = [reconstruct(p, strategy) for p in payloads]
-        p_comp = aggregate(recon, w)
-        alpha = None if q is None else acceptance_rate(p_comp, q)
-        by_strategy[strategy] = StrategyMetrics(
-            local_errors=tuple(local_error(d, r) for d, r in zip(worker_dists, recon)),
-            bias=aggregation_bias(p_exact, p_comp),
-            alpha=alpha,
-            dalpha=None if alpha is None else abs(alpha - alpha_exact),
+    by_strategy = {
+        strategy: StrategyMetrics(
+            local_errors=tuple(errors[layer]),
+            bias=biases[layer],
+            alpha=alphas[1 + layer],
+            dalpha=None if q is None else abs(alphas[1 + layer] - alpha_exact),
         )
-
+        for layer, strategy in enumerate(_LAYERS)
+    }
     return StepMetrics(
-        worker_epsilons=epsilons,
+        worker_epsilons=tuple(epsilons),
         weighted_epsilon=weighted_eps,
         alpha_exact=alpha_exact,
         by_strategy=by_strategy,
@@ -239,60 +293,69 @@ class SweepRecord:
         }
 
 
-def sweep_aggregate(
-    steps: Sequence[StepMetrics],
-    *,
-    strategy: Strategy,
-    m: int,
-    gamma: int,
-    vocab_size: int,
-    k: int,
-    temperature: float,
-    seed: int,
-    samples: int,
-) -> SweepRecord:
-    """Average one strategy's step metrics into a CSV row.
+class SweepTally:
+    """Running sums of one strategy's step metrics, for one CSV row.
 
     All steps contribute to delta_bar and eps_bar; delta_alpha_bar averages
-    only the positions that had a draft proposal. Summation runs in step
-    order for reproducibility.
+    only the positions that had a draft proposal. Sums run in the order the
+    steps are added, so a row is reproducible when its steps arrive in the
+    same order.
     """
-    if not steps:
-        raise ValueError("cannot aggregate an empty step list")
-    delta_sum = 0.0
-    eps_sum = 0.0
-    dalpha_sum = 0.0
-    dalpha_n = 0
-    l1 = t1 = t2 = 0
-    for s in steps:
-        rec = s.by_strategy[strategy]
-        delta_sum += rec.bias
-        eps_sum += s.weighted_epsilon
+
+    __slots__ = ("strategy", "steps", "delta_sum", "eps_sum", "dalpha_sum", "dalpha_n",
+                 "lemma1", "thm1", "thm2")
+
+    def __init__(self, strategy: Strategy) -> None:
+        self.strategy = strategy
+        self.steps = self.dalpha_n = self.lemma1 = self.thm1 = self.thm2 = 0
+        self.delta_sum = self.eps_sum = self.dalpha_sum = 0.0
+
+    def add(self, step: StepMetrics) -> None:
+        rec = step.by_strategy[self.strategy]
+        self.steps += 1
+        self.delta_sum += rec.bias
+        self.eps_sum += step.weighted_epsilon
         if rec.dalpha is not None:
-            dalpha_sum += rec.dalpha
-            dalpha_n += 1
-        a, b, c = check_bounds(s, strategy)
-        l1 += a
-        t1 += b
-        t2 += c
-    n = len(steps)
-    return SweepRecord(
-        strategy=strategy,
-        m=m,
-        gamma=gamma,
-        vocab_size=vocab_size,
-        k=k,
-        temperature=temperature,
-        seed=seed,
-        samples=samples,
-        steps=n,
-        delta_bar=delta_sum / n,
-        eps_bar=eps_sum / n,
-        delta_alpha_bar=(dalpha_sum / dalpha_n) if dalpha_n else 0.0,
-        lemma1_violations=l1,
-        thm1_violations=t1,
-        thm2_violations=t2,
-    )
+            self.dalpha_sum += rec.dalpha
+            self.dalpha_n += 1
+        counts = check_bounds(step, self.strategy)
+        self.lemma1 += counts.lemma1
+        self.thm1 += counts.thm1
+        self.thm2 += counts.thm2
+
+    def record(self, *, m: int, gamma: int, vocab_size: int, k: int, temperature: float,
+               seed: int, samples: int) -> SweepRecord:
+        """The averages so far as one row at the given sweep point."""
+        n = self.steps
+        if not n:
+            raise ValueError("cannot aggregate an empty step list")
+        return SweepRecord(
+            strategy=self.strategy,
+            m=m,
+            gamma=gamma,
+            vocab_size=vocab_size,
+            k=k,
+            temperature=temperature,
+            seed=seed,
+            samples=samples,
+            steps=n,
+            delta_bar=self.delta_sum / n,
+            eps_bar=self.eps_sum / n,
+            delta_alpha_bar=(self.dalpha_sum / self.dalpha_n) if self.dalpha_n else 0.0,
+            lemma1_violations=self.lemma1,
+            thm1_violations=self.thm1,
+            thm2_violations=self.thm2,
+        )
+
+
+def sweep_aggregate(steps: Sequence[StepMetrics], *, strategy: Strategy,
+                    **point: int | float) -> SweepRecord:
+    """Average one strategy's step metrics, in step order, into a CSV row;
+    ``point`` holds ``SweepTally.record``'s keyword arguments."""
+    tally = SweepTally(strategy)
+    for step in steps:
+        tally.add(step)
+    return tally.record(**point)
 
 
 def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:

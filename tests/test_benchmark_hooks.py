@@ -64,6 +64,84 @@ def test_sweep_scores_each_position_through_engine_attribute(monkeypatch, tmp_pa
     assert calls["positions"] == positions == calls["blocks"] * (gamma + 1)
 
 
+def count_truncations(monkeypatch) -> list:
+    """Calls of ``metrics.truncate_topk``, the attribute the traced span wraps."""
+    from draftwire import metrics
+
+    calls = []
+    truncate = metrics.truncate_topk
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return truncate(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "truncate_topk", counted)
+    return calls
+
+
+def test_sweep_scores_each_record_once_per_k_after_decoding_it(monkeypatch, tmp_path):
+    """The sweep workload times ``block_step_metrics`` calls and cuts reference
+    blocks inside ``run_reference_sample`` spans, and it raises unless there
+    is one scoring per (record, K). Scoring must not run inside a decode,
+    and with the Ks visited widest first each recorded shadow is truncated
+    exactly once."""
+    from draftwire import cli
+
+    gamma, workers, ks = 3, 2, (4, 16, 1)
+    state = {"decoding": False, "records": 0, "scored": 0}
+    decode, score = cli.run_reference_sample, cli.block_step_metrics
+
+    def counted_decode(*args, **kwargs):
+        state["decoding"] = True
+        try:
+            res = decode(*args, **kwargs)
+        finally:
+            state["decoding"] = False
+        state["records"] += len(res.records)
+        return res
+
+    def counted_score(*args, **kwargs):
+        assert not state["decoding"]
+        state["scored"] += 1
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_reference_sample", counted_decode)
+    monkeypatch.setattr(cli, "block_step_metrics", counted_score)
+    truncations = count_truncations(monkeypatch)
+    code = cli.main(["sweep", "--vocab_size", "16", "--workers", str(workers), "--k", "4",
+                     "--gamma", str(gamma), "--samples", "3", "--max_tokens", "12",
+                     "--sweep_ks", ",".join(map(str, ks)), "--sweep_temperatures", "0.8,1.2",
+                     "--csv", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    assert state["records"] > 0
+    assert state["scored"] == state["records"] * len(ks)
+    assert len(truncations) == state["records"] * (gamma + 1) * workers
+
+
+def test_instrumented_run_truncates_each_shadow_once(monkeypatch, tmp_path):
+    """Scored at its one K, an instrumented run truncates each recorded
+    shadow once in ``metrics``, as it did before the sweep's cache."""
+    from draftwire import cli
+
+    gamma, workers = 3, 2
+    records = []
+    run = cli.run_sample
+
+    def counted_run(*args, **kwargs):
+        res = run(*args, **kwargs)
+        records.extend(res.records)
+        return res
+
+    monkeypatch.setattr(cli, "run_sample", counted_run)
+    truncations = count_truncations(monkeypatch)
+    code = cli.main(["run", "--mode", "instrumented", "--vocab_size", "64",
+                     "--workers", str(workers), "--k", "8", "--gamma", str(gamma),
+                     "--samples", "2", "--max_tokens", "16"])
+    assert code == 0
+    assert records
+    assert len(truncations) == len(records) * (gamma + 1) * workers
+
+
 def test_one_score_call_per_block(monkeypatch):
     """The decode workload cuts blocks at ``score_block`` calls directly
     inside ``run_sample`` and raises when their count differs from the

@@ -153,6 +153,30 @@ class TestTruncate:
         k = data.draw(st.sampled_from(sorted({1, n - 1, n, *_all_tie_split_ks(d)})))
         _assert_matches_reference(d, k)
 
+    @staticmethod
+    def _assert_prefix_is_truncation(d, wide, narrow):
+        """The first ``narrow`` entries of the top-``wide`` payload are the
+        top-``narrow`` payload, bit for bit and dtype for dtype."""
+        full, cut = truncate_topk(d, wide), truncate_topk(d, narrow)
+        for got, want in ((full.ids[:narrow], cut.ids), (full.probs[:narrow], cut.probs)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @given(distributions(min_size=2, max_size=40), st.data())
+    def test_prefix_of_wider_payload_is_narrower_truncation(self, d, data):
+        wide = data.draw(st.integers(min_value=1, max_value=d.vocab_size))
+        narrow = data.draw(st.integers(min_value=1, max_value=wide))
+        self._assert_prefix_is_truncation(d, wide, narrow)
+
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=64).filter(any), st.data())
+    def test_prefix_of_wider_payload_is_narrower_truncation_with_ties(self, weights, data):
+        w = np.asarray(weights, dtype=np.float64)
+        d = Distribution(w / w.sum())
+        ks = sorted({1, d.vocab_size, *_all_tie_split_ks(d)})
+        wide = data.draw(st.sampled_from(ks))
+        narrow = data.draw(st.sampled_from([k for k in ks if k <= wide]))
+        self._assert_prefix_is_truncation(d, wide, narrow)
+
     def test_epsilon_monotone_in_k(self):
         rng = np.random.default_rng(6)
         for _ in range(100):

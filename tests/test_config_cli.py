@@ -380,6 +380,25 @@ class TestCliTrace:
         line = next(l for l in out.splitlines() if l.startswith("sample 0:"))
         assert line.split()[2:] == transcript
 
+    def test_meta_cfg_of_relative_trace_dir_runs_from_another_directory(
+            self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "recorded").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "recorded")
+        assert main([*self.RECORD, "--trace_dir", "tr"]) == 0
+        trace_dir = tmp_path / "recorded" / "tr"
+        transcript = (trace_dir / "transcript.txt").read_text().split()
+        capsys.readouterr()
+
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        code = main(["run", "--config", str(trace_dir / "meta.cfg"),
+                     "--mode", "inprocess", "--k", "full", "--samples", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("sample 0:"))
+        assert line.split()[2:] == transcript
+        assert main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), "--k", "4"]) == 0
+
     def test_exhausted_trace_exits_1(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
         assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0

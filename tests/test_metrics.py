@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import random_distribution
-from draftwire.aggregation import TopKProfile, WeightVector
-from draftwire.compression import Strategy
-from draftwire.dist import Distribution
+from draftwire import compression, metrics
+from draftwire.aggregation import TopKProfile, WeightVector, aggregate
+from draftwire.compression import Strategy, mass_split, reconstruct, truncate_topk
+from draftwire.dist import Distribution, l1_distance
 from draftwire.metrics import (
     CSV_COLUMNS,
     StepMetrics,
     StrategyMetrics,
-    aggregation_bias,
     check_bounds,
     instrument_position,
-    local_error,
     read_sweep_csv,
     sweep_aggregate,
     write_sweep_csv,
 )
+from draftwire.specdec import acceptance_rate
 
 # Two-worker reference point used throughout: uniform weights, k=2 each.
 P1 = Distribution([0.5, 0.3, 0.15, 0.05])
@@ -45,14 +45,14 @@ def with_strategy(step, strategy, **changes):
 class TestPointwiseMeasures:
     def test_local_error_renormalized_equals_twice_residual_mass(self):
         recon = Distribution([0.625, 0.375, 0.0, 0.0])
-        assert local_error(P1, recon) == pytest.approx(0.4, abs=1e-12)
+        assert l1_distance(P1, recon) == pytest.approx(0.4, abs=1e-12)
 
     def test_local_error_residual_uniform_is_smaller_here(self):
         recon = Distribution([0.5, 0.3, 0.1, 0.1])
-        assert local_error(P1, recon) == pytest.approx(0.1, abs=1e-12)
+        assert l1_distance(P1, recon) == pytest.approx(0.1, abs=1e-12)
 
     def test_lossless_error_is_zero(self):
-        assert local_error(P1, P1) == 0.0
+        assert l1_distance(P1, P1) == 0.0
 
 
 class TestInstrumentedReferencePoint:
@@ -272,3 +272,126 @@ class TestBiasOrderingIsReportedNotAssumed:
                 ren_wins += 1
         assert res_wins > 0
         assert ren_wins > 0
+
+
+def oracle_instrument_position(worker_dists, q, w, k_profile):
+    """``instrument_position`` as it was written per distribution: one
+    payload, one reconstruction and one aggregate object at a time."""
+    payloads = [truncate_topk(d, k_profile[i]) for i, d in enumerate(worker_dists)]
+    epsilons = tuple(mass_split(p).epsilon for p in payloads)
+    weighted_eps = float(sum(w[i] * epsilons[i] for i in range(len(w))))
+    p_exact = aggregate(list(worker_dists), w)
+    alpha_exact = None if q is None else acceptance_rate(p_exact, q)
+    by_strategy = {}
+    for strategy in Strategy:
+        recon = [reconstruct(p, strategy) for p in payloads]
+        p_comp = aggregate(recon, w)
+        alpha = None if q is None else acceptance_rate(p_comp, q)
+        by_strategy[strategy] = StrategyMetrics(
+            local_errors=tuple(l1_distance(d, r) for d, r in zip(worker_dists, recon)),
+            bias=l1_distance(p_exact, p_comp),
+            alpha=alpha,
+            dalpha=None if alpha is None else abs(alpha - alpha_exact),
+        )
+    return StepMetrics(worker_epsilons=epsilons, weighted_epsilon=weighted_eps,
+                       alpha_exact=alpha_exact, by_strategy=by_strategy)
+
+
+def row_kinds(rng, size):
+    """Random rows with and without zeros, tie-heavy rows and an all-equal row."""
+    return {
+        "random": random_distribution(rng, size),
+        "sparse": random_distribution(rng, size, sparsity=0.6),
+        "ties": Distribution(tie_heavy(rng, size)),
+        "equal": Distribution(np.full(size, 1.0 / size)),
+    }
+
+
+def tie_heavy(rng, size):
+    raw = rng.integers(0, 4, size).astype(np.float64)
+    if raw.sum() == 0.0:
+        raw[0] = 1.0
+    return raw / raw.sum()
+
+
+def assert_same_step(got, want):
+    """Equal on every float, and plain Python floats, as the CSV writes repr()."""
+    assert got == want
+    values = [*got.worker_epsilons, got.weighted_epsilon, got.alpha_exact]
+    for rec in got.by_strategy.values():
+        values += [*rec.local_errors, rec.bias, rec.alpha, rec.dalpha]
+    assert all(v is None or type(v) is float for v in values)
+
+
+class TestArrayScoringMatchesOracle:
+    """The array-shaped ``instrument_position`` returns exactly the oracle's
+    ``StepMetrics``, with and without a cache of wider payloads."""
+
+    @pytest.mark.parametrize("size", [2, 8, 64, 512])
+    @pytest.mark.parametrize("m", [1, 2, 3, 9])
+    def test_homogeneous_k(self, size, m):
+        rng = np.random.default_rng(1000 * size + m)
+        raw = rng.random(m) + 0.05
+        w = WeightVector(raw / raw.sum())
+        kinds = row_kinds(rng, size)
+        for kind in kinds:
+            # one row of this kind, the rest drawn from every kind
+            dists = [kinds[kind], *(kinds[k] for k in rng.choice(sorted(kinds), m - 1))]
+            for q in (None, random_distribution(rng, size), Distribution(tie_heavy(rng, size))):
+                for k in sorted({1, max(1, size // 3), size}):
+                    profile = TopKProfile.homogeneous(k, m, size)
+                    assert_same_step(instrument_position(dists, q, w, profile),
+                                     oracle_instrument_position(dists, q, w, profile))
+
+    def test_heterogeneous_k(self):
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            m = int(rng.integers(1, 6))
+            size = int(rng.choice((4, 16, 100)))
+            w = WeightVector(rng.dirichlet(np.ones(m)))
+            dists = [list(row_kinds(rng, size).values())[int(rng.integers(4))]
+                     for _ in range(m)]
+            ks = [int(rng.choice((1, int(rng.integers(1, size + 1)), size))) for _ in range(m)]
+            profile = TopKProfile(ks, size)
+            q = None if rng.random() < 0.3 else random_distribution(rng, size, sparsity=0.3)
+            assert_same_step(instrument_position(dists, q, w, profile),
+                             oracle_instrument_position(dists, q, w, profile))
+
+    def test_large_vocab(self):
+        rng = np.random.default_rng(32000)
+        dists = [random_distribution(rng, 32000), Distribution(tie_heavy(rng, 32000))]
+        q = random_distribution(rng, 32000)
+        for k in (1, 64, 32000):
+            profile = TopKProfile.homogeneous(k, 2, 32000)
+            assert_same_step(instrument_position(dists, q, W, profile),
+                             oracle_instrument_position(dists, q, W, profile))
+
+    def test_cached_payloads_in_any_k_order(self, monkeypatch):
+        """Scored through one cache, every K matches the oracle; widest
+        first, each distribution is truncated once, at the widest K."""
+        rng = np.random.default_rng(74)
+        truncations = []
+        truncate = compression.truncate_topk
+
+        def counted(d, k):
+            truncations.append(k)
+            return truncate(d, k)
+
+        size = 64
+        kinds = list(row_kinds(rng, size).values())
+        dists = [kinds[1], kinds[2], kinds[3]]
+        w = WeightVector([0.2, 0.3, 0.5])
+        q = random_distribution(rng, size)
+        for ks in ([64, 16, 4, 1], [1, 16, 4, 64], [7, 9, 8]):
+            widest = [None] * 3
+            monkeypatch.setattr(metrics, "truncate_topk", counted)
+            got = [instrument_position(dists, q, w, TopKProfile.homogeneous(k, 3, size),
+                                       widest=widest) for k in ks]
+            monkeypatch.undo()
+            for k, step in zip(ks, got):
+                profile = TopKProfile.homogeneous(k, 3, size)
+                assert_same_step(step, oracle_instrument_position(dists, q, w, profile))
+            assert [p.k for p in widest] == [max(ks)] * 3
+        # widest first: one truncation per worker; otherwise one more each
+        # time a K is wider than every K before it
+        assert truncations == [k for k in (64, 1, 16, 64, 7, 9) for _ in range(3)]

@@ -151,3 +151,42 @@ def test_reference_digest_is_pinned(name):
 def test_instrumented_record_digest_is_pinned(name):
     overrides, samples = RECORD_CASES[name]
     assert record_digest(overrides, samples) == RECORD_DIGESTS[name]
+
+
+# ``draftwire sweep`` CSVs, byte for byte: K lists out of order and with
+# K = |V|, two temperatures, non-uniform weights, and the benchmark's grid.
+SWEEP_CASES = {
+    "v64-unsorted-ks-full": ["--vocab_size", "64", "--sweep_ks", "16,1,64,4",
+                             "--sweep_temperatures", "1.0"],
+    "v64-two-temperatures": ["--vocab_size", "64", "--sweep_ks", "8,1,32",
+                             "--sweep_temperatures", "0.7,1.3"],
+    "v64-weighted": ["--vocab_size", "64", "--weights", "0.3,0.7", "--sweep_ks", "2,64,16",
+                     "--sweep_temperatures", "1.1,0.9"],
+    "v512-default-grid": ["--max_tokens", "24", "--samples", "1"],
+}
+
+SWEEP_DIGESTS = {
+    "v512-default-grid":
+        "b0003b471e0725f1b7dd3b71804aa551a2986e5f3b0e6ef39f60c61bebaa176c",
+    "v64-two-temperatures":
+        "fcc7682ecfe9419da98e6fcc89309a3426702ebd23db65dbfeaa9bcd35279496",
+    "v64-unsorted-ks-full":
+        "6c0e2d74b561df7b372560e046a9c1fc798f7a17910260df6165d0b96205bac2",
+    "v64-weighted":
+        "5f0a93fee8d5d0da21442d7b712240d2e64c1c679ac2bccd0aae5f2c6550ad21",
+}
+
+
+def sweep_digest(argv: list[str], tmp_path) -> str:
+    from draftwire import cli
+
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", "--seed", "7", "--samples", "2", "--max_tokens", "32",
+                     *argv, "--csv", str(out)])
+    assert code == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_csv_digest_is_pinned(name, tmp_path):
+    assert sweep_digest(SWEEP_CASES[name], tmp_path) == SWEEP_DIGESTS[name]
