@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Strategy, TopKPayload, reconstruct
+from .compression import Strategy, TopKPayload, mass_split
 from .dist import Distribution
 
 WEIGHT_SUM_TOLERANCE = 1e-12
@@ -100,7 +100,15 @@ def aggregate(dists: list[Distribution], w: WeightVector) -> Distribution:
 def aggregate_compressed(
     payloads: list[TopKPayload], w: WeightVector, strategy: Strategy
 ) -> Distribution:
-    """Reconstruct each payload with ``strategy``, then aggregate."""
+    """Reconstruct each payload with ``strategy``, then aggregate.
+
+    Each payload is scattered into one output array, in worker-index order,
+    rather than rebuilt as a dense vector first. Every entry gets the sum
+    ``aggregate`` forms over the ``reconstruct`` vectors,
+    ``(0 + w_0 a_0) + w_1 a_1 + ...``, with the same float operations: a
+    renormalized payload adds nothing off its ids (``w * 0 == 0``), and a
+    residual-uniform one adds ``w * (epsilon / tail)`` off them.
+    """
     if len(payloads) != len(w):
         raise ValueError(f"{len(payloads)} payloads but {len(w)} weights")
     if not payloads:
@@ -109,4 +117,22 @@ def aggregate_compressed(
     for p in payloads[1:]:
         if p.vocab_size != size:
             raise ValueError("payloads must share a vocabulary size")
-    return aggregate([reconstruct(p, strategy) for p in payloads], w)
+    if strategy not in (Strategy.RENORMALIZED, Strategy.RESIDUAL_UNIFORM):
+        raise ValueError(f"unknown reconstruction strategy {strategy!r}")
+    out = np.zeros(size, dtype=np.float64)
+    for i, p in enumerate(payloads):
+        wi = w.weights[i]
+        split = mass_split(p)
+        tail = size - p.k
+        if strategy == Strategy.RENORMALIZED:
+            if split.rho <= 0.0:
+                raise ValueError("cannot renormalize a payload with zero retained mass")
+            # at k == |V| the payload already is the distribution
+            out[p.ids] += wi * (p.probs if tail == 0 else p.probs / split.rho)
+        elif tail == 0:
+            out[p.ids] += wi * p.probs
+        else:
+            kept = out[p.ids]
+            out += wi * (split.epsilon / tail)
+            out[p.ids] = kept + wi * p.probs
+    return Distribution.unchecked(out)

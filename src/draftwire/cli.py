@@ -28,10 +28,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .aggregation import TopKProfile
+from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
 from .config import (
     DEFAULTS,
@@ -103,24 +104,9 @@ def _print_record(rec: SweepRecord) -> None:
     )
 
 
-def _report_point(cfg: RunConfig, records: list[BlockRecord], k_profile: TopKProfile,
-                  samples: int) -> int:
-    """Score the recorded blocks at one config point; print the row, write
-    it to ``cfg.csv`` if set, and return the exit code."""
-    k = _homogeneous_k(cfg)
-    steps = [step for rec in records
-             for step in block_step_metrics(rec, cfg.weights, k_profile)]
-    row = sweep_aggregate(
-        steps,
-        strategy=cfg.strategy,
-        m=cfg.workers,
-        gamma=cfg.gamma,
-        vocab_size=cfg.vocab_size,
-        k=k,
-        temperature=cfg.temperature,
-        seed=cfg.seed,
-        samples=samples,
-    )
+def _report_point(cfg: RunConfig, row: SweepRecord) -> int:
+    """Print one config point's metrics row, write it to ``cfg.csv`` if set,
+    and return the exit code."""
     _print_record(row)
     if cfg.csv:
         write_sweep_csv([row], cfg.csv)
@@ -131,11 +117,29 @@ def _report_point(cfg: RunConfig, records: list[BlockRecord], k_profile: TopKPro
     return EXIT_OK
 
 
+def _row_point(cfg: RunConfig, samples: int) -> dict[str, int | float]:
+    """``SweepTally.record``'s keywords for a row at ``cfg``'s point."""
+    return {"m": cfg.workers, "gamma": cfg.gamma, "vocab_size": cfg.vocab_size,
+            "k": _homogeneous_k(cfg), "temperature": cfg.temperature, "seed": cfg.seed,
+            "samples": samples}
+
+
+def _tally_records(tally: SweepTally, records: Sequence[BlockRecord], weights: WeightVector,
+                   k_profile: TopKProfile) -> None:
+    """Score every position of ``records`` into ``tally``, block by block."""
+    for rec in records:
+        for step in block_step_metrics(rec, weights, k_profile):
+            tally.add(step)
+
+
 def cmd_run(cfg: RunConfig) -> int:
     settings = cfg.settings()
     instrumented = cfg.mode == "instrumented"
     pool = _make_pool(cfg)
-    records: list[BlockRecord] = []
+    # An instrumented sample is scored as soon as it is decoded, so only one
+    # sample's records are held; steps are added in (sample, block,
+    # position) order.
+    tally = SweepTally(cfg.strategy)
     drafted = accepted = uplink = blocks = 0
     try:
         for s in range(cfg.samples):
@@ -143,11 +147,12 @@ def cmd_run(cfg: RunConfig) -> int:
             res = run_sample(cfg.draft_model(ss), pool, settings, ss,
                              instrumented=instrumented)
             print(f"sample {s}: {' '.join(str(t) for t in res.tokens)}")
-            records.extend(res.records)
+            _tally_records(tally, res.records, cfg.weights, settings.k_profile)
             drafted += res.drafted
             accepted += res.accepted
             uplink += res.uplink_bytes
             blocks += res.blocks
+            del res  # scored: not held while the next sample decodes
     finally:
         pool.close()
 
@@ -156,7 +161,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     if not instrumented:
         return EXIT_OK
-    return _report_point(cfg, records, settings.k_profile, cfg.samples)
+    return _report_point(cfg, tally.record(**_row_point(cfg, cfg.samples)))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -369,7 +374,11 @@ def cmd_trace_replay(cfg: RunConfig) -> int:
         print("trace-replay requires --trace_dir", file=sys.stderr)
         return EXIT_USAGE
     records = _load_trace_records(Path(cfg.trace_dir), cfg.workers, cfg.gamma)
-    return _report_point(cfg, records, TopKProfile(cfg.ks, cfg.vocab_size), 1)
+    k_profile = TopKProfile(cfg.ks, cfg.vocab_size)
+    point = _row_point(cfg, 1)
+    steps = [step for rec in records
+             for step in block_step_metrics(rec, cfg.weights, k_profile)]
+    return _report_point(cfg, sweep_aggregate(steps, strategy=cfg.strategy, **point))
 
 
 def build_parser() -> argparse.ArgumentParser:

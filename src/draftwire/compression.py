@@ -104,18 +104,20 @@ class TopKPayload:
             raise PayloadHeaderError(f"vocab_size must be >= 2, got {vocab_size}")
         if not 1 <= k <= vocab_size:
             raise PayloadHeaderError(f"k={k} out of range [1, {vocab_size}]")
-        if np.any(ids_arr < 0) or np.any(ids_arr >= vocab_size):
+        if ids_arr.min() < 0 or ids_arr.max() >= vocab_size:
             raise TokenRangeError("token id outside [0, vocab_size)")
-        if np.unique(ids_arr).size != k:
+        sorted_ids = np.sort(ids_arr)
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise DuplicateTokenError("duplicate token ids in payload")
-        if not np.all(np.isfinite(probs_arr)) or np.any(probs_arr < 0.0):
+        # the min and the max are NaN if any entry is
+        if not (probs_arr.min() >= 0.0 and probs_arr.max() < np.inf):
             raise ProbabilityValueError("probabilities must be finite and non-negative")
         diffs = np.diff(probs_arr)
-        if np.any(diffs > 0.0):
-            raise EntryOrderError("probabilities must be non-increasing")
-        ties = diffs == 0.0
-        if np.any(ties & (np.diff(ids_arr) <= 0)):
-            raise EntryOrderError("tied probabilities must be ordered by ascending token id")
+        if np.any(diffs >= 0.0):  # a rise or a tie: find out which
+            if np.any(diffs > 0.0):
+                raise EntryOrderError("probabilities must be non-increasing")
+            if np.any((diffs == 0.0) & (np.diff(ids_arr) <= 0)):
+                raise EntryOrderError("tied probabilities must be ordered by ascending token id")
         total = float(probs_arr.sum())
         if total <= 0.0 or total > 1.0 + tol:
             raise ProbabilityValueError(
@@ -162,11 +164,11 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
     order and identical everywhere.
 
     Selection is a threshold select in O(|V|): a partition finds the k-th
-    largest probability ``v``; every token above ``v`` is kept, and the
-    remaining slots go to the lowest ids with probability exactly ``v``.
-    Only those k entries are then sorted by (probability desc, id asc).
-    At k == |V| there is nothing to select, and the whole vocabulary is
-    sorted.
+    largest probability ``v``, and one pass takes every token at or above
+    it. All those above ``v`` are kept; if ties at ``v`` overfill the k
+    slots, the lowest tied ids fill them. Only the k kept entries are then
+    sorted by (probability desc, id asc). At k == |V| there is nothing to
+    select, and the whole vocabulary is sorted.
 
     The selection yields distinct in-range ids in payload order, so the
     result skips validation (``TopKPayload.unchecked``).
@@ -177,15 +179,20 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
     p = d.probs
     if k == size:
         kept = np.arange(size)
+        probs = p
     else:
         v = np.partition(p, size - k)[size - k]
-        above = np.flatnonzero(p > v)
-        # flatnonzero returns ascending ids, so the cut keeps the lowest tied ids
-        tied = np.flatnonzero(p == v)[: k - above.size]
-        kept = np.concatenate((above, tied))
+        kept = np.flatnonzero(p >= v)
+        probs = p[kept]
+        if kept.size > k:
+            # flatnonzero returns ascending ids, so the cut keeps the lowest tied ids
+            above = probs > v
+            tied = np.flatnonzero(~above)[: k - np.count_nonzero(above)]
+            above[tied] = True
+            kept, probs = kept[above], probs[above]
     # lexsort: primary key last; ascending ids break exact ties.
-    order = kept[np.lexsort((kept, -p[kept]))]
-    return TopKPayload.unchecked(size, order, p[order])
+    order = np.lexsort((kept, -probs))
+    return TopKPayload.unchecked(size, kept[order], probs[order])
 
 
 def mass_split(p: TopKPayload) -> MassSplit:

@@ -81,20 +81,32 @@ def softmax_with_temperature(logits, temperature: float) -> Distribution:
     Computes ``exp((logit - max) / T)`` and normalizes; subtracting the max
     keeps the exponentials in range. Lower temperatures sharpen the
     distribution, higher ones flatten it, and the ranking of the logits is
-    preserved either way.
+    preserved either way. The caller's logits are never written.
+    """
+    return softmax_inplace(np.array(logits, dtype=np.float64), temperature)
+
+
+def softmax_inplace(logits: np.ndarray, temperature: float) -> Distribution:
+    """``softmax_with_temperature`` computed inside ``logits``, a float64
+    array that the caller hands over: it becomes the distribution's storage.
+
+    The float operations and their order are the same; only the division
+    at T = 1, which is exact, is skipped.
     """
     if not np.isfinite(temperature) or temperature <= 0.0:
         raise ValueError(f"temperature must be a positive real, got {temperature!r}")
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
+    if logits.ndim != 1 or logits.size < 2:
         raise ValueError("logits must be a 1-D vector of length >= 2")
-    if not np.all(np.isfinite(arr)):
+    hi = logits.max()
+    # the max and the min are NaN if any entry is, and infinite if one is
+    if not (np.isfinite(hi) and np.isfinite(logits.min())):
         raise ValueError("logits must be finite")
-    out = arr - arr.max()  # a new array: the caller's logits are never written
-    out /= temperature
-    np.exp(out, out=out)
-    out /= out.sum()
-    return Distribution.unchecked(out)
+    logits -= hi
+    if temperature != 1.0:
+        logits /= temperature
+    np.exp(logits, out=logits)
+    logits /= logits.sum()
+    return Distribution.unchecked(logits)
 
 
 def l1_distance(a: Distribution, b: Distribution) -> float:

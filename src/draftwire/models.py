@@ -24,6 +24,7 @@ No neural inference, no tokenizers; vocabularies are plain integer ranges.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import Distribution, softmax_with_temperature
+from .dist import Distribution, softmax_inplace
 from .seeding import keyed_normals, stable_prefix_hash
 
 TRACE_MAGIC = b"SFTR"
@@ -53,32 +54,37 @@ class NormalMemo:
     The key is the whole content of a draw, so every model that asks for it
     gets the same vector whatever its temperature or concentration. Entries
     are read-only, and the least recently used is dropped once more than
-    ``capacity`` are held. Not thread-safe: one run uses it at a time.
+    ``capacity`` are held.
+
+    Thread-safe: one lock covers lookup, draw and insert, so workers that
+    score concurrently and ask for the same key get one vector, drawn once.
     """
 
-    __slots__ = ("capacity", "_entries")
+    __slots__ = ("capacity", "_entries", "_lock")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("memo capacity must be >= 1")
         self.capacity = capacity
         self._entries: OrderedDict[tuple[int, int, int], np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def normals(self, seed: int, context: int, n: int) -> np.ndarray:
         key = (seed, context, n)
-        z = self._entries.get(key)
-        if z is not None:
-            self._entries.move_to_end(key)
+        with self._lock:
+            z = self._entries.get(key)
+            if z is not None:
+                self._entries.move_to_end(key)
+                return z
+            z = keyed_normals(seed, context, n)
+            z.setflags(write=False)
+            self._entries[key] = z
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
             return z
-        z = keyed_normals(seed, context, n)
-        z.setflags(write=False)
-        self._entries[key] = z
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return z
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,8 @@ class SyntheticModel:
 
     With a ``memo``, only the draw keyed by the draft seed goes through it:
     ``shared_seed`` when one is set, otherwise (the draft model) ``seed``.
+    Every branch of ``distribution`` builds its logits in a fresh array,
+    and the softmax then runs in that array.
     """
 
     vocab_size: int
@@ -134,7 +142,7 @@ class SyntheticModel:
             z *= self.concentration
         else:  # the draft model, or a worker that copies it
             z = self.concentration * self._draft_seed_normals(h)
-        return softmax_with_temperature(z, self.temperature)
+        return softmax_inplace(z, self.temperature)
 
 
 class MarkovModel:

@@ -31,7 +31,7 @@ import enum
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from .compression import Strategy, TopKPayload, decode_payload, encode_payload, 
 from .dist import Distribution
 from .seeding import stable_prefix_hash
 from .specdec import ModelProvider
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -421,11 +424,18 @@ class InProcessPool:
     Payload bytes still pass through encode/decode, so results are
     bit-identical to the TCP pool; uplink accounting mirrors the frames
     that would have crossed the wire.
+
+    Workers score a block concurrently, as they do over TCP: worker 0 on
+    the calling thread, the others on M - 1 helper threads, started with
+    the first block (none at M = 1) and joined by ``close``. Results are
+    gathered in worker-index order. When workers fail, the lowest index
+    is reported, once every helper has returned.
     """
 
     def __init__(self, m: int, factory: ModelFactory, *, instrumented: bool = False) -> None:
         self._cores = [WorkerCore(i, factory, expose_shadows=instrumented) for i in range(m)]
         self._instrumented = instrumented
+        self._helpers: ThreadPoolExecutor | None = None
         self.uplink_totals = [0] * m
 
     def configure(self, configs: Sequence[WorkerConfig]) -> None:
@@ -437,16 +447,33 @@ class InProcessPool:
             except (ProtocolError, ValueError) as exc:
                 raise WorkerFailureError(f"worker {i}: {exc}") from exc
 
+    def _score(
+        self, i: int, delta: Sequence[int], draft: Sequence[int]
+    ) -> tuple[int, list[bytes], list[Distribution] | None]:
+        try:
+            return self._cores[i].handle_draft(delta, draft)
+        except (ProtocolError, ValueError) as exc:
+            raise WorkerFailureError(f"worker {i}: {exc}") from exc
+
     def score_block(self, delta: Sequence[int], draft: Sequence[int]) -> ScoreResult:
+        # concurrent.futures (and the logging it imports) loads when an
+        # in-process pool first scores, not in every draftwire command
+        from concurrent.futures import ThreadPoolExecutor, wait
+
+        m = len(self._cores)
+        if m > 1 and self._helpers is None:
+            self._helpers = ThreadPoolExecutor(m - 1, thread_name_prefix="draftwire-worker")
+        futures = [self._helpers.submit(self._score, i, delta, draft) for i in range(1, m)]
+        try:
+            replies = [self._score(0, delta, draft)]
+        finally:
+            wait(futures)
+        replies += [f.result() for f in futures]
         payloads: list[list[TopKPayload]] = []
         checksums: list[int] = []
         uplink: list[int] = []
         shadows: list[list[Distribution]] = []
-        for i, core in enumerate(self._cores):
-            try:
-                checksum, bodies, shadow = core.handle_draft(delta, draft)
-            except (ProtocolError, ValueError) as exc:
-                raise WorkerFailureError(f"worker {i}: {exc}") from exc
+        for i, (checksum, bodies, shadow) in enumerate(replies):
             payloads.append([decode_payload(b) for b in bodies])
             checksums.append(checksum)
             frame_bytes = FRAME_HEADER.size + len(pack_scores(checksum, bodies))
@@ -466,7 +493,10 @@ class InProcessPool:
             core.handle_commit(tokens)
 
     def close(self) -> None:
-        pass
+        """Join the helper threads; a later block starts new ones."""
+        if self._helpers is not None:
+            self._helpers.shutdown()
+            self._helpers = None
 
 
 class TcpPool:

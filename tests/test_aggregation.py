@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_distribution
 from draftwire.aggregation import (
@@ -8,7 +10,15 @@ from draftwire.aggregation import (
     aggregate,
     aggregate_compressed,
 )
-from draftwire.compression import Strategy, reconstruct, truncate_topk
+from draftwire.compression import (
+    Strategy,
+    TopKPayload,
+    decode_payload,
+    encode_payload,
+    mass_split,
+    reconstruct,
+    truncate_topk,
+)
 from draftwire.dist import Distribution
 
 P1 = Distribution([0.5, 0.3, 0.15, 0.05])
@@ -193,3 +203,69 @@ class TestAggregateCompressed:
         payloads = [truncate_topk(P1, 2), truncate_topk(Distribution([0.5, 0.5]), 1)]
         with pytest.raises(ValueError):
             aggregate_compressed(payloads, WeightVector.uniform(2), Strategy.RENORMALIZED)
+
+
+@st.composite
+def worker_payload(draw, size):
+    """One worker's payload over ``size`` tokens: from a smooth or a
+    tie-heavy row, at k = 1, k = |V| or any k, and optionally through the
+    f32 wire, rescaled first so that its mass exceeds 1."""
+    if draw(st.booleans()):
+        raw = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+    else:
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)
+                   .filter(lambda xs: sum(xs) > 1e-6))
+    w = np.asarray(raw, dtype=np.float64)
+    k = draw(st.one_of(st.just(1), st.just(size), st.integers(1, size)))
+    payload = truncate_topk(Distribution(w / w.sum()), k)
+    wire = draw(st.sampled_from(["none", "f32", "overfull"]))
+    if wire == "overfull":
+        scale = (1.0 + 4e-6) / mass_split(payload).rho
+        payload = TopKPayload.unchecked(size, payload.ids.copy(), payload.probs * scale)
+    if wire != "none":
+        payload = decode_payload(encode_payload(payload))
+    return payload
+
+
+@st.composite
+def payload_sets(draw):
+    size = draw(st.integers(2, 24))
+    m = draw(st.integers(1, 4))
+    payloads = [draw(worker_payload(size)) for _ in range(m)]
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=m, max_size=m)
+               .filter(any))
+    w = np.asarray(raw, dtype=np.float64)
+    return payloads, WeightVector(w / w.sum())
+
+
+class TestScatterMatchesDenseOracle:
+    """``aggregate_compressed`` scatters payloads into one array; the oracle
+    rebuilds every payload densely with ``reconstruct`` and averages the
+    results with ``aggregate``. Every float must be equal, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload_sets(), st.sampled_from(list(Strategy)))
+    def test_bit_identical(self, case, strategy):
+        payloads, w = case
+        got = aggregate_compressed(payloads, w, strategy).probs
+        want = aggregate([reconstruct(p, strategy) for p in payloads], w).probs
+        assert got.tobytes() == want.tobytes()
+
+    def test_overfull_wire_payload_clamps_epsilon(self):
+        # f32 probabilities summing past 1: epsilon clamps to 0, so the
+        # residual-uniform tail is exactly 0
+        body = np.array([4, 2], dtype="<u4").tobytes() + np.array(
+            [(0, 0.6000025), (1, 0.4000001)], dtype=[("id", "<u4"), ("p", "<f4")]).tobytes()
+        p = decode_payload(body)
+        assert mass_split(p).rho > 1.0 and mass_split(p).epsilon == 0.0
+        for strategy in Strategy:
+            got = aggregate_compressed([p], WeightVector([1.0]), strategy).probs
+            want = aggregate([reconstruct(p, strategy)], WeightVector([1.0])).probs
+            assert got.tobytes() == want.tobytes()
+            assert got[2] == got[3] == 0.0
+
+    def test_unknown_strategy_and_empty_payload_list_rejected(self):
+        with pytest.raises(ValueError, match="unknown reconstruction strategy"):
+            aggregate_compressed([truncate_topk(P1, 2)], WeightVector([1.0]), 3)
+        with pytest.raises(ValueError):
+            aggregate_compressed([], WeightVector([1.0]), Strategy.RENORMALIZED)

@@ -7,6 +7,7 @@ wrapped function fails here rather than only when the benchmark runs.
 
 import csv
 import importlib.util
+import threading
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -186,3 +187,49 @@ def test_one_draft_per_reference_block(monkeypatch):
     res = run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss), cfg.settings(), ss)
     assert res.blocks > 1
     assert len(calls) == res.blocks
+
+
+def test_traced_layers_see_every_worker_of_a_concurrent_block(monkeypatch):
+    """The traced decode workload wraps ``WorkerCore.handle_draft``,
+    ``engine.aggregate_compressed`` and ``transport.decode_payload`` at these
+    attributes. With the workers scoring on their own threads, every block
+    must still make M, gamma + 1 and M (gamma + 1) calls through them."""
+    from draftwire import InProcessPool, engine, run_sample, sample_seed_for, transport
+    from draftwire.config import RunConfig, merge_config
+
+    m, gamma = 3, 4
+    cfg = RunConfig.from_mapping(merge_config({"vocab_size": "64", "workers": str(m),
+                                               "gamma": str(gamma), "max_tokens": "24",
+                                               "mode": "inprocess"}))
+    calls = {"handle_draft": [], "aggregate_compressed": [], "decode_payload": []}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((transport.WorkerCore, "handle_draft"),
+                        (engine, "aggregate_compressed"),
+                        (transport, "decode_payload")):
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    pool = InProcessPool(m, cfg.worker_factory())
+    score = pool.score_block
+    per_block = []
+
+    def watched(delta, draft):
+        before = {name: len(c) for name, c in calls.items()}
+        result = score(delta, draft)
+        per_block.append(tuple(len(c) - before[name] for name, c in calls.items()))
+        return result
+
+    monkeypatch.setattr(pool, "score_block", watched)
+    ss = sample_seed_for(cfg.seed, 0)
+    try:
+        res = run_sample(cfg.draft_model(ss), pool, cfg.settings(), ss)
+    finally:
+        pool.close()
+    assert res.blocks > 1
+    assert per_block == [(m, 0, m * (gamma + 1))] * res.blocks
+    assert len(calls["aggregate_compressed"]) == (gamma + 1) * res.blocks
+    assert len(set(calls["handle_draft"])) > 1  # the workers ran on more than one thread

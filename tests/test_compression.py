@@ -153,6 +153,14 @@ class TestTruncate:
         k = data.draw(st.sampled_from(sorted({1, n - 1, n, *_all_tie_split_ks(d)})))
         _assert_matches_reference(d, k)
 
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=64).filter(any))
+    def test_every_k_of_a_tie_heavy_row_matches_full_sort_reference(self, weights):
+        # one p >= v pass keeps the ties at the cut; the lowest tied ids fill it
+        w = np.asarray(weights, dtype=np.float64)
+        d = Distribution(w / w.sum())
+        for k in range(1, d.vocab_size + 1):
+            _assert_matches_reference(d, k)
+
     @staticmethod
     def _assert_prefix_is_truncation(d, wide, narrow):
         """The first ``narrow`` entries of the top-``wide`` payload are the
@@ -213,6 +221,57 @@ class TestPayloadValidation:
             TopKPayload(4, [0], [0.0])
         with pytest.raises(ProbabilityValueError):
             TopKPayload(4, [0, 1], [0.8, 0.7])
+
+    @staticmethod
+    def _old_checks(vocab_size, ids, probs, tol):
+        """The validation as first written, one numpy pass per check: the
+        oracle for which check fails first and with what message."""
+        ids_arr = np.asarray(ids, dtype=np.int64)
+        probs_arr = np.asarray(probs, dtype=np.float64)
+        if ids_arr.ndim != 1 or probs_arr.shape != ids_arr.shape:
+            raise PayloadError("ids and probs must be 1-D arrays of equal length")
+        k = int(ids_arr.shape[0])
+        if vocab_size < 2:
+            raise PayloadHeaderError(f"vocab_size must be >= 2, got {vocab_size}")
+        if not 1 <= k <= vocab_size:
+            raise PayloadHeaderError(f"k={k} out of range [1, {vocab_size}]")
+        if np.any(ids_arr < 0) or np.any(ids_arr >= vocab_size):
+            raise TokenRangeError("token id outside [0, vocab_size)")
+        if np.unique(ids_arr).size != k:
+            raise DuplicateTokenError("duplicate token ids in payload")
+        if not np.all(np.isfinite(probs_arr)) or np.any(probs_arr < 0.0):
+            raise ProbabilityValueError("probabilities must be finite and non-negative")
+        diffs = np.diff(probs_arr)
+        if np.any(diffs > 0.0):
+            raise EntryOrderError("probabilities must be non-increasing")
+        if np.any((diffs == 0.0) & (np.diff(ids_arr) <= 0)):
+            raise EntryOrderError("tied probabilities must be ordered by ascending token id")
+        total = float(probs_arr.sum())
+        if total <= 0.0 or total > 1.0 + tol:
+            raise ProbabilityValueError(f"retained mass {total!r} outside (0, 1 + {tol}]")
+
+    @staticmethod
+    def _outcome(check, *args):
+        try:
+            check(*args)
+        except PayloadError as exc:
+            return type(exc), str(exc)
+        return None
+
+    @given(
+        vocab_size=st.integers(1, 8),
+        entries=st.lists(
+            st.tuples(st.integers(-1, 8),
+                      st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 0.7, 1.0, -0.1,
+                                       float("nan"), float("inf"), -float("inf")])),
+            max_size=6),
+    )
+    def test_same_verdict_as_one_pass_per_check(self, vocab_size, entries):
+        ids = [i for i, _ in entries]
+        probs = [p for _, p in entries]
+        tol = PRE_WIRE_TOLERANCE
+        want = self._outcome(self._old_checks, vocab_size, ids, probs, tol)
+        assert self._outcome(TopKPayload, vocab_size, ids, probs) == want
 
     def test_immutable(self):
         p = truncate_topk(SOURCE, 2)

@@ -168,6 +168,35 @@ class TestCliRun:
         assert rows[0]["thm1_violations"] == "0"
         assert rows[0]["thm2_violations"] == "0"
 
+    def test_instrumented_run_scores_each_sample_before_the_next(self, monkeypatch, capsys):
+        # A sample's records are scored once it is decoded and are gone by
+        # the time the next sample decodes, so a run holds one sample's.
+        import weakref
+
+        from draftwire import cli
+
+        events, alive = [], []
+        run, score = cli.run_sample, cli.block_step_metrics
+
+        def decode(*args, **kwargs):
+            events.append("decode")
+            assert not any(ref() is not None for ref in alive)
+            res = run(*args, **kwargs)
+            alive.extend(weakref.ref(rec) for rec in res.records)
+            return res
+
+        def scored(*args, **kwargs):
+            events.append("score")
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sample", decode)
+        monkeypatch.setattr(cli, "block_step_metrics", scored)
+        assert main(["run", *RUN_ARGS, "--samples", "3"]) == 0
+        capsys.readouterr()
+        runs = "".join("D" if e == "decode" else "s" for e in events)
+        assert runs.count("D") == 3 and runs.startswith("Ds") and "DD" not in runs
+        assert len(alive) == runs.count("s")
+
     def test_plain_mode_skips_metrics(self, capsys):
         code = main(["run", *RUN_ARGS, "--mode", "inprocess"])
         out = capsys.readouterr().out

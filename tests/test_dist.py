@@ -11,6 +11,7 @@ from draftwire.dist import (
     l1_distance,
     sample,
     sample_from_uniform,
+    softmax_inplace,
     softmax_with_temperature,
     tv_distance,
 )
@@ -75,9 +76,16 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax_with_temperature([1.0, 0.0], temp)
 
-    def test_rejects_non_finite_logits(self):
-        with pytest.raises(ValueError):
-            softmax_with_temperature([float("inf"), 0.0], 1.0)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_non_finite_logits(self, bad, at):
+        logits = [0.5, -1.0, 2.0]
+        logits[at] = bad
+        for softmax in (softmax_with_temperature,
+                        lambda xs, t: softmax_inplace(np.array(xs), t)):
+            for temp in (1.0, 0.7):
+                with pytest.raises(ValueError, match="logits must be finite"):
+                    softmax(logits, temp)
 
     def test_preserves_ranking(self):
         rng = np.random.default_rng(7)
@@ -194,3 +202,23 @@ class TestSampling:
         for _ in range(n):
             counts[sample(d, rng)] += 1
         assert np.all(np.abs(counts / n - d.probs) < 0.01)
+
+
+@settings(deadline=None)
+@given(
+    logits=st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=2, max_size=64),
+    temp=st.sampled_from([1.0, 0.25, 0.8, 1.3, 4.0]),
+)
+def test_softmax_in_place_matches_out_of_place_oracle(logits, temp):
+    """The buffer handed to ``softmax_inplace`` becomes the distribution, and
+    every float equals the out-of-place ``arr - max; / T; exp; / sum``, the
+    division at T = 1 included."""
+    arr = np.asarray(logits, dtype=np.float64)
+    shifted = arr - arr.max()
+    shifted = shifted / temp
+    exps = np.exp(shifted)
+    want = exps / exps.sum()
+    d = softmax_inplace(arr, temp)
+    assert d.probs is arr
+    assert not arr.flags.writeable
+    assert d.probs.tobytes() == want.tobytes()

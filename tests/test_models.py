@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,6 +164,53 @@ class TestNormalMemo:
         assert memo.normals(1, 1, 8) is a
         with pytest.raises(ValueError):
             NormalMemo(0)
+
+    @pytest.mark.parametrize("capacity", [6, 2])
+    def test_threads_get_the_keyed_vector_without_errors(self, monkeypatch, capacity):
+        # Six threads (more than the cores) start together and walk six keys
+        # from three offsets, so each key is asked for by several threads at
+        # once. With room for every key, each is drawn exactly once; with
+        # room for two, keys are evicted while other threads look them up.
+        keys = [(5, context, 64) for context in range(6)]
+        draws = []
+        inner = models.keyed_normals
+
+        def counted(seed, context, n):
+            draws.append((seed, context, n))
+            return inner(seed, context, n)
+
+        monkeypatch.setattr(models, "keyed_normals", counted)
+        memo = NormalMemo(capacity)
+        seen, errors = [], []
+        start = threading.Barrier(6)
+
+        def work(offset):
+            try:
+                start.wait(timeout=10)
+                for j in range(300):
+                    key = keys[(offset + j) % len(keys)]
+                    seen.append((key, memo.normals(*key)))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i % 3,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seen) == 6 * 300
+        expected = {key: keyed_normals(*key) for key in keys}
+        assert all(z.tobytes() == expected[key].tobytes() for key, z in seen)
+        assert len(memo) <= capacity
+        if capacity >= len(keys):
+            assert sorted(draws) == sorted(keys)
 
     def test_distribution_never_writes_a_memo_entry(self):
         memo = NormalMemo(4)

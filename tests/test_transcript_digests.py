@@ -190,3 +190,34 @@ def sweep_digest(argv: list[str], tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
 def test_sweep_csv_digest_is_pinned(name, tmp_path):
     assert sweep_digest(SWEEP_CASES[name], tmp_path) == SWEEP_DIGESTS[name]
+
+
+# ``draftwire run --mode instrumented``: stdout and the metrics CSV row, byte
+# for byte. The run scores each sample as it is decoded; these digests were
+# recorded when it scored all samples at the end.
+RUN_CASES = {
+    "v512-rho0.98-renormalized": ["--vocab_size", "512", "--max_tokens", "32"],
+    "v256-rho0.6-residual-eos-weighted": ["--vocab_size", "256", "--correlation", "0.6",
+                                          "--strategy", "residual_uniform", "--eos", "5",
+                                          "--weights", "0.3,0.7", "--k", "8",
+                                          "--max_tokens", "48"],
+}
+
+RUN_DIGESTS = {
+    "v512-rho0.98-renormalized":
+        "20b4f461c629f1d25a7420747446ce8b426aca5ac48860fd5459519adedae73f",
+    "v256-rho0.6-residual-eos-weighted":
+        "e37f7ccc3645296478db042707b2586713f7a1688d16a62e71acec593fc22d9f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_instrumented_run_output_digest_is_pinned(name, tmp_path, capsys):
+    from draftwire import cli
+
+    out = tmp_path / "run.csv"
+    code = cli.main(["run", "--mode", "instrumented", "--seed", "7", "--samples", "3",
+                     *RUN_CASES[name], "--csv", str(out)])
+    assert code == 0
+    stdout = capsys.readouterr().out.replace(str(out), "CSV")
+    assert hashlib.sha256(stdout.encode() + out.read_bytes()).hexdigest() == RUN_DIGESTS[name]

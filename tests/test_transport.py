@@ -1,17 +1,20 @@
+import gc
 import io
 import queue
+import random
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from draftwire.aggregation import TopKProfile, WeightVector
 from draftwire.compression import Strategy, decode_payload
-from draftwire.config import synthetic_worker_factory
+from draftwire.config import RunConfig, merge_config, synthetic_worker_factory
 from draftwire.dist import Distribution
-from draftwire.engine import SessionSettings, run_sample
+from draftwire.engine import SessionSettings, run_sample, sample_seed_for
 from draftwire.models import SyntheticModel
 from draftwire.seeding import ROLE_DRAFT_MODEL, derive_seed, stable_prefix_hash
 from draftwire.transport import (
@@ -23,6 +26,7 @@ from draftwire.transport import (
     Message,
     OversizeFrameError,
     ProtocolError,
+    ScoreResult,
     TcpPool,
     TruncatedStreamError,
     UnknownKindError,
@@ -216,6 +220,157 @@ class TestWorkerCore:
             core.handle_draft((0,), (1, 2))
 
 
+def worker_configs(m=2, gamma=2, k=3):
+    return [WorkerConfig(vocab_size=8, k=k, weight=1.0 / m, gamma=gamma,
+                         strategy=Strategy.RENORMALIZED, seed_material=5)
+            for _ in range(m)]
+
+
+class SequentialPool:
+    """The oracle: the in-process pool as it was before its workers
+    overlapped, scoring one worker after the other on the calling thread."""
+
+    def __init__(self, m, factory):
+        self.cores = [WorkerCore(i, factory, expose_shadows=True) for i in range(m)]
+        self.uplink_totals = [0] * m
+
+    def configure(self, configs):
+        for core, cfg in zip(self.cores, configs):
+            core.configure(cfg)
+
+    def score_block(self, delta, draft):
+        replies = [core.handle_draft(delta, draft) for core in self.cores]
+        uplink = [FRAME_HEADER.size + len(pack_scores(checksum, bodies))
+                  for checksum, bodies, _ in replies]
+        for i, n in enumerate(uplink):
+            self.uplink_totals[i] += n
+        return ScoreResult(
+            payloads=[[decode_payload(b) for b in bodies] for _, bodies, _ in replies],
+            checksums=[checksum for checksum, _, _ in replies],
+            uplink_bytes=uplink,
+            shadows=[shadows for _, _, shadows in replies],
+        )
+
+    def commit(self, tokens):
+        for core in self.cores:
+            core.handle_commit(tokens)
+
+    def close(self):
+        pass
+
+
+class SleepyModel:
+    """Sleeps a seeded random time before each answer, so the workers
+    finish in a different order from one block to the next."""
+
+    def __init__(self, inner, rng):
+        self.inner = inner
+        self.rng = rng
+        self.vocab_size = inner.vocab_size
+
+    def distribution(self, prefix):
+        time.sleep(self.rng.uniform(0.0, 0.002))
+        return self.inner.distribution(prefix)
+
+
+class FailingModel:
+    """Raises when its worker index is in ``failing``. Every worker but the
+    lowest failing one is slow, and ``in_flight`` holds the index of each
+    call still running."""
+
+    def __init__(self, inner, index, failing, in_flight):
+        self.inner = inner
+        self.index = index
+        self.failing = failing
+        self.in_flight = in_flight
+        self.vocab_size = inner.vocab_size
+
+    def distribution(self, prefix):
+        self.in_flight.append(self.index)
+        try:
+            if self.index != min(self.failing):
+                time.sleep(0.05)
+            if self.index in self.failing:
+                raise ValueError(f"model {self.index} broke")
+            return self.inner.distribution(prefix)
+        finally:
+            self.in_flight.remove(self.index)
+
+
+def record_bytes(res):
+    return [(rec.draft_tokens, [d.probs.tobytes() for d in rec.q_dists],
+             [[d.probs.tobytes() for d in dists] for dists in rec.worker_dists])
+            for rec in res.records]
+
+
+class TestInProcessPoolConcurrency:
+    def scored_pool(self, m):
+        """A pool that has scored one block, and the threads it started."""
+        before = set(threading.enumerate())
+        pool = InProcessPool(m, FACTORY)
+        pool.configure(worker_configs(m))
+        pool.score_block((0,), (1, 2))
+        return pool, set(threading.enumerate()) - before
+
+    @pytest.mark.parametrize("m, failing", [(2, {1}), (3, {1, 2}), (3, {0, 2})])
+    def test_lowest_failing_worker_is_reported_after_every_helper_returns(self, m, failing):
+        in_flight = []
+        pool = InProcessPool(
+            m, lambda v, s, i: FailingModel(FACTORY(v, s, i), i, failing, in_flight))
+        pool.configure(worker_configs(m))
+        low = min(failing)
+        try:
+            with pytest.raises(WorkerFailureError, match=rf"^worker {low}: model {low} broke$"):
+                pool.score_block((0,), (1, 2))
+            assert in_flight == []
+        finally:
+            pool.close()
+
+    def test_one_worker_starts_no_thread(self):
+        pool, started = self.scored_pool(1)
+        pool.close()
+        assert started == set()
+
+    def test_close_joins_the_helpers_and_can_be_repeated(self):
+        pool, helpers = self.scored_pool(3)
+        assert len(helpers) == 2
+        pool.close()
+        assert not any(t.is_alive() for t in helpers)
+        pool.close()
+
+    def test_unclosed_pool_leaves_no_thread_behind(self):
+        pool, helpers = self.scored_pool(2)
+        assert len(helpers) == 1
+        del pool
+        gc.collect()
+        for t in helpers:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in helpers)
+
+    def test_overlapping_workers_reproduce_the_sequential_run(self):
+        cfg = RunConfig.from_mapping(merge_config({
+            "vocab_size": "64", "workers": "3", "k": "8", "gamma": "4", "max_tokens": "24",
+            "correlation": "0.9", "mode": "instrumented", "seed": "3"}))
+        settings = cfg.settings()
+        factory = cfg.worker_factory()  # shares the draft model's noise memo
+        ss = sample_seed_for(cfg.seed, 0)
+        oracle = SequentialPool(cfg.workers, factory)
+        want = run_sample(cfg.draft_model(ss), oracle, settings, ss, instrumented=True)
+        assert want.blocks > 2
+        rng = random.Random(99)
+        for _ in range(20):
+            pool = InProcessPool(cfg.workers, lambda v, s, i: SleepyModel(
+                factory(v, s, i), random.Random(rng.random())), instrumented=True)
+            try:
+                got = run_sample(cfg.draft_model(ss), pool, settings, ss, instrumented=True)
+            finally:
+                pool.close()
+            assert (got.tokens, got.blocks, got.accepted) == (want.tokens, want.blocks,
+                                                              want.accepted)
+            assert pool.uplink_totals == oracle.uplink_totals
+            assert record_bytes(got) == record_bytes(want)
+
+
 def start_worker(factory, index=0):
     ready: queue.Queue = queue.Queue()
     thread = threading.Thread(
@@ -354,19 +509,12 @@ class TestWorkerServer:
 
 
 class TestTcpPool:
-    def configs(self, m=2, gamma=2, k=3):
-        return [
-            WorkerConfig(vocab_size=8, k=k, weight=1.0 / m, gamma=gamma,
-                         strategy=Strategy.RENORMALIZED, seed_material=5)
-            for _ in range(m)
-        ]
-
     def test_score_and_accounting(self):
         workers = [start_worker(FACTORY, index=i) for i in range(2)]
         pool = None
         try:
             pool = TcpPool([("127.0.0.1", port) for _, port in workers])
-            pool.configure(self.configs())
+            pool.configure(worker_configs())
             result = pool.score_block((0,), (1, 2))
             assert len(result.payloads) == 2
             assert all(len(row) == 3 for row in result.payloads)
@@ -391,7 +539,7 @@ class TestTcpPool:
         try:
             pool = TcpPool([("127.0.0.1", port) for _, port in workers])
             local = InProcessPool(2, FACTORY)
-            cfgs = self.configs()
+            cfgs = worker_configs()
             pool.configure(cfgs)
             local.configure(cfgs)
             remote = pool.score_block((0, 3), (1, 2))
@@ -431,7 +579,7 @@ class TestTcpPool:
         port = ready.get(timeout=5)
         pool = TcpPool([("127.0.0.1", port)], timeout=2.0)
         try:
-            pool.configure(self.configs(m=1))
+            pool.configure(worker_configs(m=1))
             with pytest.raises(WorkerFailureError, match="worker 0"):
                 pool.score_block((0,), (1, 2))
         finally:
@@ -459,7 +607,7 @@ class TestTcpPool:
         pool = TcpPool([("127.0.0.1", port)], timeout=0.5)
         try:
             with pytest.raises(WorkerFailureError, match="timed out"):
-                pool.configure(self.configs(m=1))
+                pool.configure(worker_configs(m=1))
         finally:
             release.set()
             pool.close()
