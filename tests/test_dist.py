@@ -76,9 +76,13 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax_with_temperature([1.0, 0.0], temp)
 
+    def test_rejects_non_finite_logits(self):
+        with pytest.raises(ValueError):
+            softmax_with_temperature([float("inf"), 0.0], 1.0)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("at", [0, 1, 2])
-    def test_rejects_non_finite_logits(self, bad, at):
+    def test_both_softmaxes_reject_non_finite_logits(self, bad, at):
         logits = [0.5, -1.0, 2.0]
         logits[at] = bad
         for softmax in (softmax_with_temperature,
