@@ -6,9 +6,11 @@ The loop (``_decode``) owns the RNG streams, the prefix, the EOS and
 max_tokens stop rules, the block records and the counters; its two callers
 differ only in the scorer and the commit they pass it:
 
-* ``run_sample`` sends the draft to a worker pool, checks each worker's
-  prefix-mirror checksum, aggregates the decoded top-K payloads position
-  by position, and commits to the worker mirrors;
+* ``run_sample`` sends the draft and the hash of the committed prefix to a
+  worker pool, which checks each worker's prefix-mirror checksum against
+  it; it aggregates the decoded top-K payloads position by position, and
+  queues the prompt and each block's committed tokens on the pool, which
+  sends them to the worker mirrors with the next draft;
 * ``run_reference_sample`` is the uncompressed baseline: it queries the
   worker models directly and aggregates their dense float32-rounded
   vectors, never touching the top-K/codec machinery. At k = |V| the
@@ -186,17 +188,10 @@ def run_sample(
 ) -> SampleResult:
     """One seeded generation through a worker pool."""
     pool.configure(settings.worker_configs(sample_seed))
-    synced = 0  # prefix tokens already reflected in worker mirrors
+    pool.commit(settings.prompt)
 
     def score(prefix: tuple[int, ...], draft: tuple[int, ...]) -> _BlockScores:
-        nonlocal synced
-        delta = prefix[synced:]
-        result = pool.score_block(delta, draft)
-        synced = len(prefix)
-        expected_sum = stable_prefix_hash(prefix)
-        for i, checksum in enumerate(result.checksums):
-            if checksum != expected_sum:
-                raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
+        result = pool.score_block(stable_prefix_hash(prefix), draft)
         if instrumented and result.shadows is None:
             raise WorkerFailureError("pool does not expose shadow distributions")
         p_bars = [
@@ -209,12 +204,7 @@ def run_sample(
         ]
         return p_bars, result.shadows if instrumented else None, sum(result.uplink_bytes)
 
-    def commit(committed: tuple[int, ...]) -> None:
-        nonlocal synced
-        pool.commit(committed)
-        synced += len(committed)
-
-    return _decode(draft_model, settings, sample_seed, score, commit)
+    return _decode(draft_model, settings, sample_seed, score, pool.commit)
 
 
 def run_reference_sample(

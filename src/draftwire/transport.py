@@ -13,8 +13,10 @@ Conversation, orchestrator side:
                                    prefix delta + draft tokens out;
                                    mirror checksum + gamma+1 encoded
                                    payloads back
-    COMMIT_NOTICE                  committed tokens, no reply
     SHUTDOWN                       no reply, worker exits
+
+A worker's prefix mirror grows only by the prefix delta: committed tokens,
+the prompt first, ride on the next DRAFT_BROADCAST. Kind byte 5 is retired.
 
 Closing the connection without SHUTDOWN ends the session only: the worker
 goes back to accept and serves the next one.
@@ -43,7 +45,7 @@ from .specdec import ModelProvider
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 FRAME_HEADER = struct.Struct("<IBQ")  # body length, kind, correlation id
 CONFIGURE_BODY = struct.Struct("<IIdIBQ")  # vocab, k, weight, gamma, strategy, seed
@@ -55,7 +57,6 @@ class Kind(enum.IntEnum):
     CONFIGURE = 2
     DRAFT_BROADCAST = 3
     SCORES_UPLOAD = 4
-    COMMIT_NOTICE = 5
     SHUTDOWN = 6
     ERROR = 7
 
@@ -211,17 +212,6 @@ def unpack_scores(body: bytes) -> tuple[int, list[bytes]]:
     return checksum, bodies
 
 
-def pack_commit(tokens: Sequence[int]) -> bytes:
-    return _pack_tokens(tokens)
-
-
-def unpack_commit(body: bytes) -> tuple[int, ...]:
-    tokens, off = _unpack_tokens(body, 0)
-    if off != len(body):
-        raise FramingError("trailing bytes after COMMIT_NOTICE body")
-    return tokens
-
-
 def expected_upload_bytes(gamma: int, k: int) -> int:
     """Wire bytes of one SCORES_UPLOAD frame: header + checksum + payloads."""
     payload = 8 + 8 * k
@@ -262,7 +252,9 @@ class WorkerCore:
 
     def handle_draft(
         self, delta: Sequence[int], draft: Sequence[int]
-    ) -> tuple[int, list[bytes], list[Distribution] | None]:
+    ) -> tuple[bytes, list[Distribution] | None]:
+        """Extend the mirror by ``delta``; return the SCORES_UPLOAD body and
+        the shadows, when exposed."""
         if self._config is None or self._model is None:
             raise ProtocolError("not configured")
         cfg = self._config
@@ -282,12 +274,7 @@ class WorkerCore:
             bodies.append(encode_payload(truncate_topk(d, cfg.k)))
             if shadows is not None:
                 shadows.append(d)
-        return checksum, bodies, shadows
-
-    def handle_commit(self, tokens: Sequence[int]) -> None:
-        if self._config is None:
-            raise ProtocolError("not configured")
-        self._mirror.extend(int(t) for t in tokens)
+        return pack_scores(checksum, bodies), shadows
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -378,11 +365,8 @@ def _serve_session(conn: socket.socket, factory: ModelFactory, worker_index: int
                     core.configure(unpack_configure(msg.body))
                     reply(Kind.CONFIGURE, msg.corr_id)
                 elif msg.kind == Kind.DRAFT_BROADCAST:
-                    delta, draft = unpack_draft_broadcast(msg.body)
-                    checksum, bodies, _ = core.handle_draft(delta, draft)
-                    reply(Kind.SCORES_UPLOAD, msg.corr_id, pack_scores(checksum, bodies))
-                elif msg.kind == Kind.COMMIT_NOTICE:
-                    core.handle_commit(unpack_commit(msg.body))
+                    body, _ = core.handle_draft(*unpack_draft_broadcast(msg.body))
+                    reply(Kind.SCORES_UPLOAD, msg.corr_id, body)
                 else:
                     raise ProtocolError(f"unexpected {msg.kind.name}")
             except (ProtocolError, FramingError, ValueError) as exc:
@@ -401,21 +385,38 @@ class ScoreResult:
     """Decoded uploads for one draft block, ordered by worker index."""
 
     payloads: list[list[TopKPayload]]  # M x (gamma + 1)
-    checksums: list[int]
     uplink_bytes: list[int]
     shadows: list[list[Distribution]] | None = None
 
 
 class WorkerPool(Protocol):
-    """What the decode engine needs from a set of workers."""
+    """What the decode engine needs from a set of workers.
+
+    ``commit`` only queues tokens: they go out as the prefix delta of the
+    next ``score_block``, and ``configure`` empties the queue and the
+    mirrors. ``score_block`` checks every upload's mirror checksum against
+    ``prefix_hash`` and names the lowest worker that diverged.
+    """
 
     def configure(self, configs: Sequence[WorkerConfig]) -> None: ...
 
-    def score_block(self, delta: Sequence[int], draft: Sequence[int]) -> ScoreResult: ...
+    def score_block(self, prefix_hash: int, draft: Sequence[int]) -> ScoreResult: ...
 
     def commit(self, tokens: Sequence[int]) -> None: ...
 
     def close(self) -> None: ...
+
+
+def _read_upload(i: int, body: bytes, prefix_hash: int) -> list[TopKPayload]:
+    """Check worker i's SCORES_UPLOAD body and decode its payloads."""
+    try:
+        checksum, bodies = unpack_scores(body)
+        payloads = [decode_payload(b) for b in bodies]
+    except (FramingError, ValueError) as exc:
+        raise WorkerFailureError(f"worker {i}: bad upload ({exc})") from exc
+    if checksum != prefix_hash:
+        raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
+    return payloads
 
 
 class InProcessPool:
@@ -436,11 +437,13 @@ class InProcessPool:
         self._cores = [WorkerCore(i, factory, expose_shadows=instrumented) for i in range(m)]
         self._instrumented = instrumented
         self._helpers: ThreadPoolExecutor | None = None
+        self._pending: list[int] = []
         self.uplink_totals = [0] * m
 
     def configure(self, configs: Sequence[WorkerConfig]) -> None:
         if len(configs) != len(self._cores):
             raise ValueError("one config per worker required")
+        self._pending = []
         for i, (core, cfg) in enumerate(zip(self._cores, configs)):
             try:
                 core.configure(cfg)
@@ -449,17 +452,18 @@ class InProcessPool:
 
     def _score(
         self, i: int, delta: Sequence[int], draft: Sequence[int]
-    ) -> tuple[int, list[bytes], list[Distribution] | None]:
+    ) -> tuple[bytes, list[Distribution] | None]:
         try:
             return self._cores[i].handle_draft(delta, draft)
         except (ProtocolError, ValueError) as exc:
             raise WorkerFailureError(f"worker {i}: {exc}") from exc
 
-    def score_block(self, delta: Sequence[int], draft: Sequence[int]) -> ScoreResult:
+    def score_block(self, prefix_hash: int, draft: Sequence[int]) -> ScoreResult:
         # concurrent.futures (and the logging it imports) loads when an
         # in-process pool first scores, not in every draftwire command
         from concurrent.futures import ThreadPoolExecutor, wait
 
+        delta, self._pending = tuple(self._pending), []
         m = len(self._cores)
         if m > 1 and self._helpers is None:
             self._helpers = ThreadPoolExecutor(m - 1, thread_name_prefix="draftwire-worker")
@@ -470,27 +474,23 @@ class InProcessPool:
             wait(futures)
         replies += [f.result() for f in futures]
         payloads: list[list[TopKPayload]] = []
-        checksums: list[int] = []
         uplink: list[int] = []
         shadows: list[list[Distribution]] = []
-        for i, (checksum, bodies, shadow) in enumerate(replies):
-            payloads.append([decode_payload(b) for b in bodies])
-            checksums.append(checksum)
-            frame_bytes = FRAME_HEADER.size + len(pack_scores(checksum, bodies))
+        for i, (body, shadow) in enumerate(replies):
+            payloads.append(_read_upload(i, body, prefix_hash))
+            frame_bytes = FRAME_HEADER.size + len(body)
             uplink.append(frame_bytes)
             self.uplink_totals[i] += frame_bytes
             if shadow is not None:
                 shadows.append(shadow)
         return ScoreResult(
             payloads=payloads,
-            checksums=checksums,
             uplink_bytes=uplink,
             shadows=shadows if self._instrumented else None,
         )
 
     def commit(self, tokens: Sequence[int]) -> None:
-        for core in self._cores:
-            core.handle_commit(tokens)
+        self._pending.extend(tokens)
 
     def close(self) -> None:
         """Join the helper threads; a later block starts new ones."""
@@ -511,6 +511,7 @@ class TcpPool:
     def __init__(self, endpoints: Sequence[tuple[str, int]], *, timeout: float = DEFAULT_TIMEOUT) -> None:
         self._socks: list[socket.socket] = []
         self._corr = 0
+        self._pending: list[int] = []
         self.uplink_totals = [0] * len(endpoints)
         try:
             for host, port in endpoints:
@@ -559,6 +560,7 @@ class TcpPool:
     def configure(self, configs: Sequence[WorkerConfig]) -> None:
         if len(configs) != len(self._socks):
             raise ValueError("one config per worker required")
+        self._pending = []
         corrs = []
         for i, cfg in enumerate(configs):
             corr = self._next_corr()
@@ -567,34 +569,26 @@ class TcpPool:
         for i, corr in enumerate(corrs):
             self._recv(i, Kind.CONFIGURE, corr)
 
-    def score_block(self, delta: Sequence[int], draft: Sequence[int]) -> ScoreResult:
-        body = pack_draft_broadcast(delta, draft)
+    def score_block(self, prefix_hash: int, draft: Sequence[int]) -> ScoreResult:
+        body = pack_draft_broadcast(self._pending, draft)
+        self._pending = []
         corrs = []
         for i in range(len(self._socks)):
             corr = self._next_corr()
             self._send(i, Kind.DRAFT_BROADCAST, body, corr)
             corrs.append(corr)
         payloads: list[list[TopKPayload]] = []
-        checksums: list[int] = []
         uplink: list[int] = []
         for i, corr in enumerate(corrs):
             msg = self._recv(i, Kind.SCORES_UPLOAD, corr)
-            try:
-                checksum, bodies = unpack_scores(msg.body)
-                decoded = [decode_payload(b) for b in bodies]
-            except (FramingError, ValueError) as exc:
-                raise WorkerFailureError(f"worker {i}: bad upload ({exc})") from exc
-            payloads.append(decoded)
-            checksums.append(checksum)
+            payloads.append(_read_upload(i, msg.body, prefix_hash))
             frame_bytes = FRAME_HEADER.size + len(msg.body)
             uplink.append(frame_bytes)
             self.uplink_totals[i] += frame_bytes
-        return ScoreResult(payloads=payloads, checksums=checksums, uplink_bytes=uplink)
+        return ScoreResult(payloads=payloads, uplink_bytes=uplink)
 
     def commit(self, tokens: Sequence[int]) -> None:
-        body = pack_commit(tokens)
-        for i in range(len(self._socks)):
-            self._send(i, Kind.COMMIT_NOTICE, body, self._next_corr())
+        self._pending.extend(tokens)
 
     def close(self) -> None:
         """Disconnect; each worker goes back to accept its next session."""

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from draftwire import transport
 from draftwire.aggregation import TopKProfile, WeightVector
 from draftwire.compression import Strategy, decode_payload
 from draftwire.config import RunConfig, merge_config, synthetic_worker_factory
@@ -25,6 +26,7 @@ from draftwire.transport import (
     MAX_FRAME_BYTES,
     Message,
     OversizeFrameError,
+    PROTOCOL_VERSION,
     ProtocolError,
     ScoreResult,
     TcpPool,
@@ -37,12 +39,10 @@ from draftwire.transport import (
     expected_upload_bytes,
     frame_decode,
     frame_encode,
-    pack_commit,
     pack_configure,
     pack_draft_broadcast,
     pack_hello,
     pack_scores,
-    unpack_commit,
     unpack_configure,
     unpack_draft_broadcast,
     unpack_hello,
@@ -60,8 +60,9 @@ def decode_bytes(data: bytes) -> Message:
 class TestFraming:
     def test_round_trip_property(self):
         rng = np.random.default_rng(80)
+        kinds = list(Kind)
         for _ in range(300):
-            kind = Kind(int(rng.integers(1, 8)))
+            kind = kinds[int(rng.integers(len(kinds)))]
             corr = int(rng.integers(0, 2**63))
             body = rng.integers(0, 256, size=int(rng.integers(0, 128)),
                                 dtype=np.uint8).tobytes()
@@ -99,7 +100,7 @@ class TestFraming:
 
 class TestBodyPackers:
     def test_hello(self):
-        assert unpack_hello(pack_hello()) == 1
+        assert unpack_hello(pack_hello()) == PROTOCOL_VERSION == 2
         with pytest.raises(ValueError):
             unpack_hello(b"\x01")
 
@@ -135,11 +136,6 @@ class TestBodyPackers:
         with pytest.raises(ValueError):
             unpack_scores(packed + b"\x00")
 
-    def test_commit(self):
-        assert unpack_commit(pack_commit((7, 8))) == (7, 8)
-        with pytest.raises(ValueError):
-            unpack_commit(b"\x01")
-
     def test_expected_upload_bytes_formula(self):
         assert expected_upload_bytes(4, 2) == 13 + 12 + 5 * (4 + 8 + 16) == 165
         # cross-check against an actual packed frame of the same shape
@@ -157,11 +153,6 @@ class TestWorkerCore:
         core = WorkerCore(0, FACTORY)
         with pytest.raises(ProtocolError, match="not configured"):
             core.handle_draft((0,), (1, 2))
-
-    def test_commit_before_configure(self):
-        core = WorkerCore(0, FACTORY)
-        with pytest.raises(ProtocolError, match="not configured"):
-            core.handle_commit((1,))
 
     def test_configure_validation(self):
         core = WorkerCore(0, FACTORY)
@@ -181,7 +172,8 @@ class TestWorkerCore:
     def test_mirror_checksum_evolution(self):
         core = WorkerCore(0, FACTORY)
         core.configure(self.CFG)
-        checksum, bodies, shadows = core.handle_draft((0, 4), (1, 2))
+        body, shadows = core.handle_draft((0, 4), (1, 2))
+        checksum, bodies = unpack_scores(body)
         assert checksum == stable_prefix_hash((0, 4))
         assert len(bodies) == 3  # gamma + 1 scored positions
         assert shadows is None
@@ -189,22 +181,22 @@ class TestWorkerCore:
             payload = decode_payload(b)
             assert payload.k == 3 and payload.vocab_size == 8
 
-        core.handle_commit((1, 6))
-        checksum2, _, _ = core.handle_draft((), (5, 5))
-        assert checksum2 == stable_prefix_hash((0, 4, 1, 6))
+        body2, _ = core.handle_draft((1, 6), (5, 5))
+        assert unpack_scores(body2)[0] == stable_prefix_hash((0, 4, 1, 6))
 
     def test_configure_resets_mirror(self):
         core = WorkerCore(0, FACTORY)
         core.configure(self.CFG)
         core.handle_draft((0, 4), (1, 2))
         core.configure(self.CFG)
-        checksum, _, _ = core.handle_draft((7,), (1, 2))
-        assert checksum == stable_prefix_hash((7,))
+        body, _ = core.handle_draft((7,), (1, 2))
+        assert unpack_scores(body)[0] == stable_prefix_hash((7,))
 
     def test_shadow_exposure(self):
         core = WorkerCore(0, FACTORY, expose_shadows=True)
         core.configure(self.CFG)
-        _, bodies, shadows = core.handle_draft((0,), (1, 2))
+        body, shadows = core.handle_draft((0,), (1, 2))
+        _, bodies = unpack_scores(body)
         assert shadows is not None and len(shadows) == 3
         for d, b in zip(shadows, bodies):
             assert isinstance(d, Distribution)
@@ -232,28 +224,33 @@ class SequentialPool:
 
     def __init__(self, m, factory):
         self.cores = [WorkerCore(i, factory, expose_shadows=True) for i in range(m)]
+        self.pending = []
         self.uplink_totals = [0] * m
 
     def configure(self, configs):
+        self.pending = []
         for core, cfg in zip(self.cores, configs):
             core.configure(cfg)
 
-    def score_block(self, delta, draft):
+    def score_block(self, prefix_hash, draft):
+        delta, self.pending = tuple(self.pending), []
         replies = [core.handle_draft(delta, draft) for core in self.cores]
+        uploads = [unpack_scores(body) for body, _ in replies]
+        for i, (checksum, _) in enumerate(uploads):
+            if checksum != prefix_hash:
+                raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
         uplink = [FRAME_HEADER.size + len(pack_scores(checksum, bodies))
-                  for checksum, bodies, _ in replies]
+                  for checksum, bodies in uploads]
         for i, n in enumerate(uplink):
             self.uplink_totals[i] += n
         return ScoreResult(
-            payloads=[[decode_payload(b) for b in bodies] for _, bodies, _ in replies],
-            checksums=[checksum for checksum, _, _ in replies],
+            payloads=[[decode_payload(b) for b in bodies] for _, bodies in uploads],
             uplink_bytes=uplink,
-            shadows=[shadows for _, _, shadows in replies],
+            shadows=[shadows for _, shadows in replies],
         )
 
     def commit(self, tokens):
-        for core in self.cores:
-            core.handle_commit(tokens)
+        self.pending.extend(tokens)
 
     def close(self):
         pass
@@ -275,8 +272,8 @@ class SleepyModel:
 
 class FailingModel:
     """Raises when its worker index is in ``failing``. Every worker but the
-    lowest failing one is slow, and ``in_flight`` holds the index of each
-    call still running."""
+    lowest failing one (worker 0 when none fails) is slow, and
+    ``in_flight`` holds the index of each call still running."""
 
     def __init__(self, inner, index, failing, in_flight):
         self.inner = inner
@@ -288,7 +285,7 @@ class FailingModel:
     def distribution(self, prefix):
         self.in_flight.append(self.index)
         try:
-            if self.index != min(self.failing):
+            if self.index != min(self.failing, default=0):
                 time.sleep(0.05)
             if self.index in self.failing:
                 raise ValueError(f"model {self.index} broke")
@@ -309,7 +306,8 @@ class TestInProcessPoolConcurrency:
         before = set(threading.enumerate())
         pool = InProcessPool(m, FACTORY)
         pool.configure(worker_configs(m))
-        pool.score_block((0,), (1, 2))
+        pool.commit((0,))
+        pool.score_block(stable_prefix_hash((0,)), (1, 2))
         return pool, set(threading.enumerate()) - before
 
     @pytest.mark.parametrize("m, failing", [(2, {1}), (3, {1, 2}), (3, {0, 2})])
@@ -318,10 +316,11 @@ class TestInProcessPoolConcurrency:
         pool = InProcessPool(
             m, lambda v, s, i: FailingModel(FACTORY(v, s, i), i, failing, in_flight))
         pool.configure(worker_configs(m))
+        pool.commit((0,))
         low = min(failing)
         try:
             with pytest.raises(WorkerFailureError, match=rf"^worker {low}: model {low} broke$"):
-                pool.score_block((0,), (1, 2))
+                pool.score_block(stable_prefix_hash((0,)), (1, 2))
             assert in_flight == []
         finally:
             pool.close()
@@ -416,7 +415,7 @@ class TestWorkerServer:
                 send(sock, Kind.HELLO, 1, pack_hello())
                 reply = recv(sock)
                 assert reply.kind == Kind.HELLO and reply.corr_id == 1
-                assert unpack_hello(reply.body) == 1
+                assert unpack_hello(reply.body) == PROTOCOL_VERSION
 
                 send(sock, Kind.CONFIGURE, 2, pack_configure(self.CFG))
                 reply = recv(sock)
@@ -430,9 +429,10 @@ class TestWorkerServer:
                 assert len(bodies) == 3
                 assert len(reply.body) + FRAME_HEADER.size == expected_upload_bytes(2, 3)
 
-                send(sock, Kind.COMMIT_NOTICE, 4, pack_commit((1, 7)))  # no reply
-                send(sock, Kind.DRAFT_BROADCAST, 5, pack_draft_broadcast((), (3, 4)))
+                # the committed tokens ride on the next broadcast's delta
+                send(sock, Kind.DRAFT_BROADCAST, 4, pack_draft_broadcast((1, 7), (3, 4)))
                 reply = recv(sock)
+                assert reply.kind == Kind.SCORES_UPLOAD and reply.corr_id == 4
                 checksum, _ = unpack_scores(reply.body)
                 assert checksum == stable_prefix_hash((0, 1, 7))
         finally:
@@ -488,6 +488,28 @@ class TestWorkerServer:
         finally:
             shutdown_worker(thread, port)
 
+    def test_retired_commit_kind_is_an_error_and_next_session_is_served(self):
+        thread, port = start_worker(FACTORY)
+        try:
+            with connect(port) as sock:
+                send(sock, Kind.HELLO, 1, struct.pack("<H", 1))  # a version-1 peer
+                recv(sock)
+                send(sock, Kind.CONFIGURE, 2, pack_configure(self.CFG))
+                recv(sock)
+                # version 1's COMMIT_NOTICE: kind byte 5, one committed token
+                body = struct.pack("<II", 1, 7)
+                sock.sendall(FRAME_HEADER.pack(len(body), 5, 3) + body)
+                reply = recv(sock)
+                assert reply.kind == Kind.ERROR
+                assert b"unknown message kind 5" in reply.body
+            with connect(port) as sock:
+                send(sock, Kind.HELLO, 1, pack_hello())
+                reply = recv(sock)
+                assert reply.kind == Kind.HELLO
+                assert unpack_hello(reply.body) == PROTOCOL_VERSION
+        finally:
+            shutdown_worker(thread, port)
+
     def test_server_survives_peer_reset(self):
         thread, port = start_worker(FACTORY)
         try:
@@ -515,16 +537,16 @@ class TestTcpPool:
         try:
             pool = TcpPool([("127.0.0.1", port) for _, port in workers])
             pool.configure(worker_configs())
-            result = pool.score_block((0,), (1, 2))
+            pool.commit((0,))
+            # score_block raises unless every mirror checksum equals the hash
+            result = pool.score_block(stable_prefix_hash((0,)), (1, 2))
             assert len(result.payloads) == 2
             assert all(len(row) == 3 for row in result.payloads)
-            assert result.checksums == [stable_prefix_hash((0,))] * 2
             assert result.uplink_bytes == [expected_upload_bytes(2, 3)] * 2
             assert result.shadows is None
 
             pool.commit((1, 6))
-            result = pool.score_block((), (4, 4))
-            assert result.checksums == [stable_prefix_hash((0, 1, 6))] * 2
+            pool.score_block(stable_prefix_hash((0, 1, 6)), (4, 4))
             assert pool.uplink_totals == [2 * expected_upload_bytes(2, 3)] * 2
         finally:
             if pool is not None:
@@ -542,9 +564,11 @@ class TestTcpPool:
             cfgs = worker_configs()
             pool.configure(cfgs)
             local.configure(cfgs)
-            remote = pool.score_block((0, 3), (1, 2))
-            inproc = local.score_block((0, 3), (1, 2))
-            assert remote.checksums == inproc.checksums
+            pool.commit((0, 3))
+            local.commit((0, 3))
+            # both check every mirror checksum against the same hash
+            remote = pool.score_block(stable_prefix_hash((0, 3)), (1, 2))
+            inproc = local.score_block(stable_prefix_hash((0, 3)), (1, 2))
             assert remote.uplink_bytes == inproc.uplink_bytes
             for a_row, b_row in zip(remote.payloads, inproc.payloads):
                 for a, b in zip(a_row, b_row):
@@ -580,8 +604,9 @@ class TestTcpPool:
         pool = TcpPool([("127.0.0.1", port)], timeout=2.0)
         try:
             pool.configure(worker_configs(m=1))
+            pool.commit((0,))
             with pytest.raises(WorkerFailureError, match="worker 0"):
-                pool.score_block((0,), (1, 2))
+                pool.score_block(stable_prefix_hash((0,)), (1, 2))
         finally:
             pool.close()
             thread.join(timeout=5)
@@ -640,12 +665,110 @@ class TestTcpPool:
         assert (a.tokens, a.blocks, a.accepted, a.uplink_bytes) == (
             b.tokens, b.blocks, b.accepted, b.uplink_bytes)
 
+    def test_version_mismatch_closes_the_sockets(self):
+        # scripted version-1 peer: answers HELLO, then waits for the close
+        ready: queue.Queue = queue.Queue()
+        closed = threading.Event()
+
+        def old_worker():
+            with socket.socket() as listener:
+                listener.bind(("127.0.0.1", 0))
+                listener.listen(1)
+                ready.put(listener.getsockname()[1])
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5)
+                    msg = frame_decode(lambda n: _read_exact(conn, n))
+                    conn.sendall(frame_encode(
+                        Message(Kind.HELLO, msg.corr_id, struct.pack("<H", 1))))
+                    if conn.recv(1) == b"":
+                        closed.set()
+
+        thread = threading.Thread(target=old_worker, daemon=True)
+        thread.start()
+        port = ready.get(timeout=5)
+        with pytest.raises(WorkerFailureError,
+                           match=r"^worker 0: protocol version mismatch$") as failure:
+            TcpPool([("127.0.0.1", port)], timeout=2.0)
+        # the traceback still holds the pool, so only close() can have
+        # ended the connection
+        assert closed.wait(timeout=5)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
     def test_connection_refused(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             free_port = probe.getsockname()[1]
         with pytest.raises(OSError):
             TcpPool([("127.0.0.1", free_port)], timeout=0.5)
+
+
+def truncate_uploads(monkeypatch):
+    """Every payload a worker encodes loses its last byte."""
+    encode = transport.encode_payload
+    monkeypatch.setattr(transport, "encode_payload", lambda payload: encode(payload)[:-1])
+
+
+class TestUploadChecks:
+    """Both pools read each upload through one check: framing and payloads,
+    then the mirror checksum against the orchestrator's prefix hash."""
+
+    def test_in_process_diverged_mirror_is_reported_after_every_helper_returns(self):
+        in_flight = []
+        pool = InProcessPool(
+            3, lambda v, s, i: FailingModel(FACTORY(v, s, i), i, set(), in_flight))
+        pool.configure(worker_configs(3))
+        pool.commit((0,))
+        try:
+            with pytest.raises(WorkerFailureError, match=r"^worker 0: prefix mirror diverged$"):
+                pool.score_block(stable_prefix_hash((0, 1)), (1, 2))
+            assert in_flight == []
+        finally:
+            pool.close()
+
+    def test_tcp_diverged_mirror(self):
+        workers = [start_worker(FACTORY, index=i) for i in range(2)]
+        pool = None
+        try:
+            pool = TcpPool([("127.0.0.1", port) for _, port in workers])
+            pool.configure(worker_configs())
+            pool.commit((0,))
+            with pytest.raises(WorkerFailureError, match=r"^worker 0: prefix mirror diverged$"):
+                pool.score_block(stable_prefix_hash((0, 1)), (1, 2))
+        finally:
+            if pool is not None:
+                pool.shutdown()
+            for thread, _ in workers:
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+
+    def test_in_process_bad_upload(self, monkeypatch):
+        truncate_uploads(monkeypatch)
+        pool = InProcessPool(2, FACTORY)
+        pool.configure(worker_configs())
+        pool.commit((0,))
+        try:
+            with pytest.raises(WorkerFailureError, match=r"^worker 0: bad upload \(.+\)$"):
+                pool.score_block(stable_prefix_hash((0,)), (1, 2))
+        finally:
+            pool.close()
+
+    def test_tcp_bad_upload(self, monkeypatch):
+        truncate_uploads(monkeypatch)  # the worker thread shares the module
+        thread, port = start_worker(FACTORY)
+        pool = None
+        try:
+            pool = TcpPool([("127.0.0.1", port)])
+            pool.configure(worker_configs(m=1))
+            pool.commit((0,))
+            with pytest.raises(WorkerFailureError, match=r"^worker 0: bad upload \(.+\)$"):
+                pool.score_block(stable_prefix_hash((0,)), (1, 2))
+        finally:
+            if pool is not None:
+                pool.shutdown()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
 
 class TestCrossModeDeterminism:
