@@ -15,8 +15,6 @@ from .compression import (
     encode_payload,
     mass_split,
     reconstruct,
-    reconstruct_renormalized,
-    reconstruct_residual_uniform,
     truncate_topk,
 )
 from .dist import (

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import Strategy, TopKPayload, mass_split
+from .compression import Strategy, TopKPayload, reconstructions
 from .dist import Distribution
 
 WEIGHT_SUM_TOLERANCE = 1e-12
@@ -102,12 +102,13 @@ def aggregate_compressed(
 ) -> Distribution:
     """Reconstruct each payload with ``strategy``, then aggregate.
 
-    Each payload is scattered into one output array, in worker-index order,
-    rather than rebuilt as a dense vector first. Every entry gets the sum
-    ``aggregate`` forms over the ``reconstruct`` vectors,
-    ``(0 + w_0 a_0) + w_1 a_1 + ...``, with the same float operations: a
-    renormalized payload adds nothing off its ids (``w * 0 == 0``), and a
-    residual-uniform one adds ``w * (epsilon / tail)`` off them.
+    ``compression.reconstructions`` gives each payload's values: ``kept``
+    on its ids and ``other`` everywhere else. Each payload is scattered
+    into one output array, in worker-index order, rather than rebuilt as a
+    dense vector first. Every entry gets the sum ``aggregate`` forms over
+    the ``reconstruct`` vectors, ``(0 + w_0 a_0) + w_1 a_1 + ...``, with
+    the same float operations: an ``other`` of 0 adds nothing off the ids
+    (``w * 0 == 0``), and any other adds ``w * other`` off them.
     """
     if len(payloads) != len(w):
         raise ValueError(f"{len(payloads)} payloads but {len(w)} weights")
@@ -117,22 +118,14 @@ def aggregate_compressed(
     for p in payloads[1:]:
         if p.vocab_size != size:
             raise ValueError("payloads must share a vocabulary size")
-    if strategy not in (Strategy.RENORMALIZED, Strategy.RESIDUAL_UNIFORM):
-        raise ValueError(f"unknown reconstruction strategy {strategy!r}")
     out = np.zeros(size, dtype=np.float64)
     for i, p in enumerate(payloads):
         wi = w.weights[i]
-        split = mass_split(p)
-        tail = size - p.k
-        if strategy == Strategy.RENORMALIZED:
-            if split.rho <= 0.0:
-                raise ValueError("cannot renormalize a payload with zero retained mass")
-            # at k == |V| the payload already is the distribution
-            out[p.ids] += wi * (p.probs if tail == 0 else p.probs / split.rho)
-        elif tail == 0:
-            out[p.ids] += wi * p.probs
+        kept, other = reconstructions(p.probs, size)[1][strategy]
+        if other == 0.0:
+            out[p.ids] += wi * kept
         else:
-            kept = out[p.ids]
-            out += wi * (split.epsilon / tail)
-            out[p.ids] = kept + wi * p.probs
+            below = out[p.ids]
+            out += wi * other
+            out[p.ids] = below + wi * kept
     return Distribution.unchecked(out)

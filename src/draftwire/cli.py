@@ -307,6 +307,9 @@ def cmd_trace_record(cfg: RunConfig) -> int:
     if not cfg.trace_dir:
         print("trace-record requires --trace_dir", file=sys.stderr)
         return EXIT_USAGE
+    if cfg.samples != 1:
+        # the file layout holds one sample
+        raise ConfigError(f"trace-record records one sample, got samples = {cfg.samples}")
     out = Path(cfg.trace_dir)
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.settings()

@@ -9,6 +9,10 @@ full distribution from the payload in one of two ways:
 * ``RESIDUAL_UNIFORM`` - keep the received probabilities as transmitted and
                        spread the missing mass uniformly over the tail.
 
+``reconstructions`` is the only definition of both: ``reconstruct``, the
+decode path's ``aggregate_compressed`` and the metrics'
+``instrument_position`` all take their values from it.
+
 Payload body layout (little-endian):
 
     u32 vocab_size | u32 k | k x (u32 token_id, f32 probability)
@@ -70,10 +74,16 @@ class EntryOrderError(PayloadError):
 
 
 class Strategy(enum.IntEnum):
-    """Server-side reconstruction strategy selector (also the wire byte)."""
+    """Server-side reconstruction strategy selector."""
 
     RENORMALIZED = 1
     RESIDUAL_UNIFORM = 2
+
+    @property
+    def local_error_is_exact(self) -> bool:
+        """Whether the L1 error of a reconstruction is exactly 2 eps, rather
+        than at most 2 eps: true when the tail is rebuilt as zero."""
+        return self is Strategy.RENORMALIZED
 
 
 @dataclass(frozen=True)
@@ -209,47 +219,44 @@ def mass_split(p: TopKPayload) -> MassSplit:
     return MassSplit(rho=rho, epsilon=eps)
 
 
-def reconstruct_renormalized(p: TopKPayload) -> Distribution:
-    """Rescale the retained probabilities to sum to 1; zero elsewhere."""
-    split = mass_split(p)
-    if split.rho <= 0.0:
-        raise ValueError("cannot renormalize a payload with zero retained mass")
-    out = np.zeros(p.vocab_size, dtype=np.float64)
-    if p.k == p.vocab_size:
-        # Lossless limit: the whole vocabulary was transmitted, so the
-        # payload already is the distribution. Skipping the divide keeps
-        # the round trip bit-exact.
-        out[p.ids] = p.probs
-    else:
-        out[p.ids] = p.probs / split.rho
-    return Distribution.unchecked(out)
+class _Rules(dict):
+    """``reconstructions``' per-strategy values; an unknown key is a ValueError."""
+
+    def __missing__(self, strategy):  # noqa: ANN001
+        raise ValueError(f"unknown reconstruction strategy {strategy!r}")
 
 
-def reconstruct_residual_uniform(p: TopKPayload) -> Distribution:
-    """Keep transmitted probabilities; spread the residual over the tail.
+def reconstructions(
+    probs: np.ndarray, vocab_size: int
+) -> tuple[float, dict[Strategy, tuple[np.ndarray, float]]]:
+    """The reconstruction rule of every strategy, for one payload.
 
-    Each of the vocab_size - k untransmitted tokens receives
-    epsilon / (vocab_size - k). With k == vocab_size there is no tail and
-    the payload is returned as-is.
+    ``probs`` are the payload's k probabilities in payload order. Returns
+    eps = max(0, 1 - sum(probs)) and, per ``Strategy``, ``(kept, other)``:
+    the values of the transmitted tokens, parallel to ``probs``, and the one
+    value of every other token. RENORMALIZED gives ``(probs / rho, 0.0)``,
+    RESIDUAL_UNIFORM ``(probs, eps / (vocab_size - k))``. At k == vocab_size
+    both give ``(probs, 0.0)`` with no divide, so the lossless round trip is
+    bit-exact. eps clamps to 0 when f32 rounding lifts the sum above 1.
     """
-    tail = p.vocab_size - p.k
+    rho = float(probs.sum())
+    if rho <= 0.0:
+        raise ValueError("cannot renormalize a payload with zero retained mass")
+    eps = max(0.0, 1.0 - rho)
+    tail = vocab_size - probs.shape[0]
     if tail == 0:
-        out = np.zeros(p.vocab_size, dtype=np.float64)
-        out[p.ids] = p.probs
-        return Distribution.unchecked(out)
-    split = mass_split(p)
-    out = np.full(p.vocab_size, split.epsilon / tail, dtype=np.float64)
-    out[p.ids] = p.probs
-    return Distribution.unchecked(out)
+        return eps, _Rules({Strategy.RENORMALIZED: (probs, 0.0),
+                            Strategy.RESIDUAL_UNIFORM: (probs, 0.0)})
+    return eps, _Rules({Strategy.RENORMALIZED: (probs / rho, 0.0),
+                        Strategy.RESIDUAL_UNIFORM: (probs, eps / tail)})
 
 
 def reconstruct(p: TopKPayload, strategy: Strategy) -> Distribution:
-    """Dispatch to the selected reconstruction strategy."""
-    if strategy == Strategy.RENORMALIZED:
-        return reconstruct_renormalized(p)
-    if strategy == Strategy.RESIDUAL_UNIFORM:
-        return reconstruct_residual_uniform(p)
-    raise ValueError(f"unknown reconstruction strategy {strategy!r}")
+    """Rebuild the full distribution of ``p`` with ``strategy``."""
+    kept, other = reconstructions(p.probs, p.vocab_size)[1][strategy]
+    out = np.full(p.vocab_size, other)
+    out[p.ids] = kept
+    return Distribution.unchecked(out)
 
 
 def encode_payload(p: TopKPayload) -> bytes:

@@ -57,10 +57,7 @@ DEFAULTS: dict[str, str] = {
 
 KNOWN_KEYS = frozenset(DEFAULTS)
 
-_STRATEGIES = {
-    "renormalized": Strategy.RENORMALIZED,
-    "residual_uniform": Strategy.RESIDUAL_UNIFORM,
-}
+_STRATEGIES = {s.name.lower(): s for s in Strategy}
 
 _MODES = ("instrumented", "inprocess", "networked")
 

@@ -74,9 +74,7 @@ class SessionSettings:
             WorkerConfig(
                 vocab_size=self.vocab_size,
                 k=self.k_profile[i],
-                weight=self.weights[i],
                 gamma=self.gamma,
-                strategy=self.strategy,
                 seed_material=sample_seed & MASK64,
             )
             for i in range(self.m)

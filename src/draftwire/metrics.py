@@ -38,13 +38,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .aggregation import TopKProfile, WeightVector
-from .compression import Strategy, TopKPayload, truncate_topk
+from .compression import Strategy, TopKPayload, reconstructions, truncate_topk
 from .dist import Distribution
 
 BOUND_TOLERANCE = 1e-9
 
 # The reconstructions in the order ``instrument_position`` stacks them.
-_LAYERS = (Strategy.RENORMALIZED, Strategy.RESIDUAL_UNIFORM)
+_LAYERS = tuple(Strategy)
 
 CSV_COLUMNS = [
     "strategy",
@@ -124,13 +124,15 @@ def instrument_position(
     Truncation, reconstruction and aggregation all run at float64 here, so
     bound checks see the mathematics rather than 32-bit wire rounding.
 
-    The exact rows and both strategies' reconstructions sit in one
-    (3, M, |V|) array, and one weighted sum over its worker axis gives the
-    exact and both compressed aggregates; the L1 errors, biases and
-    acceptance rates are reductions along the vocabulary axis. Each value
-    is bit-identical to the per-distribution functions in ``compression``,
-    ``aggregation``, ``dist`` and ``specdec``: the same float operations
-    in the same order, workers summed in index order.
+    Each worker's payload goes through ``compression.reconstructions``
+    once, which gives its eps and every strategy's values; the exact rows
+    and the reconstructions sit in one (1 + strategies, M, |V|) array, and
+    one weighted sum over its worker axis gives the exact and every
+    compressed aggregate. The L1 errors, biases and acceptance rates are
+    reductions along the vocabulary axis. Each value is bit-identical to
+    the per-distribution functions in ``compression``, ``aggregation``,
+    ``dist`` and ``specdec``: the same float operations in the same order,
+    workers summed in index order.
 
     ``widest``, when given, holds one slot per worker: the widest payload
     truncated so far from that worker's distribution at this position. A
@@ -156,20 +158,15 @@ def instrument_position(
         payload = slots[i]
         if payload is None or payload.k < k:
             payload = slots[i] = truncate_topk(d, k)
-        ids, probs = payload.ids[:k], payload.probs[:k]
-        rho = float(probs.sum())
-        eps = max(0.0, 1.0 - rho)
+        ids = payload.ids[:k]
+        eps, rules = reconstructions(payload.probs[:k], size)
         epsilons.append(eps)
-        exact, renormalized, residual = rows[:, i]
+        exact, *layers = rows[:, i]
         exact[:] = d.probs
-        renormalized.fill(0.0)
-        if k == size:  # lossless: the payload already is the distribution
-            renormalized[ids] = probs
-            residual[:] = renormalized
-        else:
-            renormalized[ids] = probs / rho
-            residual.fill(eps / (size - k))
-            residual[ids] = probs
+        for row, strategy in zip(layers, _LAYERS):
+            kept, other = rules[strategy]
+            row.fill(other)
+            row[ids] = kept
     weighted_eps = float(sum(w[i] * epsilons[i] for i in range(m)))
 
     np.multiply(rows[:, 0], w[0], out=p_bars)
@@ -216,14 +213,15 @@ def check_bounds(step: StepMetrics, strategy: Strategy,
                  tol: float = BOUND_TOLERANCE) -> BoundCounts:
     """Count one strategy's bound violations at one step; never raises on one.
 
-    Renormalized local error must EQUAL 2 eps (both directions checked);
-    residual-uniform only has the upper bound. The acceptance check is the
+    Where ``strategy.local_error_is_exact`` (renormalized) the local error
+    must EQUAL 2 eps, both directions checked; otherwise (residual-uniform)
+    it only has the upper bound. The acceptance check is the
     two-link chain dalpha <= bias/2 <= weighted eps; a broken link on
     either side counts once.
     """
     rec = step.by_strategy[strategy]
     pairs = zip(step.worker_epsilons, rec.local_errors)
-    if strategy == Strategy.RENORMALIZED:
+    if strategy.local_error_is_exact:
         lemma1 = sum(abs(err - 2.0 * e) > tol for e, err in pairs)
     else:
         lemma1 = sum(err > 2.0 * e + tol for e, err in pairs)

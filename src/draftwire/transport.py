@@ -6,9 +6,10 @@ connection; replies echo the request id.
 
 Conversation, orchestrator side:
 
-    HELLO -> HELLO                 version check
-    CONFIGURE -> CONFIGURE         vocab, k, weight, gamma, strategy, seed;
-                                   resets the worker's prefix mirror
+    HELLO -> HELLO                 version check; a worker answers any
+                                   other version with ERROR
+    CONFIGURE -> CONFIGURE         vocab, k, gamma, seed; resets the
+                                   worker's prefix mirror
     DRAFT_BROADCAST -> SCORES_UPLOAD
                                    prefix delta + draft tokens out;
                                    mirror checksum + gamma+1 encoded
@@ -17,6 +18,8 @@ Conversation, orchestrator side:
 
 A worker's prefix mirror grows only by the prefix delta: committed tokens,
 the prompt first, ride on the next DRAFT_BROADCAST. Kind byte 5 is retired.
+Reconstruction and aggregation happen on the orchestrator only, so a
+worker is told neither its weight nor the strategy.
 
 Closing the connection without SHUTDOWN ends the session only: the worker
 goes back to accept and serves the next one.
@@ -37,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 import numpy as np
 
-from .compression import Strategy, TopKPayload, decode_payload, encode_payload, truncate_topk
+from .compression import TopKPayload, decode_payload, encode_payload, truncate_topk
 from .dist import Distribution
 from .seeding import stable_prefix_hash
 from .specdec import ModelProvider
@@ -45,10 +48,10 @@ from .specdec import ModelProvider
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 FRAME_HEADER = struct.Struct("<IBQ")  # body length, kind, correlation id
-CONFIGURE_BODY = struct.Struct("<IIdIBQ")  # vocab, k, weight, gamma, strategy, seed
+CONFIGURE_BODY = struct.Struct("<IIIQ")  # vocab, k, gamma, seed
 DEFAULT_TIMEOUT = 5.0
 
 
@@ -134,26 +137,18 @@ def unpack_hello(body: bytes) -> int:
 class WorkerConfig:
     vocab_size: int
     k: int
-    weight: float
     gamma: int
-    strategy: Strategy
     seed_material: int
 
 
 def pack_configure(cfg: WorkerConfig) -> bytes:
-    return CONFIGURE_BODY.pack(cfg.vocab_size, cfg.k, cfg.weight, cfg.gamma,
-                               int(cfg.strategy), cfg.seed_material)
+    return CONFIGURE_BODY.pack(cfg.vocab_size, cfg.k, cfg.gamma, cfg.seed_material)
 
 
 def unpack_configure(body: bytes) -> WorkerConfig:
     if len(body) != CONFIGURE_BODY.size:
         raise FramingError(f"CONFIGURE body must be {CONFIGURE_BODY.size} bytes")
-    vocab, k, w, gamma, strat, seed = CONFIGURE_BODY.unpack(body)
-    try:
-        strategy = Strategy(strat)
-    except ValueError:
-        raise FramingError(f"unknown strategy byte {strat}") from None
-    return WorkerConfig(vocab, k, w, gamma, strategy, seed)
+    return WorkerConfig(*CONFIGURE_BODY.unpack(body))
 
 
 def _pack_tokens(tokens: Sequence[int]) -> bytes:
@@ -356,7 +351,10 @@ def _serve_session(conn: socket.socket, factory: ModelFactory, worker_index: int
                 if msg.kind == Kind.SHUTDOWN:
                     return True
                 if msg.kind == Kind.HELLO:
-                    unpack_hello(msg.body)
+                    version = unpack_hello(msg.body)
+                    if version != PROTOCOL_VERSION:
+                        raise ProtocolError(f"protocol version {version}, "
+                                            f"worker speaks {PROTOCOL_VERSION}")
                     greeted = True
                     reply(Kind.HELLO, msg.corr_id, pack_hello())
                 elif not greeted:
@@ -407,16 +405,27 @@ class WorkerPool(Protocol):
     def close(self) -> None: ...
 
 
-def _read_upload(i: int, body: bytes, prefix_hash: int) -> list[TopKPayload]:
-    """Check worker i's SCORES_UPLOAD body and decode its payloads."""
-    try:
-        checksum, bodies = unpack_scores(body)
-        payloads = [decode_payload(b) for b in bodies]
-    except (FramingError, ValueError) as exc:
-        raise WorkerFailureError(f"worker {i}: bad upload ({exc})") from exc
-    if checksum != prefix_hash:
-        raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
-    return payloads
+def _read_uploads(
+    uploads: Sequence[bytes],
+    prefix_hash: int,
+    uplink_totals: list[int],
+    shadows: list[list[Distribution]] | None = None,
+) -> ScoreResult:
+    """Check and decode every worker's SCORES_UPLOAD body, in worker-index
+    order, and add each one's frame bytes to its entry of ``uplink_totals``."""
+    payloads: list[list[TopKPayload]] = []
+    uplink: list[int] = []
+    for i, upload in enumerate(uploads):
+        try:
+            checksum, bodies = unpack_scores(upload)
+            payloads.append([decode_payload(b) for b in bodies])
+        except (FramingError, ValueError) as exc:
+            raise WorkerFailureError(f"worker {i}: bad upload ({exc})") from exc
+        if checksum != prefix_hash:
+            raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
+        uplink.append(FRAME_HEADER.size + len(upload))
+        uplink_totals[i] += uplink[-1]
+    return ScoreResult(payloads=payloads, uplink_bytes=uplink, shadows=shadows)
 
 
 class InProcessPool:
@@ -435,7 +444,6 @@ class InProcessPool:
 
     def __init__(self, m: int, factory: ModelFactory, *, instrumented: bool = False) -> None:
         self._cores = [WorkerCore(i, factory, expose_shadows=instrumented) for i in range(m)]
-        self._instrumented = instrumented
         self._helpers: ThreadPoolExecutor | None = None
         self._pending: list[int] = []
         self.uplink_totals = [0] * m
@@ -473,21 +481,10 @@ class InProcessPool:
         finally:
             wait(futures)
         replies += [f.result() for f in futures]
-        payloads: list[list[TopKPayload]] = []
-        uplink: list[int] = []
-        shadows: list[list[Distribution]] = []
-        for i, (body, shadow) in enumerate(replies):
-            payloads.append(_read_upload(i, body, prefix_hash))
-            frame_bytes = FRAME_HEADER.size + len(body)
-            uplink.append(frame_bytes)
-            self.uplink_totals[i] += frame_bytes
-            if shadow is not None:
-                shadows.append(shadow)
-        return ScoreResult(
-            payloads=payloads,
-            uplink_bytes=uplink,
-            shadows=shadows if self._instrumented else None,
-        )
+        uploads, shadows = zip(*replies)
+        # every core exposes its shadows, or none does
+        return _read_uploads(uploads, prefix_hash, self.uplink_totals,
+                             None if shadows[0] is None else list(shadows))
 
     def commit(self, tokens: Sequence[int]) -> None:
         self._pending.extend(tokens)
@@ -577,15 +574,8 @@ class TcpPool:
             corr = self._next_corr()
             self._send(i, Kind.DRAFT_BROADCAST, body, corr)
             corrs.append(corr)
-        payloads: list[list[TopKPayload]] = []
-        uplink: list[int] = []
-        for i, corr in enumerate(corrs):
-            msg = self._recv(i, Kind.SCORES_UPLOAD, corr)
-            payloads.append(_read_upload(i, msg.body, prefix_hash))
-            frame_bytes = FRAME_HEADER.size + len(msg.body)
-            uplink.append(frame_bytes)
-            self.uplink_totals[i] += frame_bytes
-        return ScoreResult(payloads=payloads, uplink_bytes=uplink)
+        uploads = [self._recv(i, Kind.SCORES_UPLOAD, corr).body for i, corr in enumerate(corrs)]
+        return _read_uploads(uploads, prefix_hash, self.uplink_totals)
 
     def commit(self, tokens: Sequence[int]) -> None:
         self._pending.extend(tokens)

@@ -19,8 +19,7 @@ from draftwire.compression import (
     encode_payload,
     mass_split,
     reconstruct,
-    reconstruct_renormalized,
-    reconstruct_residual_uniform,
+    reconstructions,
     truncate_topk,
 )
 from draftwire.dist import Distribution, l1_distance
@@ -305,15 +304,15 @@ class TestMassSplit:
 
 class TestReconstructRenormalized:
     def test_hand_value(self):
-        out = reconstruct_renormalized(truncate_topk(SOURCE, 2))
+        out = reconstruct(truncate_topk(SOURCE, 2), Strategy.RENORMALIZED)
         assert out.probs == pytest.approx([0.625, 0.375, 0.0, 0.0], abs=1e-15)
 
     def test_lossless_identity_bitwise(self):
-        out = reconstruct_renormalized(truncate_topk(SOURCE, 4))
+        out = reconstruct(truncate_topk(SOURCE, 4), Strategy.RENORMALIZED)
         assert np.array_equal(out.probs, SOURCE.probs)
 
     def test_point_mass(self):
-        out = reconstruct_renormalized(TopKPayload(3, [2], [1.0]))
+        out = reconstruct(TopKPayload(3, [2], [1.0]), Strategy.RENORMALIZED)
         assert list(out.probs) == [0.0, 0.0, 1.0]
 
     def test_off_set_tokens_exactly_zero(self):
@@ -321,7 +320,7 @@ class TestReconstructRenormalized:
         for _ in range(100):
             d = random_distribution(rng, 12)
             p = truncate_topk(d, 5)
-            out = reconstruct_renormalized(p)
+            out = reconstruct(p, Strategy.RENORMALIZED)
             outside = np.setdiff1d(np.arange(12), p.ids)
             assert np.all(out.probs[outside] == 0.0)
             assert abs(out.probs.sum() - 1.0) < 1e-9
@@ -329,36 +328,69 @@ class TestReconstructRenormalized:
 
 class TestReconstructResidualUniform:
     def test_hand_value(self):
-        out = reconstruct_residual_uniform(truncate_topk(SOURCE, 2))
+        out = reconstruct(truncate_topk(SOURCE, 2), Strategy.RESIDUAL_UNIFORM)
         assert out.probs == pytest.approx([0.5, 0.3, 0.1, 0.1], abs=1e-15)
 
     def test_zero_epsilon_zero_tail(self):
         p = TopKPayload(4, [0, 1], [0.6, 0.4])
-        out = reconstruct_residual_uniform(p)
+        out = reconstruct(p, Strategy.RESIDUAL_UNIFORM)
         assert list(out.probs) == [0.6, 0.4, 0.0, 0.0]
 
     def test_uniform_fixed_point(self):
-        out = reconstruct_residual_uniform(truncate_topk(Distribution([0.25] * 4), 2))
+        out = reconstruct(truncate_topk(Distribution([0.25] * 4), 2), Strategy.RESIDUAL_UNIFORM)
         assert out.probs == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_lossless_identity_bitwise(self):
-        out = reconstruct_residual_uniform(truncate_topk(SOURCE, 4))
+        out = reconstruct(truncate_topk(SOURCE, 4), Strategy.RESIDUAL_UNIFORM)
         assert np.array_equal(out.probs, SOURCE.probs)
 
     def test_normalized(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             d = random_distribution(rng, 9, sparsity=0.5)
-            out = reconstruct_residual_uniform(truncate_topk(d, int(rng.integers(1, 10))))
+            p = truncate_topk(d, int(rng.integers(1, 10)))
+            out = reconstruct(p, Strategy.RESIDUAL_UNIFORM)
             assert abs(out.probs.sum() - 1.0) < 1e-9
             assert np.all(out.probs >= 0.0)
 
-    def test_dispatcher(self):
-        p = truncate_topk(SOURCE, 2)
-        assert np.array_equal(reconstruct(p, Strategy.RENORMALIZED).probs,
-                              reconstruct_renormalized(p).probs)
-        assert np.array_equal(reconstruct(p, Strategy.RESIDUAL_UNIFORM).probs,
-                              reconstruct_residual_uniform(p).probs)
+
+@st.composite
+def rule_payloads(draw):
+    """Payloads at k = 1, at k = |V| and in between: as truncated locally,
+    through the f32 wire, and over-full (retained mass above 1, as the
+    wire can leave it)."""
+    d = draw(distributions(min_size=2, max_size=12))
+    k = draw(st.one_of(st.just(1), st.just(d.vocab_size), st.integers(1, d.vocab_size)))
+    p = truncate_topk(d, k)
+    form = draw(st.sampled_from(("local", "wire", "over-full")))
+    if form == "over-full":
+        p = TopKPayload.unchecked(p.vocab_size, p.ids, p.probs * ((1.0 + 5e-6) / p.probs.sum()))
+    return p if form == "local" else decode_payload(encode_payload(p))
+
+
+class TestReconstructionRule:
+    @given(rule_payloads())
+    def test_rule_matches_mass_split_and_reconstruct(self, p):
+        eps, rules = reconstructions(p.probs, p.vocab_size)
+        split = mass_split(p)
+        assert eps == split.epsilon
+        # an independent oracle: both strategies written out from mass_split
+        tail = p.vocab_size - p.k
+        oracle = {Strategy.RENORMALIZED: np.zeros(p.vocab_size),
+                  Strategy.RESIDUAL_UNIFORM: np.full(p.vocab_size,
+                                                     split.epsilon / tail if tail else 0.0)}
+        oracle[Strategy.RENORMALIZED][p.ids] = p.probs / split.rho if tail else p.probs
+        oracle[Strategy.RESIDUAL_UNIFORM][p.ids] = p.probs
+        for strategy in Strategy:
+            kept, other = rules[strategy]
+            dense = np.full(p.vocab_size, other)
+            dense[p.ids] = kept
+            assert dense.tobytes() == reconstruct(p, strategy).probs.tobytes()
+            assert dense.tobytes() == oracle[strategy].tobytes()
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown reconstruction strategy"):
+            reconstruct(truncate_topk(SOURCE, 2), 3)
 
 
 class TestLocalErrorBounds:
@@ -372,8 +404,8 @@ class TestLocalErrorBounds:
             k = int(rng.integers(1, size + 1))
             p = truncate_topk(d, k)
             eps = mass_split(p).epsilon
-            err_ren = l1_distance(d, reconstruct_renormalized(p))
-            err_res = l1_distance(d, reconstruct_residual_uniform(p))
+            err_ren = l1_distance(d, reconstruct(p, Strategy.RENORMALIZED))
+            err_res = l1_distance(d, reconstruct(p, Strategy.RESIDUAL_UNIFORM))
             assert abs(err_ren - 2.0 * eps) < 1e-9
             assert err_res <= 2.0 * eps + 1e-9
 
@@ -382,8 +414,8 @@ class TestLocalErrorBounds:
         k = data.draw(st.integers(min_value=1, max_value=d.vocab_size))
         p = truncate_topk(d, k)
         eps = mass_split(p).epsilon
-        assert abs(l1_distance(d, reconstruct_renormalized(p)) - 2.0 * eps) < 1e-9
-        assert l1_distance(d, reconstruct_residual_uniform(p)) <= 2.0 * eps + 1e-9
+        assert abs(l1_distance(d, reconstruct(p, Strategy.RENORMALIZED)) - 2.0 * eps) < 1e-9
+        assert l1_distance(d, reconstruct(p, Strategy.RESIDUAL_UNIFORM)) <= 2.0 * eps + 1e-9
 
 
 class TestCodec:

@@ -378,6 +378,14 @@ class TestCliTrace:
         assert len(rows) == 1
         assert float(rows[0]["delta_bar"]) <= 2 * float(rows[0]["eps_bar"]) + 1e-9
 
+    def test_samples_other_than_one_is_a_config_error(self, tmp_path, capsys):
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        # the last --samples wins
+        assert main([*self.RECORD, "--samples", "5", "--trace_dir", str(trace_dir)]) == 2
+        assert "samples = 5" in capsys.readouterr().err
+        assert list(trace_dir.iterdir()) == []
+
     def test_meta_cfg_is_runnable(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
         assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0

@@ -61,7 +61,6 @@ class TestSettings:
         cfgs = settings.worker_configs(7)
         assert len(cfgs) == 2
         assert all(c.k == 3 and c.gamma == 5 and c.seed_material == 7 for c in cfgs)
-        assert cfgs[0].weight == 0.5
 
     def test_sample_seed_wraps(self):
         assert sample_seed_for(MASK64, 1) == 0

@@ -100,22 +100,15 @@ class TestFraming:
 
 class TestBodyPackers:
     def test_hello(self):
-        assert unpack_hello(pack_hello()) == PROTOCOL_VERSION == 2
+        assert unpack_hello(pack_hello()) == PROTOCOL_VERSION == 3
         with pytest.raises(ValueError):
             unpack_hello(b"\x01")
 
-    def test_configure_is_29_bytes(self):
-        cfg = WorkerConfig(vocab_size=512, k=64, weight=0.5, gamma=4,
-                           strategy=Strategy.RESIDUAL_UNIFORM, seed_material=42)
+    def test_configure_is_20_bytes(self):
+        cfg = WorkerConfig(vocab_size=512, k=64, gamma=4, seed_material=42)
         body = pack_configure(cfg)
-        assert len(body) == 29 == CONFIGURE_BODY.size
+        assert len(body) == 20 == CONFIGURE_BODY.size
         assert unpack_configure(body) == cfg
-
-    def test_configure_bad_strategy_byte(self):
-        body = bytearray(pack_configure(WorkerConfig(8, 2, 1.0, 2, Strategy.RENORMALIZED, 0)))
-        body[-9] = 77  # strategy byte sits before the trailing u64
-        with pytest.raises(ValueError):
-            unpack_configure(bytes(body))
 
     def test_draft_broadcast(self):
         delta, draft = (1, 2, 3), (4, 5)
@@ -146,8 +139,7 @@ class TestBodyPackers:
 
 
 class TestWorkerCore:
-    CFG = WorkerConfig(vocab_size=8, k=3, weight=0.5, gamma=2,
-                       strategy=Strategy.RENORMALIZED, seed_material=5)
+    CFG = WorkerConfig(vocab_size=8, k=3, gamma=2, seed_material=5)
 
     def test_draft_before_configure(self):
         core = WorkerCore(0, FACTORY)
@@ -157,11 +149,11 @@ class TestWorkerCore:
     def test_configure_validation(self):
         core = WorkerCore(0, FACTORY)
         with pytest.raises(ProtocolError):
-            core.configure(WorkerConfig(8, 0, 0.5, 2, Strategy.RENORMALIZED, 5))
+            core.configure(WorkerConfig(8, 0, 2, 5))
         with pytest.raises(ProtocolError):
-            core.configure(WorkerConfig(8, 9, 0.5, 2, Strategy.RENORMALIZED, 5))
+            core.configure(WorkerConfig(8, 9, 2, 5))
         with pytest.raises(ProtocolError):
-            core.configure(WorkerConfig(8, 3, 0.5, 0, Strategy.RENORMALIZED, 5))
+            core.configure(WorkerConfig(8, 3, 0, 5))
 
     def test_draft_length_enforced(self):
         core = WorkerCore(0, FACTORY)
@@ -213,9 +205,7 @@ class TestWorkerCore:
 
 
 def worker_configs(m=2, gamma=2, k=3):
-    return [WorkerConfig(vocab_size=8, k=k, weight=1.0 / m, gamma=gamma,
-                         strategy=Strategy.RENORMALIZED, seed_material=5)
-            for _ in range(m)]
+    return [WorkerConfig(vocab_size=8, k=k, gamma=gamma, seed_material=5) for _ in range(m)]
 
 
 class SequentialPool:
@@ -405,8 +395,7 @@ def shutdown_worker(thread, port):
 
 
 class TestWorkerServer:
-    CFG = WorkerConfig(vocab_size=8, k=3, weight=0.5, gamma=2,
-                       strategy=Strategy.RENORMALIZED, seed_material=5)
+    CFG = WorkerConfig(vocab_size=8, k=3, gamma=2, seed_material=5)
 
     def test_full_conversation(self):
         thread, port = start_worker(FACTORY)
@@ -488,14 +477,30 @@ class TestWorkerServer:
         finally:
             shutdown_worker(thread, port)
 
+    def test_other_version_is_refused_at_hello_and_next_session_is_served(self):
+        thread, port = start_worker(FACTORY)
+        try:
+            with connect(port) as sock:
+                send(sock, Kind.HELLO, 1, struct.pack("<H", 2))  # a version-2 peer
+                reply = recv(sock)
+                assert reply.kind == Kind.ERROR and reply.corr_id == 1
+                assert b"protocol version 2, worker speaks 3" in reply.body
+            with connect(port) as sock:
+                send(sock, Kind.HELLO, 1, pack_hello())
+                reply = recv(sock)
+                assert reply.kind == Kind.HELLO
+                assert unpack_hello(reply.body) == PROTOCOL_VERSION
+        finally:
+            shutdown_worker(thread, port)
+
     def test_retired_commit_kind_is_an_error_and_next_session_is_served(self):
         thread, port = start_worker(FACTORY)
         try:
             with connect(port) as sock:
-                send(sock, Kind.HELLO, 1, struct.pack("<H", 1))  # a version-1 peer
-                recv(sock)
+                send(sock, Kind.HELLO, 1, pack_hello())
+                assert recv(sock).kind == Kind.HELLO
                 send(sock, Kind.CONFIGURE, 2, pack_configure(self.CFG))
-                recv(sock)
+                assert recv(sock).kind == Kind.CONFIGURE
                 # version 1's COMMIT_NOTICE: kind byte 5, one committed token
                 body = struct.pack("<II", 1, 7)
                 sock.sendall(FRAME_HEADER.pack(len(body), 5, 3) + body)
