@@ -44,6 +44,7 @@ from .config import (
 )
 from .engine import (
     BlockRecord,
+    RecordCache,
     block_step_metrics,
     run_reference_sample,
     run_sample,
@@ -52,6 +53,8 @@ from .engine import (
 from .dist import Distribution
 from .metrics import SweepRecord, SweepTally, sweep_aggregate, write_sweep_csv
 from .models import TraceError, read_trace, write_trace
+from .seeding import stable_prefix_hash
+from .specdec import ModelProvider
 from .transport import (
     InProcessPool,
     TcpPool,
@@ -180,9 +183,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
             res = run_reference_sample(cfg_t.draft_model(ss), cfg_t.worker_models(ss),
                                        cfg_t.settings(), ss)
             for rec in res.records:
-                widest = {}  # Ks widest first: each shadow is truncated once
+                cache = RecordCache()  # Ks widest first: each shadow is truncated once
                 for k, profile in profiles.items():
-                    for step in block_step_metrics(rec, cfg.weights, profile, widest=widest):
+                    for step in block_step_metrics(rec, cfg.weights, profile, cache=cache):
                         for tally in tallies[k]:
                             tally.add(step)
         for k in sorted(profiles):
@@ -303,6 +306,19 @@ def cmd_launch_demo(cfg: RunConfig) -> int:
                 proc.kill()
 
 
+class _PrefixLog:
+    """A model that logs the hash of every prefix it is asked about, so each
+    recorded row can carry the prefix it answers."""
+
+    def __init__(self, model: ModelProvider) -> None:
+        self.model = model
+        self.hashes: list[int] = []
+
+    def distribution(self, prefix: Sequence[int]) -> Distribution:
+        self.hashes.append(stable_prefix_hash(prefix))
+        return self.model.distribution(prefix)
+
+
 def cmd_trace_record(cfg: RunConfig) -> int:
     if not cfg.trace_dir:
         print("trace-record requires --trace_dir", file=sys.stderr)
@@ -314,13 +330,16 @@ def cmd_trace_record(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.settings()
     ss = sample_seed_for(cfg.seed, 0)
-    res = run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss), settings, ss)
+    draft = _PrefixLog(cfg.draft_model(ss))
+    workers = [_PrefixLog(model) for model in cfg.worker_models(ss)]
+    res = run_reference_sample(draft, workers, settings, ss)
 
+    # each model was queried once per recorded row, in row order
     q_rows = np.stack([d.probs for rec in res.records for d in rec.q_dists])
-    write_trace(out / "draft.trace", q_rows)
-    for i in range(cfg.workers):
+    write_trace(out / "draft.trace", q_rows, draft.hashes)
+    for i, worker in enumerate(workers):
         rows = np.stack([d.probs for rec in res.records for d in rec.worker_dists[i]])
-        write_trace(out / f"worker_{i}.trace", rows)
+        write_trace(out / f"worker_{i}.trace", rows, worker.hashes)
     (out / "drafts.txt").write_text(
         "\n".join(" ".join(str(t) for t in rec.draft_tokens) for rec in res.records) + "\n"
     )
@@ -346,8 +365,8 @@ def cmd_trace_record(cfg: RunConfig) -> int:
 
 
 def _load_trace_records(trace_dir: Path, workers: int, gamma: int) -> list[BlockRecord]:
-    q_rows = read_trace(trace_dir / "draft.trace")
-    worker_rows = [read_trace(trace_dir / f"worker_{i}.trace") for i in range(workers)]
+    q_rows = read_trace(trace_dir / "draft.trace").rows
+    worker_rows = [read_trace(trace_dir / f"worker_{i}.trace").rows for i in range(workers)]
     draft_lines = (trace_dir / "drafts.txt").read_text().splitlines()
     blocks = q_rows.shape[0] // gamma
     if q_rows.shape[0] != blocks * gamma or len(draft_lines) != blocks:

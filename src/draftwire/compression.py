@@ -10,8 +10,8 @@ full distribution from the payload in one of two ways:
                        spread the missing mass uniformly over the tail.
 
 ``reconstructions`` is the only definition of both: ``reconstruct``, the
-decode path's ``aggregate_compressed`` and the metrics'
-``instrument_position`` all take their values from it.
+decode path's ``aggregate_compressed`` and the metrics' ``score_block``
+all take their values from it.
 
 Payload body layout (little-endian):
 
@@ -228,26 +228,30 @@ class _Rules(dict):
 
 def reconstructions(
     probs: np.ndarray, vocab_size: int
-) -> tuple[float, dict[Strategy, tuple[np.ndarray, float]]]:
-    """The reconstruction rule of every strategy, for one payload.
+) -> tuple[np.ndarray, dict[Strategy, tuple[np.ndarray, np.ndarray | float]]]:
+    """The reconstruction rule of every strategy, for one payload or a stack.
 
-    ``probs`` are the payload's k probabilities in payload order. Returns
-    eps = max(0, 1 - sum(probs)) and, per ``Strategy``, ``(kept, other)``:
-    the values of the transmitted tokens, parallel to ``probs``, and the one
-    value of every other token. RENORMALIZED gives ``(probs / rho, 0.0)``,
-    RESIDUAL_UNIFORM ``(probs, eps / (vocab_size - k))``. At k == vocab_size
-    both give ``(probs, 0.0)`` with no divide, so the lossless round trip is
-    bit-exact. eps clamps to 0 when f32 rounding lifts the sum above 1.
+    ``probs`` holds payload probabilities in payload order along its last
+    axis: shape (k,) for one payload, (..., k) for several of one k.
+    Returns eps = max(0, 1 - sum(probs)), one per payload, and per
+    ``Strategy`` ``(kept, other)``: the values of the transmitted tokens,
+    shaped like ``probs``, and the one value of every other token, one per
+    payload or a scalar shared by all. RENORMALIZED gives
+    ``(probs / rho, 0.0)``, RESIDUAL_UNIFORM ``(probs, eps / (vocab_size -
+    k))``. At k == vocab_size both give ``(probs, 0.0)`` with no divide, so
+    the lossless round trip is bit-exact. eps clamps to 0 when f32 rounding
+    lifts the sum above 1. Sums run along the last axis, so a payload gets
+    the same floats alone or in a stack.
     """
-    rho = float(probs.sum())
-    if rho <= 0.0:
+    rho = probs.sum(axis=-1)
+    if (rho <= 0.0).any():
         raise ValueError("cannot renormalize a payload with zero retained mass")
-    eps = max(0.0, 1.0 - rho)
-    tail = vocab_size - probs.shape[0]
+    eps = np.maximum(1.0 - rho, 0.0)
+    tail = vocab_size - probs.shape[-1]
     if tail == 0:
         return eps, _Rules({Strategy.RENORMALIZED: (probs, 0.0),
                             Strategy.RESIDUAL_UNIFORM: (probs, 0.0)})
-    return eps, _Rules({Strategy.RENORMALIZED: (probs / rho, 0.0),
+    return eps, _Rules({Strategy.RENORMALIZED: (probs / rho[..., None], 0.0),
                         Strategy.RESIDUAL_UNIFORM: (probs, eps / tail)})
 
 

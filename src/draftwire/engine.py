@@ -31,9 +31,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregation import TopKProfile, WeightVector, aggregate, aggregate_compressed
-from .compression import Strategy, TopKPayload
+from .compression import Strategy
 from .dist import Distribution
-from .metrics import StepMetrics, instrument_position
+from .metrics import ShadowBlock, StepMetrics, instrument_position, score_block
 from .seeding import MASK64, ROLE_DRAFT_SAMPLING, ROLE_VERIFICATION, stable_prefix_hash, stream
 from .specdec import ModelProvider, PrefixState, generate_draft, verify_block
 from .transport import WorkerConfig, WorkerFailureError, WorkerPool
@@ -242,30 +242,41 @@ def run_reference_sample(
     return _decode(draft_model, settings, sample_seed, score, lambda committed: None)
 
 
+class RecordCache:
+    """What ``block_step_metrics`` keeps of one record between k profiles:
+    its ``ShadowBlock``, built by the first call."""
+
+    __slots__ = ("shadows",)
+
+    def __init__(self) -> None:
+        self.shadows: ShadowBlock | None = None
+
+
 def block_step_metrics(
     record: BlockRecord,
     weights: WeightVector,
     k_profile: TopKProfile,
     *,
-    widest: dict[int, list[TopKPayload | None]] | None = None,
+    cache: RecordCache | None = None,
 ) -> list[StepMetrics]:
     """Score every position of a recorded block at the given k profile.
 
     Draft positions carry acceptance metrics; the bonus position only has
     distortion metrics. Pure float64 math over the shadows, so the same
-    record can be re-scored for any number of profiles.
+    record can be re-scored for any number of profiles: ``score_block``
+    scores all positions in one array pass, then ``instrument_position``
+    builds each position's record.
 
-    ``widest``, when given, keeps each position's widest top-K payloads
-    (see ``instrument_position``) from one call to the next. Score a
-    record's profiles widest first through one dict, and each shadow is
-    truncated once; the narrower profiles slice its payload.
+    ``cache``, when given, keeps the record's ``ShadowBlock`` (its stacked
+    shadows, exact aggregates and widest payloads) from one call to the
+    next. Pass one new cache per record and score its profiles widest
+    first, and each shadow is stacked and truncated once; the narrower
+    profiles slice its payloads.
     """
-    gamma = len(record.draft_tokens)
-    m = len(record.worker_dists)
-    out: list[StepMetrics] = []
-    for t in range(gamma + 1):
-        q = record.q_dists[t] if t < gamma else None
-        dists = [record.worker_dists[i][t] for i in range(len(weights))]
-        slots = None if widest is None else widest.setdefault(t, [None] * m)
-        out.append(instrument_position(dists, q, weights, k_profile, widest=slots))
-    return out
+    shadows = None if cache is None else cache.shadows
+    if shadows is None:
+        shadows = ShadowBlock(record.worker_dists, record.q_dists, weights)
+        if cache is not None:
+            cache.shadows = shadows
+    scores = score_block(shadows, k_profile)
+    return [instrument_position(scores, t) for t in range(len(record.draft_tokens) + 1)]

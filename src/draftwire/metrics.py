@@ -20,12 +20,15 @@ shadow distributions:
 
 Violations are counted, never raised, so a sweep reports them in its CSV.
 
-``instrument_position`` scores one position as array operations over the
-stacked (M, |V|) rows, and can reuse a wider top-K payload of the same
-shadows (a prefix of it is the narrower payload), so a sweep that scores a
-record at its widest K first truncates each shadow once. A ``SweepTally``
-folds one strategy's steps into a CSV row as they arrive; the sweep keeps
-one per (K, strategy) and ``sweep_aggregate`` folds a finished list.
+``score_block`` scores every position of a block at one k profile in one
+array pass over a ``ShadowBlock``, which holds what no K changes: the
+stacked shadows, their exact aggregates and each shadow's widest top-K
+payload (a prefix of it is the narrower payload), so a sweep that scores a
+record at its widest K first truncates each shadow once.
+``instrument_position`` builds one position's ``StepMetrics`` from the
+block's scores. A ``SweepTally`` folds one strategy's steps into a CSV row
+as they arrive; the sweep keeps one per (K, strategy) and
+``sweep_aggregate`` folds a finished list.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .aggregation import TopKProfile, WeightVector
-from .compression import Strategy, TopKPayload, reconstructions, truncate_topk
+from .compression import Strategy, reconstructions, truncate_topk
 from .dist import Distribution
 
 BOUND_TOLERANCE = 1e-9
 
-# The reconstructions in the order ``instrument_position`` stacks them.
+# The reconstructions in the order ``score_block`` stacks them.
 _LAYERS = tuple(Strategy)
 
 CSV_COLUMNS = [
@@ -111,93 +114,148 @@ class StepMetrics:
                 raise ValueError(f"acceptance rate {a} outside [0, 1]")
 
 
-def instrument_position(
-    worker_dists: Sequence[Distribution],
-    q: Distribution | None,
-    w: WeightVector,
-    k_profile: TopKProfile,
-    *,
-    widest: list[TopKPayload | None] | None = None,
-) -> StepMetrics:
-    """Score one position from exact shadow distributions.
+class ShadowBlock:
+    """What scoring one block's positions needs that no k profile changes.
+
+    ``worker_dists[i][t]`` is worker i's exact distribution at position t
+    and ``q_dists[t]`` the draft proposal there; positions past the last
+    proposal (a block's bonus position) have none. Built once per block:
+    the shadows stacked as one (positions, M, |V|) array, their exact
+    weighted averages, and the acceptance rate of each proposal against
+    its average. ``payloads`` keeps each worker's widest top-K payloads
+    truncated so far, so a block scored at several profiles, widest first,
+    truncates each shadow once.
+    """
+
+    __slots__ = ("worker_dists", "weights", "rows", "p_exact", "q", "alpha_exact", "_widest")
+
+    def __init__(self, worker_dists: Sequence[Sequence[Distribution]],
+                 q_dists: Sequence[Distribution], w: WeightVector) -> None:
+        m = len(worker_dists)
+        if m != len(w):
+            raise ValueError("worker count mismatch between distributions, weights, profile")
+        positions = len(worker_dists[0])
+        if any(len(dists) != positions for dists in worker_dists) or len(q_dists) > positions:
+            raise ValueError("every worker needs one distribution per position")
+        self.worker_dists = worker_dists
+        self.weights = w
+        self.rows = rows = np.array([[dists[t].probs for dists in worker_dists]
+                                     for t in range(positions)])
+        # weighted sums run in worker-index order, as in ``aggregate``
+        self.p_exact = p_exact = np.multiply(rows[:, 0], w[0])
+        for i in range(1, m):
+            p_exact += rows[:, i] * w[i]
+        self.q = np.array([q.probs for q in q_dists]).reshape(len(q_dists), rows.shape[2])
+        self.alpha_exact = [_clamp(a) for a in
+                            _acceptance(p_exact[:len(q_dists)], self.q).tolist()]
+        self._widest: list[tuple[np.ndarray, np.ndarray] | None] = [None] * m
+
+    def payloads(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Worker i's top-k ids and probabilities at every position, each
+        (positions, k): a prefix of a wider payload is the narrower one."""
+        widest = self._widest[i]
+        if widest is None or widest[0].shape[1] < k:
+            tops = [truncate_topk(d, k) for d in self.worker_dists[i]]
+            widest = self._widest[i] = (np.array([p.ids for p in tops]),
+                                        np.array([p.probs for p in tops]))
+        ids, probs = widest
+        return ids[:, :k], probs[:, :k]
+
+
+def _acceptance(p_bars: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum(min(p, q)) along the vocabulary axis, unclamped."""
+    return np.minimum(p_bars, q).sum(axis=-1)
+
+
+def _clamp(a: float) -> float:
+    return min(1.0, max(0.0, a))
+
+
+class BlockScores(NamedTuple):
+    """One block scored at one k profile, as plain per-position lists.
+
+    Indexed [t], then per ``Strategy`` in ``_LAYERS`` order, then per
+    worker; ``alphas`` covers the positions that have a proposal.
+    """
+
+    epsilons: list[list[float]]
+    weighted_epsilons: list[float]
+    local_errors: list[list[list[float]]]
+    biases: list[list[float]]
+    alpha_exact: list[float]
+    alphas: list[list[float]]
+
+
+def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
+    """Score every position of a block at one k profile in one array pass.
 
     Truncation, reconstruction and aggregation all run at float64 here, so
     bound checks see the mathematics rather than 32-bit wire rounding.
 
-    Each worker's payload goes through ``compression.reconstructions``
-    once, which gives its eps and every strategy's values; the exact rows
-    and the reconstructions sit in one (1 + strategies, M, |V|) array, and
-    one weighted sum over its worker axis gives the exact and every
-    compressed aggregate. The L1 errors, biases and acceptance rates are
-    reductions along the vocabulary axis. Each value is bit-identical to
-    the per-distribution functions in ``compression``, ``aggregation``,
-    ``dist`` and ``specdec``: the same float operations in the same order,
-    workers summed in index order.
-
-    ``widest``, when given, holds one slot per worker: the widest payload
-    truncated so far from that worker's distribution at this position. A
-    payload at least k wide is sliced (its first k entries are exactly
-    ``truncate_topk`` at k); otherwise the distribution is truncated at k
-    and the slot keeps the result. Pass one list per position, and only
-    with that position's distributions.
+    Per worker (k may differ between workers), ``compression.
+    reconstructions`` gives eps and every strategy's values at all
+    positions at once; they fill one (positions, strategies, M, |V|) array
+    of reconstructions. Weighted sums over its worker axis give every
+    compressed aggregate; L1 errors, biases and acceptance rates are
+    reductions along the contiguous vocabulary axis. Each value is
+    bit-identical to the per-distribution functions in ``compression``,
+    ``aggregation``, ``dist`` and ``specdec``: the same float operations in
+    the same order, workers summed in index order.
     """
-    m = len(worker_dists)
-    if m != len(w) or m != len(k_profile):
+    w = block.weights
+    m = len(w)
+    if m != len(k_profile):
         raise ValueError("worker count mismatch between distributions, weights, profile")
-    slots = widest if widest is not None else [None] * m
-    size = worker_dists[0].vocab_size
-    # One allocation holds every |V|-sized array of the call, so that at a
-    # large |V| the allocator hands the same pages back on the next call
-    # rather than faulting in fresh ones for each temporary. Per layer
-    # (exact, then each strategy): the M rows, their weighted sum, scratch.
-    work = np.empty((1 + len(_LAYERS), m + 2, size))
-    rows, p_bars, scratch = work[:, :m], work[:, m], work[:, m + 1]
-    epsilons = []
-    for i, d in enumerate(worker_dists):
-        k = k_profile[i]
-        payload = slots[i]
-        if payload is None or payload.k < k:
-            payload = slots[i] = truncate_topk(d, k)
-        ids = payload.ids[:k]
-        eps, rules = reconstructions(payload.probs[:k], size)
-        epsilons.append(eps)
-        exact, *layers = rows[:, i]
-        exact[:] = d.probs
-        for row, strategy in zip(layers, _LAYERS):
+    rows = block.rows
+    positions, _, size = rows.shape
+    recon = np.empty((positions, len(_LAYERS), m, size))
+    epsilons = np.empty((positions, m))
+    at = np.arange(positions)[:, None]
+    for i in range(m):
+        ids, probs = block.payloads(i, k_profile[i])
+        epsilons[:, i], rules = reconstructions(probs, size)
+        for layer, strategy in enumerate(_LAYERS):
             kept, other = rules[strategy]
-            row.fill(other)
-            row[ids] = kept
-    weighted_eps = float(sum(w[i] * epsilons[i] for i in range(m)))
-
-    np.multiply(rows[:, 0], w[0], out=p_bars)
+            recon[:, layer, i].T[...] = other  # one value per position, or a scalar
+            recon[at, layer, i, ids] = kept
+    weighted = epsilons[:, 0] * w[0]
+    p_comp = recon[:, :, 0] * w[0]
     for i in range(1, m):
-        p_bars += np.multiply(rows[:, i], w[i], out=scratch)
-    gaps = rows[1:]  # the reconstructions, no longer needed, become |r - d|
-    gaps -= rows[0]
-    errors = np.abs(gaps, out=gaps).sum(axis=2).tolist()
-    bias_gaps = np.subtract(p_bars[1:], p_bars[0], out=scratch[1:])
-    biases = np.abs(bias_gaps, out=bias_gaps).sum(axis=1).tolist()
-    if q is None:
-        alphas = [None] * len(p_bars)
-    else:
-        alphas = [min(1.0, max(0.0, a))
-                  for a in np.minimum(p_bars, q.probs, out=scratch).sum(axis=1).tolist()]
-    alpha_exact = alphas[0]
+        weighted += epsilons[:, i] * w[i]
+        p_comp += recon[:, :, i] * w[i]
+    alphas = [[_clamp(a) for a in row] for row in
+              _acceptance(p_comp[:len(block.q)], block.q[:, None]).tolist()]
+    recon -= rows[:, None]  # the reconstructions become their gaps to the shadows
+    p_comp -= block.p_exact[:, None]
+    return BlockScores(
+        epsilons=epsilons.tolist(),
+        weighted_epsilons=weighted.tolist(),
+        local_errors=np.abs(recon, out=recon).sum(axis=-1).tolist(),
+        biases=np.abs(p_comp, out=p_comp).sum(axis=-1).tolist(),
+        alpha_exact=block.alpha_exact,
+        alphas=alphas,
+    )
 
-    by_strategy = {
-        strategy: StrategyMetrics(
-            local_errors=tuple(errors[layer]),
-            bias=biases[layer],
-            alpha=alphas[1 + layer],
-            dalpha=None if q is None else abs(alphas[1 + layer] - alpha_exact),
-        )
-        for layer, strategy in enumerate(_LAYERS)
-    }
+
+def instrument_position(scores: BlockScores, t: int) -> StepMetrics:
+    """Position t's ``StepMetrics``, from its block's ``score_block``."""
+    has_q = t < len(scores.alphas)
+    alpha_exact = scores.alpha_exact[t] if has_q else None
+    errors, biases = scores.local_errors[t], scores.biases[t]
+    alphas = scores.alphas[t] if has_q else [None] * len(_LAYERS)
     return StepMetrics(
-        worker_epsilons=tuple(epsilons),
-        weighted_epsilon=weighted_eps,
+        worker_epsilons=tuple(scores.epsilons[t]),
+        weighted_epsilon=scores.weighted_epsilons[t],
         alpha_exact=alpha_exact,
-        by_strategy=by_strategy,
+        by_strategy={
+            strategy: StrategyMetrics(
+                local_errors=tuple(errors[layer]),
+                bias=biases[layer],
+                alpha=alphas[layer],
+                dalpha=None if alpha_exact is None else abs(alphas[layer] - alpha_exact),
+            )
+            for layer, strategy in enumerate(_LAYERS)
+        },
     )
 
 

@@ -16,7 +16,8 @@ Three families, all deterministic given their construction parameters:
 * ``MarkovModel``  - add-lambda smoothed n-gram counts from an integer
   token corpus, backing off to uniform for unseen contexts.
 * ``TraceModel``   - replays distributions recorded to a binary trace file,
-  one row per generation step, so a run can be re-scored offline.
+  one row per model query, and checks that each query asks about the
+  prefix its row was recorded for.
 
 No neural inference, no tokenizers; vocabularies are plain integer ranges.
 """
@@ -28,7 +29,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,8 +37,9 @@ from .dist import Distribution, softmax_inplace
 from .seeding import keyed_normals, stable_prefix_hash
 
 TRACE_MAGIC = b"SFTR"
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 TRACE_SUM_TOLERANCE = 1e-5
+_TRACE_HEADER_BYTES = 14
 
 
 class TraceError(ValueError):
@@ -46,6 +48,10 @@ class TraceError(ValueError):
 
 class TraceExhaustedError(TraceError):
     """A replay asked for more steps than were recorded."""
+
+
+class TraceMismatchError(TraceError):
+    """A replay asked about another prefix than the one a row was recorded for."""
 
 
 class NormalMemo:
@@ -202,36 +208,57 @@ def load_corpus(path: str | Path) -> list[int]:
         raise ValueError(f"corpus {path} contains a non-integer token") from exc
 
 
-def write_trace(path: str | Path, rows: np.ndarray) -> None:
-    """Record per-step distributions as dense little-endian f32 rows."""
+class Trace(NamedTuple):
+    """The rows of a trace file and the prefix hash each was recorded for."""
+
+    rows: np.ndarray  # (steps, vocab_size) float64
+    prefix_hashes: np.ndarray | None  # (steps,) uint64; None in a version-1 file
+
+
+def write_trace(path: str | Path, rows: np.ndarray, prefix_hashes: Sequence[int]) -> None:
+    """Record per-query distributions as a version-2 trace.
+
+    Layout (little-endian): magic, u16 version, u32 vocab_size, u32 steps,
+    then ``steps`` u64 prefix hashes (``stable_prefix_hash`` of the prefix
+    each row answers), then the rows as dense f32.
+    """
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
         raise ValueError("trace rows must be a (steps, vocab_size) array")
     steps, vocab_size = arr.shape
+    if len(prefix_hashes) != steps:
+        raise ValueError(f"{len(prefix_hashes)} prefix hashes for {steps} trace rows")
     header = TRACE_MAGIC + np.array([TRACE_VERSION], dtype="<u2").tobytes()
     header += np.array([vocab_size, steps], dtype="<u4").tobytes()
-    Path(path).write_bytes(header + arr.astype("<f4").tobytes())
+    hashes = np.asarray(prefix_hashes, dtype="<u8").tobytes()
+    Path(path).write_bytes(header + hashes + arr.astype("<f4").tobytes())
 
 
-def read_trace(path: str | Path) -> np.ndarray:
+def read_trace(path: str | Path) -> Trace:
     """Load a trace back into float64 rows, validating the header.
 
+    Reads version 2 and version 1, which has no prefix hashes: its rows can
+    still be re-scored offline, but ``TraceModel`` refuses to replay them.
     Rows whose sum drifts from 1 by less than the storage tolerance are
     renormalized; larger deviations mean the file is corrupt.
     """
     buf = Path(path).read_bytes()
-    if len(buf) < 14 or buf[:4] != TRACE_MAGIC:
+    if len(buf) < _TRACE_HEADER_BYTES or buf[:4] != TRACE_MAGIC:
         raise TraceError(f"{path} is not a trace file")
     version = int(np.frombuffer(buf, dtype="<u2", count=1, offset=4)[0])
-    if version != TRACE_VERSION:
+    if version not in (1, TRACE_VERSION):
         raise TraceError(f"unsupported trace version {version}")
     vocab_size, steps = (int(x) for x in np.frombuffer(buf, dtype="<u4", count=2, offset=6))
     if vocab_size < 2 or steps < 1:
         raise TraceError(f"trace header has vocab_size={vocab_size}, steps={steps}")
-    expected = 14 + 4 * steps * vocab_size
+    offset = _TRACE_HEADER_BYTES + (8 * steps if version == TRACE_VERSION else 0)
+    expected = offset + 4 * steps * vocab_size
     if len(buf) != expected:
         raise TraceError(f"trace declares {expected} bytes but file has {len(buf)}")
-    rows = np.frombuffer(buf, dtype="<f4", offset=14).astype(np.float64)
+    hashes = None
+    if version == TRACE_VERSION:
+        hashes = np.frombuffer(buf, dtype="<u8", count=steps, offset=_TRACE_HEADER_BYTES)
+    rows = np.frombuffer(buf, dtype="<f4", offset=offset).astype(np.float64)
     rows = rows.reshape(steps, vocab_size)
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
@@ -241,25 +268,37 @@ def read_trace(path: str | Path) -> np.ndarray:
         if abs(total - 1.0) >= TRACE_SUM_TOLERANCE or total <= 0.0:
             raise TraceError(f"trace row {i} sums to {total!r}")
         out[i] = row / total if total != 1.0 else row
-    return out
+    return Trace(out, hashes)
 
 
 class TraceModel:
     """Replays recorded distributions in order; one consumer per instance.
 
-    The cursor advances on every ``distribution`` call whatever the prefix,
-    mirroring how the rows were produced (one row per model query).
+    The cursor advances on every ``distribution`` call, mirroring how the
+    rows were produced (one row per model query). Each call must ask about
+    the prefix its row was recorded for: a replay whose transcript departs
+    from the recording raises ``TraceMismatchError`` naming the file and
+    the row, rather than scoring rows recorded for another prefix.
     """
 
-    __slots__ = ("rows", "_cursor")
+    __slots__ = ("rows", "prefix_hashes", "source", "_cursor")
 
-    def __init__(self, rows: np.ndarray) -> None:
+    def __init__(self, rows: np.ndarray, prefix_hashes: Sequence[int],
+                 source: str = "trace") -> None:
+        if len(prefix_hashes) != rows.shape[0]:
+            raise ValueError(f"{len(prefix_hashes)} prefix hashes for {rows.shape[0]} rows")
         self.rows = rows
+        self.prefix_hashes = [int(h) for h in prefix_hashes]
+        self.source = source
         self._cursor = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TraceModel":
-        return cls(read_trace(path))
+        rows, hashes = read_trace(path)
+        if hashes is None:
+            raise TraceError(f"{path} is a version-1 trace: it records no prefixes, so a "
+                             f"replay of it cannot be checked; record it again")
+        return cls(rows, hashes, str(path))
 
     @property
     def vocab_size(self) -> int:
@@ -270,10 +309,16 @@ class TraceModel:
         return int(self.rows.shape[0]) - self._cursor
 
     def distribution(self, prefix: Sequence[int]) -> Distribution:
-        if self._cursor >= self.rows.shape[0]:
+        row = self._cursor
+        if row >= self.rows.shape[0]:
             raise TraceExhaustedError(
                 f"trace exhausted after {self.rows.shape[0]} steps"
             )
-        row = self.rows[self._cursor]
+        asked = stable_prefix_hash(prefix)
+        if asked != self.prefix_hashes[row]:
+            raise TraceMismatchError(
+                f"{self.source} row {row}: recorded for prefix hash "
+                f"{self.prefix_hashes[row]:#018x}, asked about {asked:#018x}"
+            )
         self._cursor += 1
-        return Distribution.unchecked(row.copy())
+        return Distribution.unchecked(self.rows[row].copy())

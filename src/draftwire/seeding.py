@@ -47,13 +47,30 @@ def derive_seed(seed: int, role: int) -> int:
     return stable_prefix_hash((seed & MASK64, role & MASK64))
 
 
+def philox_key(a: int, b: int) -> np.ndarray:
+    """The Philox key of the word pair (a, b), each taken mod 2^64.
+
+    Keys were once passed to numpy as the list ``[a, b]``, and every
+    recorded transcript depends on the key numpy made of it; this builds
+    the same key as an explicit uint64 array. Two words on the same side
+    of 2^63 are kept exactly. A pair with one word below 2^63 and one at or
+    above it was read as float64, so both words are rounded to the nearest
+    float64 (53 significant bits), and distinct pairs can share a key. A
+    word that rounds up to 2^64 becomes 0.
+    """
+    words = (a & MASK64, b & MASK64)
+    if words[0] >> 63 != words[1] >> 63:
+        words = tuple(int(float(w)) & MASK64 for w in words)
+    return np.array(words, dtype=np.uint64)
+
+
 def stream(seed: int, role: int) -> np.random.Generator:
     """A dedicated uniform stream keyed by (seed, role).
 
     Streams with distinct roles are statistically independent; the same
     (seed, role) always yields the same draw sequence.
     """
-    return np.random.Generator(np.random.Philox(key=[seed & MASK64, role & MASK64]))
+    return np.random.Generator(np.random.Philox(key=philox_key(seed, role)))
 
 
 def keyed_normals(seed: int, context: int, n: int) -> np.ndarray:
@@ -62,5 +79,5 @@ def keyed_normals(seed: int, context: int, n: int) -> np.ndarray:
     Counter-based: no state is carried between calls, so the same key pair
     always reproduces the same vector.
     """
-    gen = np.random.Generator(np.random.Philox(key=[seed & MASK64, context & MASK64]))
+    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, context)))
     return gen.standard_normal(n)

@@ -436,15 +436,16 @@ class InProcessPool:
     that would have crossed the wire.
 
     Workers score a block concurrently, as they do over TCP: worker 0 on
-    the calling thread, the others on M - 1 helper threads, started with
-    the first block (none at M = 1) and joined by ``close``. Results are
-    gathered in worker-index order. When workers fail, the lowest index
-    is reported, once every helper has returned.
+    the calling thread, each other worker on a helper thread of its own
+    (M - 1 of them, none at M = 1), started with the first block and
+    joined by ``close``. Results are gathered in worker-index order. When
+    workers fail, the lowest index is reported, once every helper has
+    returned.
     """
 
     def __init__(self, m: int, factory: ModelFactory, *, instrumented: bool = False) -> None:
         self._cores = [WorkerCore(i, factory, expose_shadows=instrumented) for i in range(m)]
-        self._helpers: ThreadPoolExecutor | None = None
+        self._helpers: list[ThreadPoolExecutor] = []
         self._pending: list[int] = []
         self.uplink_totals = [0] * m
 
@@ -472,10 +473,13 @@ class InProcessPool:
         from concurrent.futures import ThreadPoolExecutor, wait
 
         delta, self._pending = tuple(self._pending), []
-        m = len(self._cores)
-        if m > 1 and self._helpers is None:
-            self._helpers = ThreadPoolExecutor(m - 1, thread_name_prefix="draftwire-worker")
-        futures = [self._helpers.submit(self._score, i, delta, draft) for i in range(1, m)]
+        if not self._helpers:
+            # one single-thread executor per helper worker: a shared one
+            # would let one idle helper take two workers' jobs in turn
+            self._helpers = [ThreadPoolExecutor(1, thread_name_prefix=f"draftwire-worker-{i}")
+                             for i in range(1, len(self._cores))]
+        futures = [helper.submit(self._score, i, delta, draft)
+                   for i, helper in enumerate(self._helpers, start=1)]
         try:
             replies = [self._score(0, delta, draft)]
         finally:
@@ -491,9 +495,9 @@ class InProcessPool:
 
     def close(self) -> None:
         """Join the helper threads; a later block starts new ones."""
-        if self._helpers is not None:
-            self._helpers.shutdown()
-            self._helpers = None
+        for helper in self._helpers:
+            helper.shutdown()
+        self._helpers = []
 
 
 class TcpPool:

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from draftwire.dist import Distribution
+from draftwire.metrics import ShadowBlock, instrument_position, score_block
 
 
 def random_distribution(rng: np.random.Generator, size: int, *, sparsity: float = 0.0) -> Distribution:
@@ -24,6 +25,13 @@ def random_distribution(rng: np.random.Generator, size: int, *, sparsity: float 
     if raw.sum() <= 0.0:
         raw[rng.integers(size)] = 1.0
     return Distribution(raw / raw.sum())
+
+
+def score_position(worker_dists, q, w, k_profile):
+    """One position's ``StepMetrics`` from the block scorer: a block of one
+    position, with a draft proposal unless ``q`` is None."""
+    block = ShadowBlock([[d] for d in worker_dists], [] if q is None else [q], w)
+    return instrument_position(score_block(block, k_profile), 0)
 
 
 @st.composite

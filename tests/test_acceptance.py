@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_distribution
+from conftest import random_distribution, score_position
 from draftwire.aggregation import TopKProfile, WeightVector
 from draftwire.cli import main
 from draftwire.compression import (
@@ -43,7 +43,7 @@ from draftwire.engine import (
     run_sample,
     sample_seed_for,
 )
-from draftwire.metrics import check_bounds, instrument_position, read_sweep_csv
+from draftwire.metrics import check_bounds, read_sweep_csv
 from draftwire.models import SyntheticModel
 from draftwire.seeding import ROLE_DRAFT_MODEL, derive_seed
 from draftwire.specdec import DraftBlock, acceptance_rate, verify_block
@@ -113,7 +113,7 @@ def federated_corpus():
             for _ in range(m)
         ]
         q = random_distribution(rng, v)
-        steps.append(instrument_position(workers, q, w, profile))
+        steps.append(score_position(workers, q, w, profile))
     return steps, time.monotonic() - t0
 
 

@@ -392,6 +392,34 @@ class TestReconstructionRule:
         with pytest.raises(ValueError, match="unknown reconstruction strategy"):
             reconstruct(truncate_topk(SOURCE, 2), 3)
 
+    @given(st.integers(2, 40), st.integers(1, 6), st.data())
+    def test_stacked_rows_match_one_payload_at_a_time(self, size, n, data):
+        """(..., k) rows give each row the floats of its 1-D call, also when
+        the rows are a prefix of wider payloads, as the block scorer passes."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        k = data.draw(st.sampled_from(sorted({1, size // 2 or 1, size - 1, size})))
+        wide = data.draw(st.integers(k, size))
+        payloads = [truncate_topk(random_distribution(rng, size, sparsity=0.3), wide)
+                    for _ in range(2 * n)]
+        stack = np.array([p.probs for p in payloads])[:, :k]
+        for probs in (stack, stack.reshape(2, n, k)):
+            eps, rules = reconstructions(probs, size)
+            assert eps.shape == probs.shape[:-1]
+            for j, p in enumerate(payloads):
+                at = np.unravel_index(j, probs.shape[:-1])
+                one_eps, one_rules = reconstructions(p.probs[:k], size)
+                assert eps[at] == one_eps
+                for strategy in Strategy:
+                    kept, other = rules[strategy]
+                    one_kept, one_other = one_rules[strategy]
+                    assert kept[at].tobytes() == one_kept.tobytes()
+                    assert np.broadcast_to(other, eps.shape)[at] == one_other
+
+    def test_stacked_zero_mass_row_rejected(self):
+        probs = np.array([[0.5, 0.25], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero retained mass"):
+            reconstructions(probs, 4)
+
 
 class TestLocalErrorBounds:
     """Reconstruction error vs residual mass over a large random corpus."""

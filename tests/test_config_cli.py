@@ -1,3 +1,4 @@
+import re
 import socket
 
 import pytest
@@ -445,6 +446,39 @@ class TestCliTrace:
         err = capsys.readouterr().err
         assert code == 1
         assert err.splitlines() == ["trace error: trace exhausted after 8 steps"]
+
+    def test_replay_that_departs_from_the_recording_exits_1(self, tmp_path, capsys):
+        # at k = 4 the replay's transcript departs from the lossless recording;
+        # the first query about a prefix that was never recorded is an error
+        trace_dir = tmp_path / "traces"
+        assert main(["trace-record", "--trace_dir", str(trace_dir), "--vocab_size", "64",
+                     "--max_tokens", "32", "--k", "full", "--samples", "1"]) == 0
+        capsys.readouterr()
+        code = main(["run", "--config", str(trace_dir / "meta.cfg"), "--k", "4",
+                     "--samples", "1", "--mode", "inprocess"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"trace error: {re.escape(str(trace_dir))}/draft\.trace row \d+: "
+                            r"recorded for prefix hash 0x[0-9a-f]{16}, asked about 0x[0-9a-f]{16}\n",
+                            err)
+
+    def test_version_1_recording_scores_offline_but_does_not_replay(self, tmp_path, capsys):
+        trace_dir = tmp_path / "traces"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        assert main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), "--k", "4"]) == 0
+        want = capsys.readouterr().out
+        for path in trace_dir.glob("*.trace"):  # rewrite each file as version 1
+            buf = path.read_bytes()
+            steps = int.from_bytes(buf[10:14], "little")
+            path.write_bytes(buf[:4] + (1).to_bytes(2, "little") + buf[6:14]
+                             + buf[14 + 8 * steps:])
+        assert main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), "--k", "4"]) == 0
+        assert capsys.readouterr().out == want
+        code = main(["run", "--config", str(trace_dir / "meta.cfg"), "--mode", "inprocess",
+                     "--k", "full"])
+        assert code == 1
+        assert "version-1 trace" in capsys.readouterr().err
 
     def test_record_requires_dir(self, capsys):
         assert main(self.RECORD) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import score_position
 from draftwire.aggregation import TopKProfile, WeightVector, aggregate
 from draftwire.compression import Strategy
 from draftwire.config import synthetic_worker_factory
@@ -12,7 +13,7 @@ from draftwire.engine import (
     run_sample,
     sample_seed_for,
 )
-from draftwire.metrics import check_bounds, instrument_position
+from draftwire.metrics import check_bounds
 from draftwire.models import SyntheticModel, read_trace, write_trace
 from draftwire.seeding import MASK64, ROLE_DRAFT_MODEL, derive_seed
 from draftwire.transport import InProcessPool, WorkerFailureError, expected_upload_bytes
@@ -310,8 +311,8 @@ class TestTraceCrossPath:
             rows = np.stack([d.probs for rec in ref.records
                              for d in rec.worker_dists[i]])
             path = tmp_path / f"worker_{i}.trace"
-            write_trace(path, rows)
-            loaded.append(read_trace(path))
+            write_trace(path, rows, range(len(rows)))
+            loaded.append(read_trace(path).rows)
 
         replay_steps = []
         cursor = 0
@@ -321,7 +322,7 @@ class TestTraceCrossPath:
                 q = rec.q_dists[t] if t < n - 1 else None
                 dists = [Distribution.unchecked(loaded[i][cursor + t]) for i in range(2)]
                 replay_steps.append(
-                    instrument_position(dists, q, settings.weights, settings.k_profile))
+                    score_position(dists, q, settings.weights, settings.k_profile))
             cursor += n
 
         assert len(replay_steps) == len(live_steps)

@@ -2,19 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_distribution
+from conftest import random_distribution, score_position
 from draftwire import compression, metrics
 from draftwire.aggregation import TopKProfile, WeightVector, aggregate
 from draftwire.compression import Strategy, mass_split, reconstruct, truncate_topk
 from draftwire.dist import Distribution, l1_distance
+from draftwire.engine import BlockRecord, RecordCache, block_step_metrics
 from draftwire.metrics import (
     CSV_COLUMNS,
     StepMetrics,
     StrategyMetrics,
+    ShadowBlock,
     check_bounds,
     instrument_position,
     read_sweep_csv,
+    score_block,
     sweep_aggregate,
     write_sweep_csv,
 )
@@ -32,7 +37,7 @@ CLEAN = (0, 0, 0)
 
 
 def reference_step(q=Q):
-    return instrument_position([P1, P2], q, W, PROFILE)
+    return score_position([P1, P2], q, W, PROFILE)
 
 
 def with_strategy(step, strategy, **changes):
@@ -91,7 +96,7 @@ class TestInstrumentedReferencePoint:
 
     def test_worker_count_mismatch(self):
         with pytest.raises(ValueError):
-            instrument_position([P1], Q, W, PROFILE)
+            score_position([P1], Q, W, PROFILE)
 
     def test_all_bounds_hold_at_reference_point(self):
         step = reference_step()
@@ -100,7 +105,7 @@ class TestInstrumentedReferencePoint:
 
 class TestCheckBounds:
     def lossless_step(self):
-        return instrument_position([P1, P2], Q, W, TopKProfile((4, 4), 4))
+        return score_position([P1, P2], Q, W, TopKProfile((4, 4), 4))
 
     def test_lossless_equality_at_zero(self):
         step = self.lossless_step()
@@ -122,7 +127,7 @@ class TestCheckBounds:
             weights = raw / raw.sum()
             weights[-1] = 1.0 - weights[:-1].sum()
             profile = TopKProfile([int(rng.integers(1, size + 1)) for _ in range(m)], size)
-            step = instrument_position(dists, q, WeightVector(weights), profile)
+            step = score_position(dists, q, WeightVector(weights), profile)
             total += sum(sum(check_bounds(step, strategy)) for strategy in Strategy)
         assert total == 0
 
@@ -215,7 +220,7 @@ class TestSweepAggregate:
         for _ in range(20):
             dists = [random_distribution(rng, 8) for _ in range(2)]
             q = random_distribution(rng, 8)
-            steps.append(instrument_position(dists, q, W, TopKProfile((3, 3), 8)))
+            steps.append(score_position(dists, q, W, TopKProfile((3, 3), 8)))
         rec = self.record(steps)
         biases = [s.by_strategy[REN].bias for s in steps]
         assert min(biases) - 1e-15 <= rec.delta_bar <= max(biases) + 1e-15
@@ -264,7 +269,7 @@ class TestBiasOrderingIsReportedNotAssumed:
         for _ in range(300):
             dists = [random_distribution(rng, 12, sparsity=0.4) for _ in range(2)]
             profile = TopKProfile((int(rng.integers(1, 12)),) * 2, 12)
-            step = instrument_position(dists, None, W, profile)
+            step = score_position(dists, None, W, profile)
             ren, res = step.by_strategy[REN].bias, step.by_strategy[RES].bias
             if res < ren - 1e-12:
                 res_wins += 1
@@ -275,8 +280,8 @@ class TestBiasOrderingIsReportedNotAssumed:
 
 
 def oracle_instrument_position(worker_dists, q, w, k_profile):
-    """``instrument_position`` as it was written per distribution: one
-    payload, one reconstruction and one aggregate object at a time."""
+    """One position's metrics as they were first written, per distribution:
+    one payload, one reconstruction and one aggregate object at a time."""
     payloads = [truncate_topk(d, k_profile[i]) for i, d in enumerate(worker_dists)]
     epsilons = tuple(mass_split(p).epsilon for p in payloads)
     weighted_eps = float(sum(w[i] * epsilons[i] for i in range(len(w))))
@@ -324,8 +329,8 @@ def assert_same_step(got, want):
 
 
 class TestArrayScoringMatchesOracle:
-    """The array-shaped ``instrument_position`` returns exactly the oracle's
-    ``StepMetrics``, with and without a cache of wider payloads."""
+    """The block scorer returns exactly the oracle's ``StepMetrics``, with
+    and without a cache of wider payloads."""
 
     @pytest.mark.parametrize("size", [2, 8, 64, 512])
     @pytest.mark.parametrize("m", [1, 2, 3, 9])
@@ -340,7 +345,7 @@ class TestArrayScoringMatchesOracle:
             for q in (None, random_distribution(rng, size), Distribution(tie_heavy(rng, size))):
                 for k in sorted({1, max(1, size // 3), size}):
                     profile = TopKProfile.homogeneous(k, m, size)
-                    assert_same_step(instrument_position(dists, q, w, profile),
+                    assert_same_step(score_position(dists, q, w, profile),
                                      oracle_instrument_position(dists, q, w, profile))
 
     def test_heterogeneous_k(self):
@@ -354,7 +359,7 @@ class TestArrayScoringMatchesOracle:
             ks = [int(rng.choice((1, int(rng.integers(1, size + 1)), size))) for _ in range(m)]
             profile = TopKProfile(ks, size)
             q = None if rng.random() < 0.3 else random_distribution(rng, size, sparsity=0.3)
-            assert_same_step(instrument_position(dists, q, w, profile),
+            assert_same_step(score_position(dists, q, w, profile),
                              oracle_instrument_position(dists, q, w, profile))
 
     def test_large_vocab(self):
@@ -363,7 +368,7 @@ class TestArrayScoringMatchesOracle:
         q = random_distribution(rng, 32000)
         for k in (1, 64, 32000):
             profile = TopKProfile.homogeneous(k, 2, 32000)
-            assert_same_step(instrument_position(dists, q, W, profile),
+            assert_same_step(score_position(dists, q, W, profile),
                              oracle_instrument_position(dists, q, W, profile))
 
     def test_cached_payloads_in_any_k_order(self, monkeypatch):
@@ -383,15 +388,68 @@ class TestArrayScoringMatchesOracle:
         w = WeightVector([0.2, 0.3, 0.5])
         q = random_distribution(rng, size)
         for ks in ([64, 16, 4, 1], [1, 16, 4, 64], [7, 9, 8]):
-            widest = [None] * 3
+            block = ShadowBlock([[d] for d in dists], [q], w)
             monkeypatch.setattr(metrics, "truncate_topk", counted)
-            got = [instrument_position(dists, q, w, TopKProfile.homogeneous(k, 3, size),
-                                       widest=widest) for k in ks]
+            got = [instrument_position(
+                score_block(block, TopKProfile.homogeneous(k, 3, size)), 0) for k in ks]
+            # the widest payloads are kept: asking for them truncates nothing
+            assert [block.payloads(i, max(ks))[0].shape for i in range(3)] == [(1, max(ks))] * 3
             monkeypatch.undo()
             for k, step in zip(ks, got):
                 profile = TopKProfile.homogeneous(k, 3, size)
                 assert_same_step(step, oracle_instrument_position(dists, q, w, profile))
-            assert [p.k for p in widest] == [max(ks)] * 3
         # widest first: one truncation per worker; otherwise one more each
         # time a K is wider than every K before it
         assert truncations == [k for k in (64, 1, 16, 64, 7, 9) for _ in range(3)]
+
+
+@st.composite
+def scored_blocks(draw):
+    """A random recorded block and some k profiles to score it at: gamma
+    draft positions plus the bonus, M in {1, 2, 5}, heterogeneous k with
+    k = |V| likely, rows with zeros and ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = draw(st.integers(1, 6))
+    m = draw(st.sampled_from((1, 2, 5)))
+    size = draw(st.sampled_from((2, 3, 16, 64, 300)))
+
+    def row():
+        kind = draw(st.sampled_from(("random", "sparse", "ties")))
+        if kind == "ties":
+            return Distribution(tie_heavy(rng, size))
+        return random_distribution(rng, size, sparsity=0.6 if kind == "sparse" else 0.0)
+
+    record = BlockRecord(
+        draft_tokens=tuple(int(t) for t in rng.integers(0, size, gamma)),
+        q_dists=tuple(row() for _ in range(gamma)),
+        worker_dists=tuple(tuple(row() for _ in range(gamma + 1)) for _ in range(m)))
+    w = WeightVector(rng.dirichlet(np.ones(m)))
+    k = st.one_of(st.just(size), st.just(1), st.integers(1, size))
+    profiles = draw(st.lists(st.lists(k, min_size=m, max_size=m), min_size=1, max_size=4))
+    return record, w, [TopKProfile(ks, size) for ks in profiles]
+
+
+class TestBlockScorerMatchesOracle:
+    """``block_step_metrics`` (one ``score_block`` pass, then
+    ``instrument_position`` per position) equals the per-position oracle at
+    every position, through a record cache or without one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scored_blocks(), st.booleans())
+    def test_every_position(self, block, cached):
+        record, w, profiles = block
+        gamma = len(record.draft_tokens)
+        cache = RecordCache() if cached else None
+        for profile in profiles:
+            steps = block_step_metrics(record, w, profile, cache=cache)
+            assert len(steps) == gamma + 1
+            for t, step in enumerate(steps):
+                q = record.q_dists[t] if t < gamma else None
+                dists = [record.worker_dists[i][t] for i in range(len(w))]
+                assert_same_step(step, oracle_instrument_position(dists, q, w, profile))
+            assert steps[gamma].alpha_exact is None
+
+    def test_profile_of_another_worker_count_rejected(self):
+        block = ShadowBlock([[P1], [P2]], [Q], W)
+        with pytest.raises(ValueError, match="worker count mismatch"):
+            score_block(block, TopKProfile((2,), 4))

@@ -16,6 +16,7 @@ from draftwire.models import (
     SyntheticModel,
     TraceError,
     TraceExhaustedError,
+    TraceMismatchError,
     TraceModel,
     load_corpus,
     read_trace,
@@ -329,6 +330,16 @@ class TestCorpusLoader:
             load_corpus(path)
 
 
+# prefix hashes for five trace rows: one query per prefix (0,), (0, 1), ...
+HASHES = [stable_prefix_hash(range(n)) for n in range(1, 6)]
+
+
+def v1_header(vocab_size, steps):
+    """A version-1 header: no prefix hashes follow it."""
+    return (b"SFTR" + (1).to_bytes(2, "little")
+            + vocab_size.to_bytes(4, "little") + steps.to_bytes(4, "little"))
+
+
 class TestTraceFormat:
     def rows(self):
         rng = np.random.default_rng(61)
@@ -338,9 +349,10 @@ class TestTraceFormat:
     def test_round_trip_shape_and_precision(self, tmp_path):
         path = tmp_path / "t.trace"
         rows = self.rows()
-        write_trace(path, rows)
-        back = read_trace(path)
+        write_trace(path, rows, HASHES)
+        back, hashes = read_trace(path)
         assert back.shape == (5, 6)
+        assert hashes.tolist() == HASHES
         # storage is f32; rows are renormalized after widening
         f32 = rows.astype(np.float32).astype(np.float64)
         expect = f32 / f32.sum(axis=1, keepdims=True)
@@ -349,17 +361,31 @@ class TestTraceFormat:
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "t.trace"
-        write_trace(path, self.rows())
+        write_trace(path, self.rows(), HASHES)
         buf = path.read_bytes()
         assert buf[:4] == b"SFTR"
-        assert int.from_bytes(buf[4:6], "little") == 1
+        assert int.from_bytes(buf[4:6], "little") == 2
         assert int.from_bytes(buf[6:10], "little") == 6  # vocab
         assert int.from_bytes(buf[10:14], "little") == 5  # steps
-        assert len(buf) == 14 + 4 * 5 * 6
+        assert [int.from_bytes(buf[14 + 8 * i:22 + 8 * i], "little")
+                for i in range(5)] == HASHES
+        assert len(buf) == 14 + 8 * 5 + 4 * 5 * 6
+
+    def test_hash_count_must_match_rows(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_trace(tmp_path / "t.trace", self.rows(), HASHES[:4])
+
+    def test_version_1_reads_without_hashes(self, tmp_path):
+        path = tmp_path / "t.trace"
+        rows = self.rows()
+        path.write_bytes(v1_header(6, 5) + rows.astype("<f4").tobytes())
+        back, hashes = read_trace(path)
+        assert hashes is None
+        assert np.max(np.abs(back - rows)) < 1e-6
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.trace"
-        write_trace(path, self.rows())
+        write_trace(path, self.rows(), HASHES)
         buf = bytearray(path.read_bytes())
         buf[:4] = b"NOPE"
         path.write_bytes(bytes(buf))
@@ -368,7 +394,7 @@ class TestTraceFormat:
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "t.trace"
-        write_trace(path, self.rows())
+        write_trace(path, self.rows(), HASHES)
         buf = bytearray(path.read_bytes())
         buf[4:6] = (9).to_bytes(2, "little")
         path.write_bytes(bytes(buf))
@@ -377,7 +403,7 @@ class TestTraceFormat:
 
     def test_truncated_body(self, tmp_path):
         path = tmp_path / "t.trace"
-        write_trace(path, self.rows())
+        write_trace(path, self.rows(), HASHES)
         buf = path.read_bytes()
         path.write_bytes(buf[:-4])
         with pytest.raises(TraceError):
@@ -387,9 +413,7 @@ class TestTraceFormat:
         path = tmp_path / "t.trace"
         rows = self.rows()
         rows[2] *= 1.01  # 1% off: outside the f32 storage budget
-        header = b"SFTR" + (1).to_bytes(2, "little")
-        header += (6).to_bytes(4, "little") + (5).to_bytes(4, "little")
-        path.write_bytes(header + rows.astype("<f4").tobytes())
+        path.write_bytes(v1_header(6, 5) + rows.astype("<f4").tobytes())
         with pytest.raises(TraceError):
             read_trace(path)
 
@@ -397,32 +421,28 @@ class TestTraceFormat:
         path = tmp_path / "t.trace"
         rows = self.rows()
         rows[0] *= 1.0 + 5e-6  # within tolerance: load and repair
-        header = b"SFTR" + (1).to_bytes(2, "little")
-        header += (6).to_bytes(4, "little") + (5).to_bytes(4, "little")
-        path.write_bytes(header + rows.astype("<f4").tobytes())
-        back = read_trace(path)
+        path.write_bytes(v1_header(6, 5) + rows.astype("<f4").tobytes())
+        back = read_trace(path).rows
         assert abs(back[0].sum() - 1.0) < 1e-12
 
     def test_negative_entry_rejected(self, tmp_path):
         path = tmp_path / "t.trace"
         rows = self.rows()
         rows[1, 0] = -rows[1, 0]
-        header = b"SFTR" + (1).to_bytes(2, "little")
-        header += (6).to_bytes(4, "little") + (5).to_bytes(4, "little")
-        path.write_bytes(header + rows.astype("<f4").tobytes())
+        path.write_bytes(v1_header(6, 5) + rows.astype("<f4").tobytes())
         with pytest.raises(TraceError):
             read_trace(path)
 
     def test_write_rejects_bad_shape(self, tmp_path):
         with pytest.raises(ValueError):
-            write_trace(tmp_path / "t.trace", np.ones(6))
+            write_trace(tmp_path / "t.trace", np.ones(6), [0])
 
 
 class TestTraceModel:
     def test_replays_in_order(self, tmp_path):
         path = tmp_path / "t.trace"
         rows = np.array([[0.75, 0.25], [0.25, 0.75], [0.5, 0.5]])
-        write_trace(path, rows)
+        write_trace(path, rows, [stable_prefix_hash(p) for p in ((), (1, 2), (1, 2, 0))])
         m = TraceModel.from_file(path)
         assert m.vocab_size == 2
         assert m.steps_remaining == 3
@@ -432,8 +452,26 @@ class TestTraceModel:
 
     def test_exhaustion(self, tmp_path):
         path = tmp_path / "t.trace"
-        write_trace(path, np.array([[0.5, 0.5]]))
+        write_trace(path, np.array([[0.5, 0.5]]), [stable_prefix_hash(())])
         m = TraceModel.from_file(path)
         m.distribution(())
         with pytest.raises(TraceExhaustedError):
             m.distribution(())
+
+    def test_another_prefix_is_a_mismatch_naming_file_and_row(self, tmp_path):
+        path = tmp_path / "t.trace"
+        write_trace(path, np.array([[0.75, 0.25], [0.25, 0.75]]),
+                    [stable_prefix_hash(p) for p in ((0,), (0, 1))])
+        m = TraceModel.from_file(path)
+        m.distribution((0,))
+        with pytest.raises(TraceMismatchError, match=rf"^{path} row 1: recorded for prefix"):
+            m.distribution((0, 0))
+        assert m.steps_remaining == 1  # the row is not consumed
+        assert m.distribution((0, 1)).probs[0] == pytest.approx(0.25, abs=1e-7)
+
+    def test_version_1_file_is_not_replayed(self, tmp_path):
+        # a version-1 row records no prefix, so a replay could not be checked
+        path = tmp_path / "t.trace"
+        path.write_bytes(v1_header(2, 1) + np.array([0.5, 0.5], dtype="<f4").tobytes())
+        with pytest.raises(TraceError, match="version-1"):
+            TraceModel.from_file(path)

@@ -8,6 +8,7 @@ from draftwire.seeding import (
     ROLE_WORKER_MODEL_BASE,
     derive_seed,
     keyed_normals,
+    philox_key,
     stable_prefix_hash,
     stream,
 )
@@ -108,3 +109,41 @@ class TestKeyedNormals:
         vals = keyed_normals(123, 456, 100_000)
         assert abs(vals.mean()) < 0.02
         assert abs(vals.std() - 1.0) < 0.02
+
+
+class TestPhiloxKey:
+    """The key each word pair has always produced, now built explicitly."""
+
+    def test_words_on_one_side_of_2_63_are_exact(self):
+        assert philox_key(7, ROLE_DRAFT_SAMPLING).tolist() == [7, ROLE_DRAFT_SAMPLING]
+        assert philox_key(2**63 + 5, 2**64 - 3).tolist() == [2**63 + 5, 2**64 - 3]
+        assert philox_key(-3, 2**63).tolist() == [2**64 - 3, 2**63]  # taken mod 2^64
+
+    def test_mixed_pair_rounds_both_words_to_float64(self):
+        assert philox_key(1, 2**63 + 5).tolist() == [1, 2**63]
+        assert philox_key(2**62 + 1, 2**63 + 4096).tolist() == [2**62, 2**63 + 4096]
+        # so distinct pairs share a key, and a draw
+        assert philox_key(1, 2**63 + 5).tolist() == philox_key(1, 2**63 + 6).tolist()
+        assert np.array_equal(keyed_normals(1, 2**63 + 5, 8), keyed_normals(1, 2**63 + 6, 8))
+
+    def test_word_rounding_to_2_64_becomes_zero_without_a_warning(self):
+        # the suite turns RuntimeWarnings into errors
+        assert philox_key(2**64 - 1, 1).tolist() == [0, 1]
+        assert philox_key(-1, 3).tolist() == [0, 3]
+        assert keyed_normals(2**64 - 1, 1, 4).shape == (4,)
+
+    def test_frozen_first_draws(self):
+        # pinned: each transcript depends on these keys
+        cases = {(7, ROLE_DRAFT_SAMPLING): 18298162392815567537,
+                 (2**63 + 5, 2**64 - 3): 14748286394177324159,
+                 (1, 2**63 + 5): 8146125056042697546,
+                 (2**64 - 1, 1): 15003734204198539638}
+        for (a, b), first in cases.items():
+            assert int(np.random.Philox(key=philox_key(a, b)).random_raw()) == first
+
+    def test_streams_and_normals_use_the_key(self):
+        key = philox_key(5, 2**63 + 9)
+        want = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(stream(5, 2**63 + 9).random(4), want.random(4))
+        want = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(keyed_normals(5, 2**63 + 9, 4), want.standard_normal(4))

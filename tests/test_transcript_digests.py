@@ -192,6 +192,26 @@ def test_sweep_csv_digest_is_pinned(name, tmp_path):
     assert sweep_digest(SWEEP_CASES[name], tmp_path) == SWEEP_DIGESTS[name]
 
 
+# ``draftwire sweep`` stdout (its monotonicity summary) and CSV together, at
+# five weighted workers, so that a reordered sum over workers or positions
+# shows.
+SWEEP_OUTPUT_ARGV = ["--vocab_size", "64", "--workers", "5",
+                     "--weights", "0.1,0.2,0.3,0.15,0.25", "--gamma", "3",
+                     "--sweep_ks", "64,3,1,17", "--sweep_temperatures", "0.9,1.2"]
+SWEEP_OUTPUT_DIGEST = "9d010b78070082ff2bb6f0a4b181d6fbf8a632284cd47a25d77f4047ceff299f"
+
+
+def test_sweep_output_digest_is_pinned(tmp_path, capsys):
+    from draftwire import cli
+
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", "--seed", "7", "--samples", "2", "--max_tokens", "32",
+                     *SWEEP_OUTPUT_ARGV, "--csv", str(out)])
+    assert code == 0
+    stdout = capsys.readouterr().out.replace(str(out), "CSV")
+    assert hashlib.sha256(stdout.encode() + out.read_bytes()).hexdigest() == SWEEP_OUTPUT_DIGEST
+
+
 # ``draftwire run --mode instrumented``: stdout and the metrics CSV row, byte
 # for byte. The run scores each sample as it is decoded; these digests were
 # recorded when it scored all samples at the end.
