@@ -364,9 +364,14 @@ def cmd_trace_record(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_trace_records(trace_dir: Path, workers: int, gamma: int) -> list[BlockRecord]:
-    q_rows = read_trace(trace_dir / "draft.trace").rows
-    worker_rows = [read_trace(trace_dir / f"worker_{i}.trace").rows for i in range(workers)]
+def _load_trace_records(trace_dir: Path, workers: int, gamma: int,
+                        vocab_size: int) -> list[BlockRecord]:
+    paths = [trace_dir / "draft.trace", *(trace_dir / f"worker_{i}.trace" for i in range(workers))]
+    q_rows, *worker_rows = all_rows = [read_trace(path).rows for path in paths]
+    for path, rows in zip(paths, all_rows):
+        if rows.shape[1] != vocab_size:
+            raise ConfigError(f"{path} holds rows of {rows.shape[1]} tokens, "
+                              f"but vocab_size is {vocab_size}")
     draft_lines = (trace_dir / "drafts.txt").read_text().splitlines()
     blocks = q_rows.shape[0] // gamma
     if q_rows.shape[0] != blocks * gamma or len(draft_lines) != blocks:
@@ -395,7 +400,7 @@ def cmd_trace_replay(cfg: RunConfig) -> int:
     if not cfg.trace_dir:
         print("trace-replay requires --trace_dir", file=sys.stderr)
         return EXIT_USAGE
-    records = _load_trace_records(Path(cfg.trace_dir), cfg.workers, cfg.gamma)
+    records = _load_trace_records(Path(cfg.trace_dir), cfg.workers, cfg.gamma, cfg.vocab_size)
     k_profile = TopKProfile(cfg.ks, cfg.vocab_size)
     point = _row_point(cfg, 1)
     steps = [step for rec in records

@@ -177,8 +177,10 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
     largest probability ``v``, and one pass takes every token at or above
     it. All those above ``v`` are kept; if ties at ``v`` overfill the k
     slots, the lowest tied ids fill them. Only the k kept entries are then
-    sorted by (probability desc, id asc). At k == |V| there is nothing to
-    select, and the whole vocabulary is sorted.
+    put in payload order by ``_payload_order``: one unstable argsort, with
+    a lexsort fallback only when two kept probabilities are equal. At
+    k == |V| there is nothing to select, and the whole vocabulary is
+    sorted.
 
     The selection yields distinct in-range ids in payload order, so the
     result skips validation (``TopKPayload.unchecked``).
@@ -188,21 +190,38 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
         raise ValueError(f"k={k} out of range [1, {size}]")
     p = d.probs
     if k == size:
-        kept = np.arange(size)
-        probs = p
-    else:
-        v = np.partition(p, size - k)[size - k]
-        kept = np.flatnonzero(p >= v)
-        probs = p[kept]
-        if kept.size > k:
-            # flatnonzero returns ascending ids, so the cut keeps the lowest tied ids
-            above = probs > v
-            tied = np.flatnonzero(~above)[: k - np.count_nonzero(above)]
-            above[tied] = True
-            kept, probs = kept[above], probs[above]
-    # lexsort: primary key last; ascending ids break exact ties.
-    order = np.lexsort((kept, -probs))
-    return TopKPayload.unchecked(size, kept[order], probs[order])
+        # the ids are the permutation itself
+        order, probs = _payload_order(np.arange(size), p)
+        return TopKPayload.unchecked(size, order, probs)
+    v = np.partition(p, size - k)[size - k]
+    kept = np.flatnonzero(p >= v)
+    probs = p[kept]
+    if kept.size > k:
+        # flatnonzero returns ascending ids, so the cut keeps the lowest tied ids
+        above = probs > v
+        tied = np.flatnonzero(~above)[: k - np.count_nonzero(above)]
+        above[tied] = True
+        kept, probs = kept[above], probs[above]
+    order, probs = _payload_order(kept, probs)
+    return TopKPayload.unchecked(size, kept[order], probs)
+
+
+def _payload_order(ids: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The permutation that puts entries in payload order, (probability
+    desc, id asc), and the probabilities gathered in that order.
+
+    One unstable ``argsort`` orders entries whose probabilities are all
+    distinct, whatever their ids. Only when two sorted probabilities are
+    equal does the order fall back to ``lexsort``, with ascending ids
+    breaking the tie.
+    """
+    order = np.argsort(-probs)
+    ordered = probs[order]
+    if (ordered[1:] == ordered[:-1]).any():
+        # lexsort: primary key last
+        order = np.lexsort((ids, -probs))
+        ordered = probs[order]
+    return order, ordered
 
 
 def mass_split(p: TopKPayload) -> MassSplit:
@@ -267,14 +286,15 @@ def encode_payload(p: TopKPayload) -> bytes:
     """Serialize a payload to its wire body.
 
     Probabilities narrow to f32. Narrowing can create new ties between
-    adjacent entries, so entries are re-sorted by (f32 probability desc,
-    id asc) to keep the ordering invariant valid on the receiving side.
+    adjacent entries, so ``_payload_order`` re-sorts the entries by (f32
+    probability desc, id asc) to keep the ordering invariant valid on the
+    receiving side; only a payload with an f32 tie takes its lexsort
+    fallback.
     """
-    probs32 = p.probs.astype(np.float32)
-    order = np.lexsort((p.ids, -probs32.astype(np.float64)))
+    order, probs32 = _payload_order(p.ids, p.probs.astype(np.float32))
     rec = np.empty(p.k, dtype=_ENTRY_DTYPE)
     rec["id"] = p.ids[order]
-    rec["p"] = probs32[order]
+    rec["p"] = probs32
     header = np.array([p.vocab_size, p.k], dtype="<u4").tobytes()
     return header + rec.tobytes()
 

@@ -195,7 +195,10 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     Per worker (k may differ between workers), ``compression.
     reconstructions`` gives eps and every strategy's values at all
     positions at once; they fill one (positions, strategies, M, |V|) array
-    of reconstructions. Weighted sums over its worker axis give every
+    of reconstructions. A worker whose k is |V| keeps every token, and its
+    shadow rows are copied into both strategies' slots: the rule
+    reconstructs such a payload to its shadow bit for bit, so the fill and
+    the scatter are skipped. Weighted sums over its worker axis give every
     compressed aggregate; L1 errors, biases and acceptance rates are
     reductions along the contiguous vocabulary axis. Each value is
     bit-identical to the per-distribution functions in ``compression``,
@@ -214,6 +217,9 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     for i in range(m):
         ids, probs = block.payloads(i, k_profile[i])
         epsilons[:, i], rules = reconstructions(probs, size)
+        if k_profile[i] == size:  # a lossless payload reconstructs to its shadow
+            recon[:, :, i] = rows[:, i, None]
+            continue
         for layer, strategy in enumerate(_LAYERS):
             kept, other = rules[strategy]
             recon[:, layer, i].T[...] = other  # one value per position, or a scalar

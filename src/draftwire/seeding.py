@@ -9,6 +9,7 @@ never be used for anything that crosses a process or network boundary.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -73,11 +74,28 @@ def stream(seed: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(seed, role)))
 
 
+_EMPTY_WORDS = np.zeros(4, dtype=np.uint64)
+_keyed = threading.local()
+
+
 def keyed_normals(seed: int, context: int, n: int) -> np.ndarray:
     """``n`` standard-normal variates keyed by (seed, context).
 
     Counter-based: no state is carried between calls, so the same key pair
-    always reproduces the same vector.
+    always reproduces the same vector. Each thread keeps one Philox and
+    resets it to (key, counter 0, empty buffer) before every draw, which
+    is the state a fresh ``Philox(key=...)`` starts in; building a fresh
+    one would read OS entropy for a seed sequence it then discards.
     """
-    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, context)))
+    gen = getattr(_keyed, "gen", None)
+    if gen is None:
+        gen = _keyed.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _EMPTY_WORDS, "key": philox_key(seed, context)},
+        "buffer": _EMPTY_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return gen.standard_normal(n)

@@ -160,6 +160,32 @@ class TestTruncate:
         for k in range(1, d.vocab_size + 1):
             _assert_matches_reference(d, k)
 
+    @given(st.data())
+    def test_every_k_matches_full_sort_reference_with_and_without_ties(self, data):
+        # distinct values take the one-argsort order; one planted tie, or a
+        # run of zeros, takes the tie fallback at every k: with the tie kept,
+        # at the top-k threshold, and below it
+        weights = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=2,
+                                              max_size=64, unique=True)), dtype=np.float64)
+        n = weights.size
+        ties = 0
+        case = data.draw(st.sampled_from(["distinct", "one tie", "zeros"]))
+        if case == "one tie":
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+            weights[j] = weights[i]
+            ties = 1
+        elif case == "zeros":
+            zeros = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                                       unique=True))
+            weights[zeros] = 0.0
+            ties = len(zeros) - 1
+        d = Distribution(weights / weights.sum())
+        ranked = np.sort(d.probs)
+        assert np.count_nonzero(ranked[1:] == ranked[:-1]) == ties
+        for k in range(1, n + 1):
+            _assert_matches_reference(d, k)
+
     @staticmethod
     def _assert_prefix_is_truncation(d, wide, narrow):
         """The first ``narrow`` entries of the top-``wide`` payload are the
@@ -534,6 +560,28 @@ class TestCodec:
         p = TopKPayload(4, [3, 1], [hi, lo], tol=1.0)
         q = decode_payload(encode_payload(p))
         assert list(q.ids) == [1, 3]
+
+    @given(st.lists(st.floats(2**-10, 2**-7, width=32), min_size=1, max_size=24, unique=True),
+           st.data())
+    def test_f32_narrowing_ties_are_ordered_by_id(self, bases, data):
+        # each f32 base spawns f64 neighbours a few 1e-12 apart, far inside
+        # half an f32 ulp: distinct f64 values that narrow to one f32, the
+        # first base at least twice. With shuffled ids, only ascending id can
+        # order each tie the narrowing makes.
+        copies = [data.draw(st.integers(2 if b == 0 else 1, 3)) for b in range(len(bases))]
+        values = np.array([base + j * 1e-12 for base, n in zip(bases, copies) for j in range(n)])
+        size = values.size + 3
+        ids = np.array(data.draw(st.permutations(range(size))))[:values.size]
+        order = np.argsort(-values)
+        p = TopKPayload(size, ids[order], values[order])
+        probs32 = p.probs.astype(np.float32)
+        assert np.any(probs32[1:] == probs32[:-1])
+        want = np.lexsort((p.ids, -probs32))
+        body = encode_payload(p)
+        rec = np.frombuffer(body, dtype=[("id", "<u4"), ("p", "<f4")], offset=8)
+        np.testing.assert_array_equal(rec["id"], p.ids[want])
+        np.testing.assert_array_equal(rec["p"], probs32[want])
+        decode_payload(body)
 
     def test_fuzz_never_crashes(self):
         rng = np.random.default_rng(31)

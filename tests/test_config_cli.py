@@ -480,6 +480,24 @@ class TestCliTrace:
         assert code == 1
         assert "version-1 trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("vocab_size, k", [(128, 100), (32, 8)], ids=["wider", "narrower"])
+    def test_replay_at_another_vocab_size_is_a_config_error(self, tmp_path, capsys,
+                                                            vocab_size, k):
+        # a wider vocabulary once failed inside truncate_topk; a narrower one
+        # scored the 64-token rows and labelled them with the wrong K_pct
+        trace_dir = tmp_path / "traces"
+        assert main(["trace-record", "--trace_dir", str(trace_dir), "--vocab_size", "64",
+                     "--samples", "1", "--max_tokens", "12"]) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "replay.csv"
+        code = main(["trace-replay", "--config", str(trace_dir / "meta.cfg"),
+                     "--vocab_size", str(vocab_size), "--k", str(k), "--csv", str(csv_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {trace_dir / 'draft.trace'} holds rows of 64 tokens, "
+            f"but vocab_size is {vocab_size}\n")
+        assert not csv_path.exists()
+
     def test_record_requires_dir(self, capsys):
         assert main(self.RECORD) == 2
         assert "trace_dir" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 
 from draftwire.seeding import (
@@ -104,6 +106,38 @@ class TestKeyedNormals:
 
     def test_length(self):
         assert keyed_normals(1, 2, 5).shape == (5,)
+
+    # keys on both sides of 2^63, a mixed pair and a word that rounds to 2^64
+    KEYS = [(11, 97), (2**63 + 5, 2**64 - 3), (1, 2**63 + 5), (2**64 - 1, 1), (2**63, 2**63 - 1)]
+
+    @staticmethod
+    def _fresh(a, b, n):
+        return np.random.Generator(np.random.Philox(key=philox_key(a, b))).standard_normal(n)
+
+    def test_repeated_draws_in_one_thread_equal_fresh_generators(self):
+        # odd lengths leave words in the Philox buffer; each draw starts empty
+        for n in (3, 5):
+            for a, b in self.KEYS:
+                for _ in range(2):
+                    assert np.array_equal(keyed_normals(a, b, n), self._fresh(a, b, n))
+
+    def test_concurrent_draws_equal_fresh_generators(self):
+        start = threading.Barrier(4)
+        got = {}
+
+        def draw(worker):
+            start.wait()
+            got[worker] = [keyed_normals(a, b + worker, 7 + worker)
+                           for _ in range(50) for a, b in self.KEYS]
+
+        threads = [threading.Thread(target=draw, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for worker, draws in got.items():
+            want = [self._fresh(a, b + worker, 7 + worker) for a, b in self.KEYS] * 50
+            assert all(np.array_equal(x, y) for x, y in zip(draws, want, strict=True))
 
     def test_roughly_standard_normal(self):
         vals = keyed_normals(123, 456, 100_000)
