@@ -372,13 +372,20 @@ def _load_trace_records(trace_dir: Path, workers: int, gamma: int,
         if rows.shape[1] != vocab_size:
             raise ConfigError(f"{path} holds rows of {rows.shape[1]} tokens, "
                               f"but vocab_size is {vocab_size}")
-    draft_lines = (trace_dir / "drafts.txt").read_text().splitlines()
-    blocks = q_rows.shape[0] // gamma
-    if q_rows.shape[0] != blocks * gamma or len(draft_lines) != blocks:
-        raise ConfigError("trace files disagree on block count")
-    for rows in worker_rows:
+    drafts_path = trace_dir / "drafts.txt"
+    draft_lines = drafts_path.read_text().splitlines()
+    blocks, extra = divmod(q_rows.shape[0], gamma)
+    if extra:
+        raise ConfigError(f"{paths[0]} holds {q_rows.shape[0]} rows, not a whole number "
+                          f"of blocks of gamma = {gamma} rows")
+    if len(draft_lines) != blocks:
+        raise ConfigError(f"{drafts_path} holds {len(draft_lines)} lines, but {paths[0]} "
+                          f"holds {blocks} blocks of gamma = {gamma} rows")
+    for path, rows in zip(paths[1:], worker_rows):
         if rows.shape[0] != blocks * (gamma + 1):
-            raise ConfigError("worker trace row count does not match gamma")
+            raise ConfigError(f"{path} holds {rows.shape[0]} rows, but {blocks} blocks at "
+                              f"gamma = {gamma} need {blocks} x {gamma + 1} = "
+                              f"{blocks * (gamma + 1)}")
     records = []
     for b in range(blocks):
         draft_tokens = tuple(int(t) for t in draft_lines[b].split())

@@ -268,7 +268,7 @@ def block_step_metrics(
     builds each position's record.
 
     ``cache``, when given, keeps the record's ``ShadowBlock`` (its stacked
-    shadows, exact aggregates and widest payloads) from one call to the
+    shadows, exact aggregates and payload stack) from one call to the
     next. Pass one new cache per record and score its profiles widest
     first, and each shadow is stacked and truncated once; the narrower
     profiles slice its payloads.

@@ -21,14 +21,12 @@ shadow distributions:
 Violations are counted, never raised, so a sweep reports them in its CSV.
 
 ``score_block`` scores every position of a block at one k profile in one
-array pass over a ``ShadowBlock``, which holds what no K changes: the
-stacked shadows, their exact aggregates and each shadow's widest top-K
-payload (a prefix of it is the narrower payload), so a sweep that scores a
-record at its widest K first truncates each shadow once.
-``instrument_position`` builds one position's ``StepMetrics`` from the
-block's scores. A ``SweepTally`` folds one strategy's steps into a CSV row
-as they arrive; the sweep keeps one per (K, strategy) and
-``sweep_aggregate`` folds a finished list.
+array pass over a ``ShadowBlock``, which holds what no K changes (the
+stacked shadows, their exact aggregate and a payload stack), and checks
+the ranges of the whole block at once. ``instrument_position`` then
+builds one position's ``StepMetrics`` unchecked. A ``SweepTally`` folds
+one strategy's steps into a CSV row as they arrive; the sweep keeps one
+per (K, strategy) and ``sweep_aggregate`` folds a finished list.
 """
 
 from __future__ import annotations
@@ -90,7 +88,8 @@ class StepMetrics:
     """Everything measured at one scored position, one record per strategy.
 
     ``alpha_exact`` is None at the bonus position. ``by_strategy`` covers
-    every ``Strategy``.
+    every ``Strategy``. The constructor checks the ranges;
+    ``unchecked`` wraps values that ``score_block`` has already checked.
     """
 
     worker_epsilons: tuple[float, ...]
@@ -102,16 +101,44 @@ class StepMetrics:
         missing = set(Strategy) - self.by_strategy.keys()
         if missing:
             raise ValueError(f"no metrics for {sorted(s.name for s in missing)}")
-        for e in self.worker_epsilons:
-            if not 0.0 <= e <= 1.0:
-                raise ValueError(f"residual mass {e} outside [0, 1]")
-        for rec in self.by_strategy.values():
-            for err in (*rec.local_errors, rec.bias):
-                if not 0.0 <= err <= 2.0 + BOUND_TOLERANCE:
-                    raise ValueError(f"L1 value {err} outside [0, 2]")
-        for a in (self.alpha_exact, *(rec.alpha for rec in self.by_strategy.values())):
-            if a is not None and not 0.0 <= a <= 1.0:
-                raise ValueError(f"acceptance rate {a} outside [0, 1]")
+        records = self.by_strategy.values()
+        _check_range(np.array(self.worker_epsilons), _EPSILON)
+        _check_range(np.array([v for rec in records for v in (*rec.local_errors, rec.bias)]), _L1)
+        _check_range(np.array([a for a in (self.alpha_exact, *(rec.alpha for rec in records))
+                               if a is not None]), _RATE)
+
+    @classmethod
+    def unchecked(cls, worker_epsilons: tuple[float, ...], weighted_epsilon: float,
+                  alpha_exact: float | None,
+                  by_strategy: dict[Strategy, StrategyMetrics]) -> "StepMetrics":
+        """Wrap values whose ranges are already checked; no checks. Internal
+        fast path for ``instrument_position``, since ``score_block`` checks
+        a whole block at once."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "worker_epsilons", worker_epsilons)
+        object.__setattr__(self, "weighted_epsilon", weighted_epsilon)
+        object.__setattr__(self, "alpha_exact", alpha_exact)
+        object.__setattr__(self, "by_strategy", by_strategy)
+        return self
+
+
+# ``StepMetrics``' ranges, as (upper bound, message): every value must lie
+# in [0, upper bound].
+_EPSILON = (1.0, "residual mass {} outside [0, 1]")
+_L1 = (2.0 + BOUND_TOLERANCE, "L1 value {} outside [0, 2]")
+_RATE = (1.0, "acceptance rate {} outside [0, 1]")
+
+
+def _check_range(values: np.ndarray, rule: tuple[float, str], *,
+                 nonnegative: bool = False) -> None:
+    """Raise ``rule``'s ValueError for the first value outside its range;
+    NaN is outside every range. Values that are ``nonnegative`` by
+    construction (or NaN) have only their maximum read."""
+    top, message = rule
+    # NaN propagates into min and max and fails every comparison
+    if values.size and not ((nonnegative or values.min() >= 0.0) and values.max() <= top):
+        outside = values[~((values >= 0.0) & (values <= top))]
+        raise ValueError(message.format(float(outside.flat[0])))
 
 
 class ShadowBlock:
@@ -120,14 +147,17 @@ class ShadowBlock:
     ``worker_dists[i][t]`` is worker i's exact distribution at position t
     and ``q_dists[t]`` the draft proposal there; positions past the last
     proposal (a block's bonus position) have none. Built once per block:
-    the shadows stacked as one (positions, M, |V|) array, their exact
-    weighted averages, and the acceptance rate of each proposal against
-    its average. ``payloads`` keeps each worker's widest top-K payloads
-    truncated so far, so a block scored at several profiles, widest first,
-    truncates each shadow once.
+    ``exact`` holds the shadows in slots 0..M-1 of one (M + 1, positions,
+    |V|) array and their exact weighted average in slot M; ``alpha_exact``
+    the acceptance rate of each proposal against that average. The
+    payload stack holds every worker's widest top-K payloads truncated so
+    far, as one (positions, M, kw) ids array and one probabilities array.
+    A narrower payload is a prefix of a wider one, so a block scored at
+    several profiles, widest first, truncates each shadow once.
     """
 
-    __slots__ = ("worker_dists", "weights", "rows", "p_exact", "q", "alpha_exact", "_widest")
+    __slots__ = ("worker_dists", "weights", "exact", "q", "alpha_exact", "offsets",
+                 "_ids", "_probs")
 
     def __init__(self, worker_dists: Sequence[Sequence[Distribution]],
                  q_dists: Sequence[Distribution], w: WeightVector) -> None:
@@ -139,27 +169,40 @@ class ShadowBlock:
             raise ValueError("every worker needs one distribution per position")
         self.worker_dists = worker_dists
         self.weights = w
-        self.rows = rows = np.array([[dists[t].probs for dists in worker_dists]
-                                     for t in range(positions)])
+        size = worker_dists[0][0].vocab_size
+        self.exact = exact = np.empty((m + 1, positions, size))
+        exact[:m] = [[d.probs for d in dists] for dists in worker_dists]
         # weighted sums run in worker-index order, as in ``aggregate``
-        self.p_exact = p_exact = np.multiply(rows[:, 0], w[0])
+        p_exact = np.multiply(exact[0], w[0], out=exact[m])
         for i in range(1, m):
-            p_exact += rows[:, i] * w[i]
-        self.q = np.array([q.probs for q in q_dists]).reshape(len(q_dists), rows.shape[2])
+            p_exact += exact[i] * w[i]
+        self.q = np.array([q.probs for q in q_dists]).reshape(len(q_dists), size)
         self.alpha_exact = [_clamp(a) for a in
                             _acceptance(p_exact[:len(q_dists)], self.q).tolist()]
-        self._widest: list[tuple[np.ndarray, np.ndarray] | None] = [None] * m
+        # offsets[layer, t, i, 0]: the flat index of token 0 of slot
+        # (layer, i, t) in a C-ordered (strategies, M + 1, positions, |V|)
+        # array, indexed like the payload stack
+        self.offsets = (np.arange(len(_LAYERS) * (m + 1) * positions).reshape(
+            len(_LAYERS), m + 1, positions) * size).transpose(0, 2, 1)[..., None]
+        self._ids = np.empty((positions, m, 0), dtype=np.int64)
+        self._probs = np.empty((positions, m, 0))
+
+    def stack(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every worker's top-k ids and probabilities at every position,
+        each a (positions, M, k) view of the payload stack. When k is wider
+        than the stack, every shadow is truncated once more, at k."""
+        if self._ids.shape[2] < k:
+            tops = [[truncate_topk(d, k) for d in dists] for dists in self.worker_dists]
+            positions = range(self.exact.shape[1])
+            self._ids = np.array([[top[t].ids for top in tops] for t in positions])
+            self._probs = np.array([[top[t].probs for top in tops] for t in positions])
+        return self._ids[:, :, :k], self._probs[:, :, :k]
 
     def payloads(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Worker i's top-k ids and probabilities at every position, each
-        (positions, k): a prefix of a wider payload is the narrower one."""
-        widest = self._widest[i]
-        if widest is None or widest[0].shape[1] < k:
-            tops = [truncate_topk(d, k) for d in self.worker_dists[i]]
-            widest = self._widest[i] = (np.array([p.ids for p in tops]),
-                                        np.array([p.probs for p in tops]))
-        ids, probs = widest
-        return ids[:, :k], probs[:, :k]
+        (positions, k): views of the payload stack."""
+        ids, probs = self.stack(k)
+        return ids[:, i], probs[:, i]
 
 
 def _acceptance(p_bars: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -175,7 +218,8 @@ class BlockScores(NamedTuple):
     """One block scored at one k profile, as plain per-position lists.
 
     Indexed [t], then per ``Strategy`` in ``_LAYERS`` order, then per
-    worker; ``alphas`` covers the positions that have a proposal.
+    worker; ``alphas`` covers the positions that have a proposal. Every
+    value is already range-checked.
     """
 
     epsilons: list[list[float]]
@@ -192,68 +236,103 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     Truncation, reconstruction and aggregation all run at float64 here, so
     bound checks see the mathematics rather than 32-bit wire rounding.
 
-    Per worker (k may differ between workers), ``compression.
-    reconstructions`` gives eps and every strategy's values at all
-    positions at once; they fill one (positions, strategies, M, |V|) array
-    of reconstructions. A worker whose k is |V| keeps every token, and its
-    shadow rows are copied into both strategies' slots: the rule
-    reconstructs such a payload to its shadow bit for bit, so the fill and
-    the scatter are skipped. Weighted sums over its worker axis give every
-    compressed aggregate; L1 errors, biases and acceptance rates are
-    reductions along the contiguous vocabulary axis. Each value is
+    Workers are grouped by k: a homogeneous profile is one group, a mixed
+    one has a group per distinct k. Per group, one ``compression.
+    reconstructions`` call over the payload stack's (positions, G, k)
+    slice gives eps and every strategy's values. Per strategy, the group's
+    slots of one (strategies, M + 1, positions, |V|) array are filled with
+    the value of every token not kept, and the kept values are scattered
+    in through flat offsets. Slot M gets the compressed aggregate, a
+    weighted sum over the worker slots. Subtracting ``exact`` turns every
+    slot into its gap to the exact row, so the L1 local errors (slots
+    0..M-1) and biases (slot M) are one reduction along the contiguous
+    vocabulary axis, as are the acceptance rates. Each value is
     bit-identical to the per-distribution functions in ``compression``,
     ``aggregation``, ``dist`` and ``specdec``: the same float operations in
     the same order, workers summed in index order.
+
+    When every k is |V|, every payload reconstructs to its shadow bit for
+    bit, so the compressed aggregate is the exact one: local errors and
+    biases are 0.0 and each alpha is ``alpha_exact``, returned with no
+    reconstruction array. eps still comes from ``reconstructions``.
+
+    ``StepMetrics``' range checks run here once for the whole block, with
+    the same ValueError texts. eps, L1 values and the clamped rates are
+    non-negative (or NaN) by construction, so only their maxima are read.
     """
     w = block.weights
     m = len(w)
-    if m != len(k_profile):
+    ks = k_profile.ks
+    if m != len(ks):
         raise ValueError("worker count mismatch between distributions, weights, profile")
-    rows = block.rows
-    positions, _, size = rows.shape
-    recon = np.empty((positions, len(_LAYERS), m, size))
+    exact = block.exact
+    _, positions, size = exact.shape
+    ids, probs = block.stack(max(ks))
+    if min(ks) == size:
+        epsilons = reconstructions(probs, size)[0]
+        _check_range(epsilons, _EPSILON, nonnegative=True)
+        return BlockScores(
+            epsilons=epsilons.tolist(),
+            weighted_epsilons=_weighted_sum(epsilons, w).tolist(),
+            local_errors=[[[0.0] * m for _ in _LAYERS] for _ in range(positions)],
+            biases=[[0.0] * len(_LAYERS) for _ in range(positions)],
+            alpha_exact=block.alpha_exact,
+            alphas=[[a] * len(_LAYERS) for a in block.alpha_exact],
+        )
+    groups: dict[int, list[int]] = {}
+    for i, k in enumerate(ks):
+        groups.setdefault(k, []).append(i)
+    recon = np.empty((len(_LAYERS), m + 1, positions, size))
+    flat = recon.reshape(-1)
     epsilons = np.empty((positions, m))
-    at = np.arange(positions)[:, None]
-    for i in range(m):
-        ids, probs = block.payloads(i, k_profile[i])
-        epsilons[:, i], rules = reconstructions(probs, size)
-        if k_profile[i] == size:  # a lossless payload reconstructs to its shadow
-            recon[:, :, i] = rows[:, i, None]
-            continue
+    for k, workers in groups.items():
+        group = slice(0, m) if len(workers) == m else workers  # one group: views, no copies
+        epsilons[:, group], rules = reconstructions(probs[:, group, :k], size)
+        group_ids = ids[:, group, :k]
         for layer, strategy in enumerate(_LAYERS):
             kept, other = rules[strategy]
-            recon[:, layer, i].T[...] = other  # one value per position, or a scalar
-            recon[at, layer, i, ids] = kept
-    weighted = epsilons[:, 0] * w[0]
-    p_comp = recon[:, :, 0] * w[0]
+            recon[layer, group] = np.asarray(other).T[..., None]  # per payload, or a scalar
+            flat[block.offsets[layer][:, group] + group_ids] = kept
+    _check_range(epsilons, _EPSILON, nonnegative=True)
+    p_comp = np.multiply(recon[:, 0], w[0], out=recon[:, m])
     for i in range(1, m):
-        weighted += epsilons[:, i] * w[i]
-        p_comp += recon[:, :, i] * w[i]
-    alphas = [[_clamp(a) for a in row] for row in
-              _acceptance(p_comp[:len(block.q)], block.q[:, None]).tolist()]
-    recon -= rows[:, None]  # the reconstructions become their gaps to the shadows
-    p_comp -= block.p_exact[:, None]
+        p_comp += recon[:, i] * w[i]
+    alphas = _acceptance(p_comp[:, :len(block.q)], block.q)
+    alphas = np.minimum(1.0, np.maximum(0.0, alphas))  # as ``_clamp``, but NaN stays NaN
+    recon -= exact  # every slot becomes its gap to the exact row
+    l1 = np.abs(recon, out=recon).sum(axis=-1)
+    _check_range(l1, _L1, nonnegative=True)
+    _check_range(alphas, _RATE, nonnegative=True)
     return BlockScores(
         epsilons=epsilons.tolist(),
-        weighted_epsilons=weighted.tolist(),
-        local_errors=np.abs(recon, out=recon).sum(axis=-1).tolist(),
-        biases=np.abs(p_comp, out=p_comp).sum(axis=-1).tolist(),
+        weighted_epsilons=_weighted_sum(epsilons, w).tolist(),
+        local_errors=l1[:, :m].transpose(2, 0, 1).tolist(),
+        biases=l1[:, m].T.tolist(),
         alpha_exact=block.alpha_exact,
-        alphas=alphas,
+        alphas=alphas.T.tolist(),
     )
 
 
+def _weighted_sum(epsilons: np.ndarray, w: WeightVector) -> np.ndarray:
+    """sum_i w_i eps_i per position, in worker-index order."""
+    weighted = epsilons[:, 0] * w[0]
+    for i in range(1, len(w)):
+        weighted += epsilons[:, i] * w[i]
+    return weighted
+
+
 def instrument_position(scores: BlockScores, t: int) -> StepMetrics:
-    """Position t's ``StepMetrics``, from its block's ``score_block``."""
+    """Position t's ``StepMetrics``, from its block's ``score_block``, which
+    has checked every range already."""
     has_q = t < len(scores.alphas)
     alpha_exact = scores.alpha_exact[t] if has_q else None
     errors, biases = scores.local_errors[t], scores.biases[t]
     alphas = scores.alphas[t] if has_q else [None] * len(_LAYERS)
-    return StepMetrics(
-        worker_epsilons=tuple(scores.epsilons[t]),
-        weighted_epsilon=scores.weighted_epsilons[t],
-        alpha_exact=alpha_exact,
-        by_strategy={
+    return StepMetrics.unchecked(
+        tuple(scores.epsilons[t]),
+        scores.weighted_epsilons[t],
+        alpha_exact,
+        {
             strategy: StrategyMetrics(
                 local_errors=tuple(errors[layer]),
                 bias=biases[layer],

@@ -13,7 +13,7 @@ from draftwire.config import (
     parse_config_text,
 )
 from draftwire.metrics import CSV_COLUMNS, read_sweep_csv
-from draftwire.models import MarkovModel
+from draftwire.models import MarkovModel, read_trace, write_trace
 
 
 def config_from(**overrides):
@@ -497,6 +497,37 @@ class TestCliTrace:
             f"config error: {trace_dir / 'draft.trace'} holds rows of 64 tokens, "
             f"but vocab_size is {vocab_size}\n")
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("gamma, message", [
+        (3, "{dir}/draft.trace holds 20 rows, not a whole number of blocks of gamma = 3 rows"),
+        (5, "{dir}/drafts.txt holds 5 lines, but {dir}/draft.trace holds 4 blocks "
+            "of gamma = 5 rows"),
+    ], ids=["draft-rows", "draft-lines"])
+    def test_replay_at_another_gamma_names_the_draft_file(self, tmp_path, capsys, gamma,
+                                                          message):
+        # a gamma-4 recording of 5 blocks: 20 draft rows, 5 lines of drafts
+        trace_dir = tmp_path / "traces"
+        assert main(["trace-record", "--trace_dir", str(trace_dir), "--vocab_size", "64",
+                     "--samples", "1", "--max_tokens", "12"]) == 0
+        assert "recorded 5 blocks (20 draft rows)" in capsys.readouterr().out
+        code = main(["trace-replay", "--config", str(trace_dir / "meta.cfg"),
+                     "--gamma", str(gamma), "--k", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message.format(dir=trace_dir)}\n"
+
+    def test_worker_trace_of_another_length_names_the_file(self, tmp_path, capsys):
+        trace_dir = tmp_path / "traces"
+        assert main(["trace-record", "--trace_dir", str(trace_dir), "--vocab_size", "64",
+                     "--samples", "1", "--max_tokens", "12"]) == 0
+        capsys.readouterr()
+        path = trace_dir / "worker_1.trace"
+        trace = read_trace(path)
+        write_trace(path, trace.rows[:-1], trace.prefix_hashes[:-1])
+        code = main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), "--k", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path} holds 24 rows, but 5 blocks at gamma = 4 need "
+            f"5 x 5 = 25\n")
 
     def test_record_requires_dir(self, capsys):
         assert main(self.RECORD) == 2

@@ -453,3 +453,73 @@ class TestBlockScorerMatchesOracle:
         block = ShadowBlock([[P1], [P2]], [Q], W)
         with pytest.raises(ValueError, match="worker count mismatch"):
             score_block(block, TopKProfile((2,), 4))
+
+
+def assert_block_matches_oracle(dists_by_worker, qs, w, profile):
+    """Every position of one ``score_block`` equals the oracle; returns the
+    steps."""
+    scores = score_block(ShadowBlock(dists_by_worker, qs, w), profile)
+    steps = [instrument_position(scores, t) for t in range(len(dists_by_worker[0]))]
+    for t, step in enumerate(steps):
+        q = qs[t] if t < len(qs) else None
+        dists = [rows[t] for rows in dists_by_worker]
+        assert_same_step(step, oracle_instrument_position(dists, q, w, profile))
+    return steps
+
+
+class TestBlockScorerPaths:
+    """The lossless return, the k groups' scatter offsets and the block's
+    range checks."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_all_lossless_return_equals_oracle(self, m):
+        rng = np.random.default_rng(90 + m)
+        size, gamma = 16, 3
+        kinds = list(row_kinds(rng, size).values())
+        dists = [[kinds[int(rng.integers(len(kinds)))] for _ in range(gamma + 1)]
+                 for _ in range(m)]
+        qs = [Distribution(tie_heavy(rng, size)) for _ in range(gamma)]
+        w = WeightVector(rng.dirichlet(np.ones(m)))
+        steps = assert_block_matches_oracle(dists, qs, w, TopKProfile.homogeneous(size, m, size))
+        for step in steps:
+            for rec in step.by_strategy.values():
+                assert rec.local_errors == (0.0,) * m and rec.bias == 0.0
+                assert rec.alpha == step.alpha_exact
+        assert steps[gamma].alpha_exact is None  # the bonus position
+
+    @pytest.mark.parametrize("ks", [(4, 16, 4), (16, 4, 16, 4), (64, 4, 64), (1, 8, 1, 8, 1),
+                                    (64, 7, 2, 7, 64)])
+    def test_workers_that_share_a_k_apart_keep_their_own_slots(self, ks):
+        """Workers of one k group that are not next to each other are
+        scattered through their own flat offsets: every worker has its own
+        rows, so a slot swapped or shifted changes a value."""
+        rng = np.random.default_rng(sum(ks))
+        size, m = 64, len(ks)
+        dists = [[random_distribution(rng, size, sparsity=0.3) for _ in range(3)]
+                 for _ in range(m)]
+        qs = [random_distribution(rng, size) for _ in range(2)]
+        w = WeightVector(rng.dirichlet(np.ones(m)))
+        assert_block_matches_oracle(dists, qs, w, TopKProfile(ks, size))
+
+    def test_l1_range_is_checked_once_per_block(self):
+        # rows of mass 2: at k = 1 the renormalized reconstruction of a
+        # uniform row is 2.5 away from it
+        row = Distribution.unchecked(np.full(8, 0.25))
+        block = ShadowBlock([[row, row]], [Distribution(np.full(8, 0.125))], WeightVector([1.0]))
+        with pytest.raises(ValueError, match=r"^L1 value 2\.5 outside \[0, 2\]$"):
+            score_block(block, TopKProfile((1,), 8))
+
+    def test_nan_acceptance_rate_is_checked(self):
+        q = Distribution.unchecked(np.array([np.nan, 0.5, 0.25, 0.25]))
+        block = ShadowBlock([[P1, P1], [P2, P2]], [q], W)
+        with pytest.raises(ValueError, match=r"^acceptance rate nan outside \[0, 1\]$"):
+            score_block(block, PROFILE)
+
+    def test_unchecked_step_equals_validating_constructor(self):
+        step = reference_step()
+        fields = (step.worker_epsilons, step.weighted_epsilon, step.alpha_exact,
+                  step.by_strategy)
+        assert StepMetrics.unchecked(*fields) == StepMetrics(*fields) == step
+        bonus = reference_step(q=None)
+        assert StepMetrics.unchecked(bonus.worker_epsilons, bonus.weighted_epsilon, None,
+                                     bonus.by_strategy) == bonus

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from draftwire import transport
 from draftwire.aggregation import TopKProfile, WeightVector
@@ -531,6 +533,125 @@ class TestWorkerServer:
             with connect(port) as sock:
                 send(sock, Kind.HELLO, 1, pack_hello())
                 assert recv(sock).kind == Kind.HELLO
+        finally:
+            shutdown_worker(thread, port)
+
+
+# the replies a worker gives to the requests it serves
+REPLY_KINDS = {Kind.HELLO, Kind.CONFIGURE, Kind.SCORES_UPLOAD, Kind.ERROR}
+
+
+# requests that are well formed but for their field values
+REQUESTS = st.one_of(
+    st.tuples(st.just(int(Kind.HELLO)), st.just(pack_hello())),
+    st.tuples(st.just(int(Kind.CONFIGURE)), st.builds(
+        CONFIGURE_BODY.pack, st.sampled_from((0, 1, 2, 8, 24)), st.sampled_from((0, 1, 3, 30)),
+        st.sampled_from((0, 1, 2)), st.integers(0, 2**64 - 1))),
+    st.tuples(st.just(int(Kind.DRAFT_BROADCAST)), st.builds(
+        pack_draft_broadcast, st.lists(st.integers(0, 40), max_size=3),
+        st.lists(st.integers(0, 40), min_size=1, max_size=3))),
+)
+
+
+@st.composite
+def fuzz_sessions(draw):
+    """Raw bytes for one worker session, and whether it ends abortively.
+
+    The session opens with a valid prefix of HELLO, CONFIGURE and a
+    DRAFT_BROADCAST, so every state is reached. After it, most frames are
+    requests with increasing correlation ids. The rest carry any kind byte
+    but SHUTDOWN's (the one request that ends a worker on purpose), random
+    bodies, correlation ids that may fail to increase and body lengths
+    that may lie or exceed the frame bound. The bytes may be cut anywhere."""
+    opening = [(Kind.HELLO, pack_hello()), (Kind.CONFIGURE, pack_configure(TestWorkerServer.CFG)),
+               (Kind.DRAFT_BROADCAST, pack_draft_broadcast((0,), (1, 2)))]
+    corr = draw(st.integers(0, len(opening)))
+    data = b"".join(frame_encode(Message(kind, i, body))
+                    for i, (kind, body) in enumerate(opening[:corr], start=1))
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)):
+            kind, body = draw(REQUESTS)
+            corr += 1
+            length = len(body)
+        else:
+            kind = draw(st.integers(0, 255).filter(lambda b: b != Kind.SHUTDOWN))
+            body = draw(st.binary(max_size=24))
+            corr = max(0, corr + draw(st.integers(-2, 2)))
+            length = max(0, len(body) + draw(st.sampled_from((0, -1, 1, 3, MAX_FRAME_BYTES))))
+        data += FRAME_HEADER.pack(length, kind, corr) + body
+    cut = draw(st.one_of(st.just(len(data)), st.integers(0, len(data))))
+    return data[:cut], draw(st.booleans())
+
+
+def check_replies(data: bytes, reset: bool) -> None:
+    """Every reply is a well-formed frame of a reply kind; the ERROR that
+    ends a session comes last, and served requests keep their ids in
+    increasing order. A reset may cut the last frame short."""
+    stream = io.BytesIO(data)
+    replies = []
+    while stream.tell() < len(data):
+        try:
+            replies.append(frame_decode(stream.read))
+        except TruncatedStreamError:
+            assert reset
+            break
+    served = [r.corr_id for r in replies if r.kind != Kind.ERROR]
+    assert served == sorted(set(served))
+    for j, reply in enumerate(replies):
+        assert reply.kind in REPLY_KINDS
+        if reply.kind == Kind.ERROR:
+            assert j == len(replies) - 1
+        elif reply.kind == Kind.HELLO:
+            assert unpack_hello(reply.body) == PROTOCOL_VERSION
+        elif reply.kind == Kind.SCORES_UPLOAD:
+            for body in unpack_scores(reply.body)[1]:
+                decode_payload(body)
+
+
+def assert_serves_a_block(port):
+    with connect(port) as sock:
+        send(sock, Kind.HELLO, 1, pack_hello())
+        assert recv(sock).kind == Kind.HELLO
+        send(sock, Kind.CONFIGURE, 2, pack_configure(TestWorkerServer.CFG))
+        assert recv(sock).kind == Kind.CONFIGURE
+        send(sock, Kind.DRAFT_BROADCAST, 3, pack_draft_broadcast((0,), (1, 2)))
+        reply = recv(sock)
+        assert reply.kind == Kind.SCORES_UPLOAD and reply.corr_id == 3
+
+
+class TestWorkerSessionFuzz:
+    def test_random_sessions_get_valid_replies_and_the_worker_serves_on(self):
+        """After any session a peer can send, the same worker accepts the
+        next connection and serves HELLO, CONFIGURE and a block."""
+        thread, port = start_worker(FACTORY)
+
+        @settings(max_examples=40, deadline=None)
+        @given(fuzz_sessions())
+        def session(case):
+            data, abortive = case
+            sock = connect(port)
+            try:
+                sock.sendall(data)
+            except OSError:
+                pass  # the worker ended the session early
+            if abortive:  # linger 0: close sends RST
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                sock.close()
+            else:
+                received, reset = b"", False
+                try:
+                    sock.shutdown(socket.SHUT_WR)
+                    while chunk := sock.recv(65536):
+                        received += chunk
+                except OSError:
+                    reset = True
+                sock.close()
+                check_replies(received, reset)
+            assert_serves_a_block(port)
+
+        try:
+            session()
+            assert thread.is_alive()
         finally:
             shutdown_worker(thread, port)
 
