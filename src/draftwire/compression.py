@@ -17,8 +17,9 @@ Payload body layout (little-endian):
 
     u32 vocab_size | u32 k | k x (u32 token_id, f32 probability)
 
-entries ordered by (probability desc, token id asc). Framing belongs to the
-transport layer; this module only defines the body.
+entries ordered by (probability desc, token id asc), as ``_payload_order``
+alone defines it, for one payload or every row of an array. Framing
+belongs to the transport layer; this module only defines the body.
 
 Validation: ``TopKPayload(...)`` checks every invariant (range, duplicates,
 order, ties, mass). ``decode_payload`` is the entry point for bytes from a
@@ -179,8 +180,8 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
     slots, the lowest tied ids fill them. Only the k kept entries are then
     put in payload order by ``_payload_order``: one unstable argsort, with
     a lexsort fallback only when two kept probabilities are equal. At
-    k == |V| there is nothing to select, and the whole vocabulary is
-    sorted.
+    k == |V| there is nothing to select: the whole distribution is one
+    row for ``_payload_order``.
 
     The selection yields distinct in-range ids in payload order, so the
     result skips validation (``TopKPayload.unchecked``).
@@ -207,20 +208,30 @@ def truncate_topk(d: Distribution, k: int) -> TopKPayload:
 
 
 def _payload_order(ids: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The permutation that puts entries in payload order, (probability
-    desc, id asc), and the probabilities gathered in that order.
+    """Each row's permutation into payload order, (probability desc, id
+    asc), and its probabilities gathered in that order, both shaped like
+    ``probs``: one payload's (n,) entries or every row of an (..., n)
+    array. ``ids`` broadcasts to ``probs``.
 
-    One unstable ``argsort`` orders entries whose probabilities are all
-    distinct, whatever their ids. Only when two sorted probabilities are
-    equal does the order fall back to ``lexsort``, with ascending ids
-    breaking the tie.
+    One unstable ``argsort`` along the rows orders every row whose
+    probabilities are all distinct, whatever its ids, and one flat gather
+    reads them. Only a row in which two sorted probabilities are equal
+    falls back to ``lexsort``, with ascending ids breaking the tie.
     """
-    order = np.argsort(-probs)
-    ordered = probs[order]
-    if (ordered[1:] == ordered[:-1]).any():
+    order = np.argsort(-probs, axis=-1)
+    flat = order
+    if probs.ndim > 1:  # shift each row's permutation to the row's flat start
+        n = probs.shape[-1]
+        flat = order + np.arange(0, probs.size, n).reshape(*probs.shape[:-1], 1)
+    ordered = probs.reshape(-1)[flat]
+    ties = ordered[..., 1:] == ordered[..., :-1]
+    if ties.any():
+        tied = ties.any(axis=-1)
+        tied_probs = probs[tied]
         # lexsort: primary key last
-        order = np.lexsort((ids, -probs))
-        ordered = probs[order]
+        fixed = np.lexsort((np.broadcast_to(ids, probs.shape)[tied], -tied_probs), axis=-1)
+        order[tied] = fixed
+        ordered[tied] = np.take_along_axis(tied_probs, fixed, axis=-1)
     return order, ordered
 
 

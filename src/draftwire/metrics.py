@@ -32,6 +32,7 @@ per (K, strategy) and ``sweep_aggregate`` folds a finished list.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -39,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .aggregation import TopKProfile, WeightVector
-from .compression import Strategy, reconstructions, truncate_topk
+from .compression import Strategy, _payload_order, reconstructions, truncate_topk
 from .dist import Distribution
 
 BOUND_TOLERANCE = 1e-9
@@ -150,10 +151,11 @@ class ShadowBlock:
     ``exact`` holds the shadows in slots 0..M-1 of one (M + 1, positions,
     |V|) array and their exact weighted average in slot M; ``alpha_exact``
     the acceptance rate of each proposal against that average. The
-    payload stack holds every worker's widest top-K payloads truncated so
+    payload stack holds every worker's widest top-K payloads built so
     far, as one (positions, M, kw) ids array and one probabilities array.
     A narrower payload is a prefix of a wider one, so a block scored at
-    several profiles, widest first, truncates each shadow once.
+    several profiles, widest first, puts each shadow in payload order
+    once.
     """
 
     __slots__ = ("worker_dists", "weights", "exact", "q", "alpha_exact", "offsets",
@@ -171,7 +173,9 @@ class ShadowBlock:
         self.weights = w
         size = worker_dists[0][0].vocab_size
         self.exact = exact = np.empty((m + 1, positions, size))
-        exact[:m] = [[d.probs for d in dists] for dists in worker_dists]
+        # slots 0..M-1 are one contiguous block: rows go straight in
+        np.concatenate([d.probs for dists in worker_dists for d in dists],
+                       out=exact[:m].reshape(-1))
         # weighted sums run in worker-index order, as in ``aggregate``
         p_exact = np.multiply(exact[0], w[0], out=exact[m])
         for i in range(1, m):
@@ -179,23 +183,26 @@ class ShadowBlock:
         self.q = np.array([q.probs for q in q_dists]).reshape(len(q_dists), size)
         self.alpha_exact = [_clamp(a) for a in
                             _acceptance(p_exact[:len(q_dists)], self.q).tolist()]
-        # offsets[layer, t, i, 0]: the flat index of token 0 of slot
-        # (layer, i, t) in a C-ordered (strategies, M + 1, positions, |V|)
-        # array, indexed like the payload stack
-        self.offsets = (np.arange(len(_LAYERS) * (m + 1) * positions).reshape(
-            len(_LAYERS), m + 1, positions) * size).transpose(0, 2, 1)[..., None]
-        self._ids = np.empty((positions, m, 0), dtype=np.int64)
-        self._probs = np.empty((positions, m, 0))
+        self.offsets = _scatter_offsets(m, positions, size)
+        self._ids = self._probs = _NO_PAYLOADS
 
     def stack(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Every worker's top-k ids and probabilities at every position,
         each a (positions, M, k) view of the payload stack. When k is wider
-        than the stack, every shadow is truncated once more, at k."""
+        than the stack, the stack is rebuilt at k: below |V| by truncating
+        every shadow once more; at k == |V|, with nothing to select, by one
+        ``_payload_order`` sort of all M (positions) rows of ``exact``,
+        held as transposed views."""
         if self._ids.shape[2] < k:
-            tops = [[truncate_topk(d, k) for d in dists] for dists in self.worker_dists]
-            positions = range(self.exact.shape[1])
-            self._ids = np.array([[top[t].ids for top in tops] for t in positions])
-            self._probs = np.array([[top[t].probs for top in tops] for t in positions])
+            size = self.exact.shape[2]
+            if k == size:
+                ids, probs = _payload_order(np.arange(size), self.exact[:len(self.weights)])
+                self._ids, self._probs = ids.transpose(1, 0, 2), probs.transpose(1, 0, 2)
+            else:
+                tops = [[truncate_topk(d, k) for d in dists] for dists in self.worker_dists]
+                positions = range(self.exact.shape[1])
+                self._ids = np.array([[top[t].ids for top in tops] for t in positions])
+                self._probs = np.array([[top[t].probs for top in tops] for t in positions])
         return self._ids[:, :, :k], self._probs[:, :, :k]
 
     def payloads(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,6 +210,22 @@ class ShadowBlock:
         (positions, k): views of the payload stack."""
         ids, probs = self.stack(k)
         return ids[:, i], probs[:, i]
+
+
+# An empty payload stack: narrower than every k.
+_NO_PAYLOADS = np.empty((0, 0, 0))
+_NO_PAYLOADS.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _scatter_offsets(m: int, positions: int, size: int) -> np.ndarray:
+    """offsets[layer, t, i, 0]: the flat index of token 0 of slot (layer,
+    i, t) in a C-ordered (strategies, M + 1, positions, |V|) array, indexed
+    like the payload stack. Read-only, built once per shape."""
+    offsets = (np.arange(len(_LAYERS) * (m + 1) * positions).reshape(
+        len(_LAYERS), m + 1, positions) * size).transpose(0, 2, 1)[..., None]
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _acceptance(p_bars: np.ndarray, q: np.ndarray) -> np.ndarray:

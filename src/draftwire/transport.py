@@ -392,8 +392,10 @@ class WorkerPool(Protocol):
 
     ``commit`` only queues tokens: they go out as the prefix delta of the
     next ``score_block``, and ``configure`` empties the queue and the
-    mirrors. ``score_block`` checks every upload's mirror checksum against
-    ``prefix_hash`` and names the lowest worker that diverged.
+    mirrors. ``score_block`` checks every upload against the worker's
+    config (gamma + 1 payloads, each of the configured vocabulary and k)
+    and its mirror checksum against ``prefix_hash``, and names the lowest
+    worker that failed.
     """
 
     def configure(self, configs: Sequence[WorkerConfig]) -> None: ...
@@ -407,20 +409,37 @@ class WorkerPool(Protocol):
 
 def _read_uploads(
     uploads: Sequence[bytes],
+    configs: Sequence[WorkerConfig],
     prefix_hash: int,
     uplink_totals: list[int],
     shadows: list[list[Distribution]] | None = None,
 ) -> ScoreResult:
     """Check and decode every worker's SCORES_UPLOAD body, in worker-index
-    order, and add each one's frame bytes to its entry of ``uplink_totals``."""
+    order, and add each one's frame bytes to its entry of ``uplink_totals``.
+
+    Each upload must carry gamma + 1 payloads of the vocabulary and k that
+    its worker's config asked for, and a mirror checksum equal to
+    ``prefix_hash``.
+    """
     payloads: list[list[TopKPayload]] = []
     uplink: list[int] = []
-    for i, upload in enumerate(uploads):
+    for i, (upload, cfg) in enumerate(zip(uploads, configs, strict=True)):
         try:
             checksum, bodies = unpack_scores(upload)
-            payloads.append([decode_payload(b) for b in bodies])
+            received = [decode_payload(b) for b in bodies]
         except (FramingError, ValueError) as exc:
             raise WorkerFailureError(f"worker {i}: bad upload ({exc})") from exc
+        if len(received) != cfg.gamma + 1:
+            raise WorkerFailureError(f"worker {i}: sent {len(received)} payloads, "
+                                     f"configured gamma + 1 = {cfg.gamma + 1}")
+        for t, p in enumerate(received):
+            if p.vocab_size != cfg.vocab_size:
+                raise WorkerFailureError(f"worker {i}: payload {t} has vocab_size "
+                                         f"{p.vocab_size}, configured {cfg.vocab_size}")
+            if p.k != cfg.k:
+                raise WorkerFailureError(
+                    f"worker {i}: payload {t} has k = {p.k}, configured {cfg.k}")
+        payloads.append(received)
         if checksum != prefix_hash:
             raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
         uplink.append(FRAME_HEADER.size + len(upload))
@@ -447,6 +466,7 @@ class InProcessPool:
         self._cores = [WorkerCore(i, factory, expose_shadows=instrumented) for i in range(m)]
         self._helpers: list[ThreadPoolExecutor] = []
         self._pending: list[int] = []
+        self._configs: Sequence[WorkerConfig] = ()
         self.uplink_totals = [0] * m
 
     def configure(self, configs: Sequence[WorkerConfig]) -> None:
@@ -458,6 +478,7 @@ class InProcessPool:
                 core.configure(cfg)
             except (ProtocolError, ValueError) as exc:
                 raise WorkerFailureError(f"worker {i}: {exc}") from exc
+        self._configs = tuple(configs)
 
     def _score(
         self, i: int, delta: Sequence[int], draft: Sequence[int]
@@ -487,7 +508,7 @@ class InProcessPool:
         replies += [f.result() for f in futures]
         uploads, shadows = zip(*replies)
         # every core exposes its shadows, or none does
-        return _read_uploads(uploads, prefix_hash, self.uplink_totals,
+        return _read_uploads(uploads, self._configs, prefix_hash, self.uplink_totals,
                              None if shadows[0] is None else list(shadows))
 
     def commit(self, tokens: Sequence[int]) -> None:
@@ -513,6 +534,7 @@ class TcpPool:
         self._socks: list[socket.socket] = []
         self._corr = 0
         self._pending: list[int] = []
+        self._configs: Sequence[WorkerConfig] = ()
         self.uplink_totals = [0] * len(endpoints)
         try:
             for host, port in endpoints:
@@ -522,7 +544,11 @@ class TcpPool:
                 self._socks.append(sock)
             for i in range(len(self._socks)):
                 reply = self._request(i, Kind.HELLO, pack_hello())
-                if unpack_hello(reply.body) != PROTOCOL_VERSION:
+                try:
+                    version = unpack_hello(reply.body)
+                except FramingError as exc:
+                    raise WorkerFailureError(f"worker {i}: {exc}") from exc
+                if version != PROTOCOL_VERSION:
                     raise WorkerFailureError(f"worker {i}: protocol version mismatch")
         except Exception:
             self.close()
@@ -569,6 +595,7 @@ class TcpPool:
             corrs.append(corr)
         for i, corr in enumerate(corrs):
             self._recv(i, Kind.CONFIGURE, corr)
+        self._configs = tuple(configs)
 
     def score_block(self, prefix_hash: int, draft: Sequence[int]) -> ScoreResult:
         body = pack_draft_broadcast(self._pending, draft)
@@ -579,7 +606,7 @@ class TcpPool:
             self._send(i, Kind.DRAFT_BROADCAST, body, corr)
             corrs.append(corr)
         uploads = [self._recv(i, Kind.SCORES_UPLOAD, corr).body for i, corr in enumerate(corrs)]
-        return _read_uploads(uploads, prefix_hash, self.uplink_totals)
+        return _read_uploads(uploads, self._configs, prefix_hash, self.uplink_totals)
 
     def commit(self, tokens: Sequence[int]) -> None:
         self._pending.extend(tokens)

@@ -80,15 +80,39 @@ def count_truncations(monkeypatch) -> list:
     return calls
 
 
+def count_row_sorts(monkeypatch) -> list:
+    """The row count of each ``metrics._payload_order`` call: the payload
+    stack's one sort of every shadow of a block at K = |V|."""
+    from draftwire import metrics
+
+    rows = []
+    order = metrics._payload_order
+
+    def counted(ids, probs):
+        rows.append(probs.size // probs.shape[-1])
+        return order(ids, probs)
+
+    monkeypatch.setattr(metrics, "_payload_order", counted)
+    return rows
+
+
 def test_sweep_scores_each_record_once_per_k_after_decoding_it(monkeypatch, tmp_path):
     """The sweep workload times ``block_step_metrics`` calls and cuts reference
     blocks inside ``run_reference_sample`` spans, and it raises unless there
     is one scoring per (record, K). Scoring must not run inside a decode,
-    and with the Ks visited widest first each recorded shadow is truncated
-    exactly once."""
+    and with the Ks visited widest first each recorded shadow is put in
+    payload order exactly once: when the widest K is |V|, by one row sort
+    of all M (gamma + 1) shadows per record and no truncation; below |V|,
+    by one truncation per shadow and no row sort."""
+    for widest in (16, 8):  # |V|, and below it
+        with monkeypatch.context() as patch:
+            check_sweep_orders_each_shadow_once(patch, tmp_path, (4, widest, 1))
+
+
+def check_sweep_orders_each_shadow_once(monkeypatch, tmp_path, ks):
     from draftwire import cli
 
-    gamma, workers, ks = 3, 2, (4, 16, 1)
+    gamma, workers, size = 3, 2, 16
     state = {"decoding": False, "records": 0, "scored": 0}
     decode, score = cli.run_reference_sample, cli.block_step_metrics
 
@@ -109,14 +133,21 @@ def test_sweep_scores_each_record_once_per_k_after_decoding_it(monkeypatch, tmp_
     monkeypatch.setattr(cli, "run_reference_sample", counted_decode)
     monkeypatch.setattr(cli, "block_step_metrics", counted_score)
     truncations = count_truncations(monkeypatch)
-    code = cli.main(["sweep", "--vocab_size", "16", "--workers", str(workers), "--k", "4",
-                     "--gamma", str(gamma), "--samples", "3", "--max_tokens", "12",
+    row_sorts = count_row_sorts(monkeypatch)
+    code = cli.main(["sweep", "--vocab_size", str(size), "--workers", str(workers),
+                     "--k", "4", "--gamma", str(gamma), "--samples", "3", "--max_tokens", "12",
                      "--sweep_ks", ",".join(map(str, ks)), "--sweep_temperatures", "0.8,1.2",
                      "--csv", str(tmp_path / "sweep.csv")])
     assert code == 0
-    assert state["records"] > 0
-    assert state["scored"] == state["records"] * len(ks)
-    assert len(truncations) == state["records"] * (gamma + 1) * workers
+    records = state["records"]
+    assert records > 0
+    assert state["scored"] == records * len(ks)
+    if max(ks) == size:
+        assert row_sorts == [(gamma + 1) * workers] * records
+        assert truncations == []
+    else:
+        assert row_sorts == []
+        assert len(truncations) == records * (gamma + 1) * workers
 
 
 def test_instrumented_run_truncates_each_shadow_once(monkeypatch, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import distributions, random_distribution
@@ -15,6 +15,7 @@ from draftwire.compression import (
     TokenRangeError,
     TopKPayload,
     TruncatedPayloadError,
+    _payload_order,
     decode_payload,
     encode_payload,
     mass_split,
@@ -378,6 +379,49 @@ class TestReconstructResidualUniform:
             out = reconstruct(p, Strategy.RESIDUAL_UNIFORM)
             assert abs(out.probs.sum() - 1.0) < 1e-9
             assert np.all(out.probs >= 0.0)
+
+
+@st.composite
+def payload_rows(draw):
+    """An (M, positions, n) array of rows, as a block's shadows, M in {1, 2,
+    5}: random rows, rows with zeros, rows of a few repeated values and
+    all-equal rows; and ids that are either 0..n-1 for every row or a
+    distinct permutation per row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from((1, 2, 5)))
+    positions = draw(st.integers(1, 4))
+    n = draw(st.sampled_from((1, 2, 3, 16, 64)))
+
+    def row():
+        kind = draw(st.sampled_from(("random", "zeros", "repeated", "equal")))
+        if kind == "random":
+            return rng.random(n)
+        if kind == "zeros":
+            return np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+        if kind == "repeated":
+            return rng.integers(0, 3, n) / 4.0
+        return np.full(n, 1.0 / n)
+
+    probs = np.array([[row() for _ in range(positions)] for _ in range(m)])
+    if draw(st.booleans()):
+        return np.arange(n), probs
+    ids = np.argsort(rng.random((m, positions, n)), axis=-1) + rng.integers(0, 100)
+    return ids, probs
+
+
+class TestPayloadOrderRows:
+    @settings(max_examples=150)
+    @given(payload_rows())
+    def test_every_row_matches_the_lexsort_oracle(self, rows):
+        ids, probs = rows
+        order, ordered = _payload_order(ids, probs)
+        assert order.shape == ordered.shape == probs.shape
+        every_ids = np.broadcast_to(ids, probs.shape)
+        for index in np.ndindex(probs.shape[:-1]):
+            want = np.lexsort((every_ids[index], -probs[index]))
+            np.testing.assert_array_equal(every_ids[index][order[index]],
+                                          every_ids[index][want])
+            np.testing.assert_array_equal(ordered[index], probs[index][want])
 
 
 @st.composite

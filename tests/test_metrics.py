@@ -372,15 +372,21 @@ class TestArrayScoringMatchesOracle:
                              oracle_instrument_position(dists, q, W, profile))
 
     def test_cached_payloads_in_any_k_order(self, monkeypatch):
-        """Scored through one cache, every K matches the oracle; widest
-        first, each distribution is truncated once, at the widest K."""
+        """Scored through one cache, every K matches the oracle. Widest
+        first, each distribution is put in payload order once, at the
+        widest K: by one row sort of every shadow when that K is |V|,
+        otherwise by one truncation each."""
         rng = np.random.default_rng(74)
-        truncations = []
-        truncate = compression.truncate_topk
+        truncations, row_sorts = [], []
+        truncate, order = compression.truncate_topk, compression._payload_order
 
-        def counted(d, k):
+        def counted_truncate(d, k):
             truncations.append(k)
             return truncate(d, k)
+
+        def counted_order(ids, probs):
+            row_sorts.append(probs.shape)
+            return order(ids, probs)
 
         size = 64
         kinds = list(row_kinds(rng, size).values())
@@ -389,18 +395,21 @@ class TestArrayScoringMatchesOracle:
         q = random_distribution(rng, size)
         for ks in ([64, 16, 4, 1], [1, 16, 4, 64], [7, 9, 8]):
             block = ShadowBlock([[d] for d in dists], [q], w)
-            monkeypatch.setattr(metrics, "truncate_topk", counted)
+            monkeypatch.setattr(metrics, "truncate_topk", counted_truncate)
+            monkeypatch.setattr(metrics, "_payload_order", counted_order)
             got = [instrument_position(
                 score_block(block, TopKProfile.homogeneous(k, 3, size)), 0) for k in ks]
-            # the widest payloads are kept: asking for them truncates nothing
+            # the widest payloads are kept: asking for them orders nothing
             assert [block.payloads(i, max(ks))[0].shape for i in range(3)] == [(1, max(ks))] * 3
             monkeypatch.undo()
             for k, step in zip(ks, got):
                 profile = TopKProfile.homogeneous(k, 3, size)
                 assert_same_step(step, oracle_instrument_position(dists, q, w, profile))
-        # widest first: one truncation per worker; otherwise one more each
-        # time a K is wider than every K before it
-        assert truncations == [k for k in (64, 1, 16, 64, 7, 9) for _ in range(3)]
+        # widest first: one row sort of the (M, positions, |V|) shadows at
+        # |V|, or one truncation per worker below it; otherwise once more
+        # each time a K is wider than every K before it
+        assert row_sorts == [(3, 1, size)] * 2
+        assert truncations == [k for k in (1, 16, 7, 9) for _ in range(3)]
 
 
 @st.composite
@@ -500,6 +509,46 @@ class TestBlockScorerPaths:
         qs = [random_distribution(rng, size) for _ in range(2)]
         w = WeightVector(rng.dirichlet(np.ones(m)))
         assert_block_matches_oracle(dists, qs, w, TopKProfile(ks, size))
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_full_width_stack_holds_every_shadow_truncated_at_full_width(self, m):
+        """At k = |V| the stack sorts every shadow row at once; each worker's
+        payload at each position is ``truncate_topk(d, |V|)``, ties and
+        zeros included."""
+        rng = np.random.default_rng(40 + m)
+        size, positions = 64, 4
+        kinds = list(row_kinds(rng, size).values())
+        dists = [[kinds[int(rng.integers(len(kinds)))] for _ in range(positions)]
+                 for _ in range(m)]
+        block = ShadowBlock(dists, [random_distribution(rng, size)], WeightVector.uniform(m))
+        ids, probs = block.stack(size)
+        assert ids.shape == probs.shape == (positions, m, size)
+        for i in range(m):
+            for t in range(positions):
+                want = truncate_topk(dists[i][t], size)
+                np.testing.assert_array_equal(ids[t, i], want.ids)
+                np.testing.assert_array_equal(probs[t, i], want.probs)
+
+    @pytest.mark.parametrize("ks", [(64, 8, 64), (8, 64, 8), (64, 1)])
+    def test_mixed_profile_with_full_width_workers_matches_oracle(self, ks):
+        """Workers at k = |V| beside narrower ones: the full-width row sort
+        and the per-shadow truncation fill one stack, alone and through a
+        cache scored widest first."""
+        rng = np.random.default_rng(len(ks) + ks[0])
+        size, m = 64, len(ks)
+        kinds = list(row_kinds(rng, size).values())
+        dists = [[kinds[int(rng.integers(len(kinds)))] for _ in range(3)] for _ in range(m)]
+        qs = [Distribution(tie_heavy(rng, size)), random_distribution(rng, size)]
+        w = WeightVector(rng.dirichlet(np.ones(m)))
+        assert_block_matches_oracle(dists, qs, w, TopKProfile(ks, size))
+        record = BlockRecord(draft_tokens=(0, 1), q_dists=tuple(qs),
+                             worker_dists=tuple(tuple(rows) for rows in dists))
+        cache = RecordCache()
+        for profile in (TopKProfile.homogeneous(size, m, size), TopKProfile(ks, size)):
+            for t, step in enumerate(block_step_metrics(record, w, profile, cache=cache)):
+                q = qs[t] if t < len(qs) else None
+                assert_same_step(step, oracle_instrument_position(
+                    [rows[t] for rows in dists], q, w, profile))
 
     def test_l1_range_is_checked_once_per_block(self):
         # rows of mass 2: at k = 1 the renormalized reconstruction of a

@@ -822,6 +822,34 @@ class TestTcpPool:
         thread.join(timeout=5)
         assert not thread.is_alive()
 
+    def test_malformed_hello_names_the_worker_and_closes_the_sockets(self):
+        # scripted peer: answers HELLO with a 3-byte body, then waits for the close
+        ready: queue.Queue = queue.Queue()
+        closed = threading.Event()
+
+        def garbled_worker():
+            with socket.socket() as listener:
+                listener.bind(("127.0.0.1", 0))
+                listener.listen(1)
+                ready.put(listener.getsockname()[1])
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5)
+                    msg = frame_decode(lambda n: _read_exact(conn, n))
+                    conn.sendall(frame_encode(Message(Kind.HELLO, msg.corr_id, b"\x03\x00\x00")))
+                    if conn.recv(1) == b"":
+                        closed.set()
+
+        thread = threading.Thread(target=garbled_worker, daemon=True)
+        thread.start()
+        port = ready.get(timeout=5)
+        with pytest.raises(WorkerFailureError,
+                           match=r"^worker 0: HELLO body must be 2 bytes$"):
+            TcpPool([("127.0.0.1", port)], timeout=2.0)
+        assert closed.wait(timeout=5)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
     def test_connection_refused(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -836,9 +864,61 @@ def truncate_uploads(monkeypatch):
     monkeypatch.setattr(transport, "encode_payload", lambda payload: encode(payload)[:-1])
 
 
+def break_uploads(monkeypatch, fault):
+    """Every upload a worker sends breaks its config (gamma = 2, |V| = 8,
+    k = 3) in the way ``fault`` names; returns the failure worker 0 must
+    be reported with."""
+    if fault.endswith("payloads"):
+        pack, count = transport.pack_scores, {"gamma": 2, "gamma + 3": 5}[fault[:-9]]
+        monkeypatch.setattr(transport, "pack_scores",
+                            lambda checksum, bodies: pack(checksum, (bodies * 2)[:count]))
+        return rf"^worker 0: sent {count} payloads, configured gamma \+ 1 = 3$"
+    if fault == "vocab_size":
+        encode = transport.encode_payload
+        monkeypatch.setattr(transport, "encode_payload",
+                            lambda payload: struct.pack("<I", 32) + encode(payload)[4:])
+        return r"^worker 0: payload 0 has vocab_size 32, configured 8$"
+    truncate = transport.truncate_topk
+    monkeypatch.setattr(transport, "truncate_topk", lambda d, k: truncate(d, k + 4))
+    return r"^worker 0: payload 0 has k = 7, configured 3$"
+
+
+UPLOAD_FAULTS = ["gamma payloads", "gamma + 3 payloads", "vocab_size", "k"]
+
+
 class TestUploadChecks:
     """Both pools read each upload through one check: framing and payloads,
+    then the payload count, vocabulary and k against the worker's config,
     then the mirror checksum against the orchestrator's prefix hash."""
+
+    @pytest.mark.parametrize("fault", UPLOAD_FAULTS)
+    def test_in_process_upload_against_config(self, monkeypatch, fault):
+        failure = break_uploads(monkeypatch, fault)
+        pool = InProcessPool(2, FACTORY)
+        pool.configure(worker_configs())
+        pool.commit((0,))
+        try:
+            with pytest.raises(WorkerFailureError, match=failure):
+                pool.score_block(stable_prefix_hash((0,)), (1, 2))
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("fault", UPLOAD_FAULTS)
+    def test_tcp_upload_against_config(self, monkeypatch, fault):
+        failure = break_uploads(monkeypatch, fault)  # the worker thread shares the module
+        thread, port = start_worker(FACTORY)
+        pool = None
+        try:
+            pool = TcpPool([("127.0.0.1", port)])
+            pool.configure(worker_configs(m=1))
+            pool.commit((0,))
+            with pytest.raises(WorkerFailureError, match=failure):
+                pool.score_block(stable_prefix_hash((0,)), (1, 2))
+        finally:
+            if pool is not None:
+                pool.shutdown()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
     def test_in_process_diverged_mirror_is_reported_after_every_helper_returns(self):
         in_flight = []
