@@ -34,14 +34,7 @@ from .engine import (
     run_sample,
     sample_seed_for,
 )
-from .metrics import (
-    StepMetrics,
-    SweepRecord,
-    check_bounds,
-    instrument_position,
-    sweep_aggregate,
-    write_sweep_csv,
-)
+from .metrics import SweepRecord, check_bounds, instrument_position, write_sweep_csv
 from .models import MarkovModel, SyntheticModel, TraceModel, read_trace, write_trace
 from .specdec import (
     DraftBlock,

@@ -138,6 +138,8 @@ def _tally_records(tally: SweepTally, records: Sequence[BlockRecord], weights: W
 def cmd_run(cfg: RunConfig) -> int:
     settings = cfg.settings()
     instrumented = cfg.mode == "instrumented"
+    # a metrics row needs a homogeneous k: refuse before decoding anything
+    point = _row_point(cfg, cfg.samples) if instrumented else {}
     pool = _make_pool(cfg)
     # An instrumented sample is scored as soon as it is decoded, so only one
     # sample's records are held; steps are added in (sample, block,
@@ -164,7 +166,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     if not instrumented:
         return EXIT_OK
-    return _report_point(cfg, tally.record(**_row_point(cfg, cfg.samples)))
+    return _report_point(cfg, tally.record(**point))
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -310,7 +310,7 @@ def encode_payload(p: TopKPayload) -> bytes:
     return header + rec.tobytes()
 
 
-def decode_payload(buf: bytes, *, tol: float = POST_WIRE_TOLERANCE) -> TopKPayload:
+def decode_payload(buf: bytes) -> TopKPayload:
     """Parse and fully validate a wire body.
 
     Every ``TopKPayload`` invariant is re-checked at the post-wire
@@ -334,5 +334,5 @@ def decode_payload(buf: bytes, *, tol: float = POST_WIRE_TOLERANCE) -> TopKPaylo
         vocab_size,
         rec["id"].astype(np.int64),
         rec["p"].astype(np.float64),
-        tol=tol,
+        tol=POST_WIRE_TOLERANCE,
     )

@@ -150,7 +150,8 @@ class ShadowBlock:
     proposal (a block's bonus position) have none. Built once per block:
     ``exact`` holds the shadows in slots 0..M-1 of one (M + 1, positions,
     |V|) array and their exact weighted average in slot M; ``alpha_exact``
-    the acceptance rate of each proposal against that average. The
+    the clamped acceptance rate of each proposal against that average, as
+    one array that ``score_block`` range-checks with the others. The
     payload stack holds every worker's widest top-K payloads built so
     far, as one (positions, M, kw) ids array and one probabilities array.
     A narrower payload is a prefix of a wider one, so a block scored at
@@ -181,8 +182,7 @@ class ShadowBlock:
         for i in range(1, m):
             p_exact += exact[i] * w[i]
         self.q = np.array([q.probs for q in q_dists]).reshape(len(q_dists), size)
-        self.alpha_exact = [_clamp(a) for a in
-                            _acceptance(p_exact[:len(q_dists)], self.q).tolist()]
+        self.alpha_exact = _acceptance(p_exact[:len(q_dists)], self.q)
         self.offsets = _scatter_offsets(m, positions, size)
         self._ids = self._probs = _NO_PAYLOADS
 
@@ -205,12 +205,6 @@ class ShadowBlock:
                 self._probs = np.array([[top[t].probs for top in tops] for t in positions])
         return self._ids[:, :, :k], self._probs[:, :, :k]
 
-    def payloads(self, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Worker i's top-k ids and probabilities at every position, each
-        (positions, k): views of the payload stack."""
-        ids, probs = self.stack(k)
-        return ids[:, i], probs[:, i]
-
 
 # An empty payload stack: narrower than every k.
 _NO_PAYLOADS = np.empty((0, 0, 0))
@@ -229,12 +223,9 @@ def _scatter_offsets(m: int, positions: int, size: int) -> np.ndarray:
 
 
 def _acceptance(p_bars: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum(min(p, q)) along the vocabulary axis, unclamped."""
-    return np.minimum(p_bars, q).sum(axis=-1)
-
-
-def _clamp(a: float) -> float:
-    return min(1.0, max(0.0, a))
+    """sum(min(p, q)) along the vocabulary axis, clamped to [0, 1]; NaN
+    stays NaN, for the range check to find."""
+    return np.minimum(1.0, np.maximum(0.0, np.minimum(p_bars, q).sum(axis=-1)))
 
 
 class BlockScores(NamedTuple):
@@ -280,8 +271,9 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     reconstruction array. eps still comes from ``reconstructions``.
 
     ``StepMetrics``' range checks run here once for the whole block, with
-    the same ValueError texts. eps, L1 values and the clamped rates are
-    non-negative (or NaN) by construction, so only their maxima are read.
+    the same ValueError texts. eps, L1 values and the clamped rates,
+    ``block.alpha_exact`` among them, are non-negative (or NaN) by
+    construction, so only their maxima are read.
     """
     w = block.weights
     m = len(w)
@@ -294,13 +286,15 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     if min(ks) == size:
         epsilons = reconstructions(probs, size)[0]
         _check_range(epsilons, _EPSILON, nonnegative=True)
+        _check_range(block.alpha_exact, _RATE, nonnegative=True)
+        alpha_exact = block.alpha_exact.tolist()
         return BlockScores(
             epsilons=epsilons.tolist(),
             weighted_epsilons=_weighted_sum(epsilons, w).tolist(),
             local_errors=[[[0.0] * m for _ in _LAYERS] for _ in range(positions)],
             biases=[[0.0] * len(_LAYERS) for _ in range(positions)],
-            alpha_exact=block.alpha_exact,
-            alphas=[[a] * len(_LAYERS) for a in block.alpha_exact],
+            alpha_exact=alpha_exact,
+            alphas=[[a] * len(_LAYERS) for a in alpha_exact],
         )
     groups: dict[int, list[int]] = {}
     for i, k in enumerate(ks):
@@ -321,17 +315,17 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     for i in range(1, m):
         p_comp += recon[:, i] * w[i]
     alphas = _acceptance(p_comp[:, :len(block.q)], block.q)
-    alphas = np.minimum(1.0, np.maximum(0.0, alphas))  # as ``_clamp``, but NaN stays NaN
     recon -= exact  # every slot becomes its gap to the exact row
     l1 = np.abs(recon, out=recon).sum(axis=-1)
     _check_range(l1, _L1, nonnegative=True)
     _check_range(alphas, _RATE, nonnegative=True)
+    _check_range(block.alpha_exact, _RATE, nonnegative=True)
     return BlockScores(
         epsilons=epsilons.tolist(),
         weighted_epsilons=_weighted_sum(epsilons, w).tolist(),
         local_errors=l1[:, :m].transpose(2, 0, 1).tolist(),
         biases=l1[:, m].T.tolist(),
-        alpha_exact=block.alpha_exact,
+        alpha_exact=block.alpha_exact.tolist(),
         alphas=alphas.T.tolist(),
     )
 
@@ -375,8 +369,7 @@ class BoundCounts(NamedTuple):
     thm2: int
 
 
-def check_bounds(step: StepMetrics, strategy: Strategy,
-                 tol: float = BOUND_TOLERANCE) -> BoundCounts:
+def check_bounds(step: StepMetrics, strategy: Strategy) -> BoundCounts:
     """Count one strategy's bound violations at one step; never raises on one.
 
     Where ``strategy.local_error_is_exact`` (renormalized) the local error
@@ -386,6 +379,7 @@ def check_bounds(step: StepMetrics, strategy: Strategy,
     either side counts once.
     """
     rec = step.by_strategy[strategy]
+    tol = BOUND_TOLERANCE
     pairs = zip(step.worker_epsilons, rec.local_errors)
     if strategy.local_error_is_exact:
         lemma1 = sum(abs(err - 2.0 * e) > tol for e, err in pairs)

@@ -304,10 +304,6 @@ class TraceModel:
     def vocab_size(self) -> int:
         return int(self.rows.shape[1])
 
-    @property
-    def steps_remaining(self) -> int:
-        return int(self.rows.shape[0]) - self._cursor
-
     def distribution(self, prefix: Sequence[int]) -> Distribution:
         row = self._cursor
         if row >= self.rows.shape[0]:

@@ -24,10 +24,17 @@ worker is told neither its weight nor the strategy.
 Closing the connection without SHUTDOWN ends the session only: the worker
 goes back to accept and serves the next one.
 
+The orchestrator sends each request kind in one round: to every worker
+before it reads any reply, then the replies in worker-index order, each
+against one deadline for the whole frame.
+
 Both modes share ``WorkerCore`` for scoring, so a loopback TCP run and an
 in-process run execute identical arithmetic in identical order; payload
-bytes pass through the same codec either way. Aggregation order is fixed by
-worker index regardless of reply arrival order.
+bytes pass through the same codec either way. Both pools share
+``WorkerPool``, which keeps the configs and the queued prefix delta and
+checks every upload; a pool supplies only ``_configure`` and
+``_exchange``, how configs and drafts reach its workers. Aggregation order
+is fixed by worker index regardless of reply arrival order.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ from __future__ import annotations
 import enum
 import socket
 import struct
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -272,10 +280,17 @@ class WorkerCore:
         return pack_scores(checksum, bodies), shadows
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
+def _read_exact(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
+    """Read n bytes, fewer if the stream ends; past a ``time.monotonic()``
+    ``deadline``, raise ``socket.timeout``."""
     chunks = []
     remaining = n
     while remaining > 0:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0.0:
+                raise socket.timeout("reply deadline passed")
+            sock.settimeout(left)
         chunk = sock.recv(remaining)
         if not chunk:
             break
@@ -387,67 +402,81 @@ class ScoreResult:
     shadows: list[list[Distribution]] | None = None
 
 
-class WorkerPool(Protocol):
+# Every worker's SCORES_UPLOAD body, in worker-index order, and the shadows
+# when the workers expose them.
+Replies = tuple[Sequence[bytes], list[list[Distribution]] | None]
+
+
+class WorkerPool:
     """What the decode engine needs from a set of workers.
 
     ``commit`` only queues tokens: they go out as the prefix delta of the
     next ``score_block``, and ``configure`` empties the queue and the
-    mirrors. ``score_block`` checks every upload against the worker's
-    config (gamma + 1 payloads, each of the configured vocabulary and k)
-    and its mirror checksum against ``prefix_hash``, and names the lowest
-    worker that failed.
+    mirrors. ``score_block`` checks every upload, in worker-index order,
+    against the worker's config (gamma + 1 payloads, each of the
+    configured vocabulary and k) and its mirror checksum against
+    ``prefix_hash``, names the lowest worker that failed, and adds each
+    upload's frame bytes to its worker's entry of ``uplink_totals``.
+
+    A pool supplies how its workers are reached: ``_configure(configs)``
+    hands worker i ``configs[i]``, and ``_exchange(delta, draft)`` has
+    every worker score the block and returns their ``Replies``.
     """
 
-    def configure(self, configs: Sequence[WorkerConfig]) -> None: ...
+    def __init__(self, m: int) -> None:
+        self._pending: list[int] = []
+        self._configs: Sequence[WorkerConfig] = ()
+        self.uplink_totals = [0] * m
 
-    def score_block(self, prefix_hash: int, draft: Sequence[int]) -> ScoreResult: ...
+    def configure(self, configs: Sequence[WorkerConfig]) -> None:
+        if len(configs) != len(self.uplink_totals):
+            raise ValueError("one config per worker required")
+        self._pending = []
+        self._configure(configs)
+        self._configs = tuple(configs)
 
-    def commit(self, tokens: Sequence[int]) -> None: ...
+    def commit(self, tokens: Sequence[int]) -> None:
+        self._pending.extend(tokens)
 
-    def close(self) -> None: ...
+    def score_block(self, prefix_hash: int, draft: Sequence[int]) -> ScoreResult:
+        delta, self._pending = tuple(self._pending), []
+        uploads, shadows = self._exchange(delta, draft)
+        payloads: list[list[TopKPayload]] = []
+        uplink: list[int] = []
+        for i, (upload, cfg) in enumerate(zip(uploads, self._configs, strict=True)):
+            try:
+                checksum, bodies = unpack_scores(upload)
+                received = [decode_payload(b) for b in bodies]
+            except (FramingError, ValueError) as exc:
+                raise WorkerFailureError(f"worker {i}: bad upload ({exc})") from exc
+            if len(received) != cfg.gamma + 1:
+                raise WorkerFailureError(f"worker {i}: sent {len(received)} payloads, "
+                                         f"configured gamma + 1 = {cfg.gamma + 1}")
+            for t, p in enumerate(received):
+                if p.vocab_size != cfg.vocab_size:
+                    raise WorkerFailureError(f"worker {i}: payload {t} has vocab_size "
+                                             f"{p.vocab_size}, configured {cfg.vocab_size}")
+                if p.k != cfg.k:
+                    raise WorkerFailureError(
+                        f"worker {i}: payload {t} has k = {p.k}, configured {cfg.k}")
+            payloads.append(received)
+            if checksum != prefix_hash:
+                raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
+            uplink.append(FRAME_HEADER.size + len(upload))
+            self.uplink_totals[i] += uplink[-1]
+        return ScoreResult(payloads=payloads, uplink_bytes=uplink, shadows=shadows)
 
+    def close(self) -> None:
+        raise NotImplementedError
 
-def _read_uploads(
-    uploads: Sequence[bytes],
-    configs: Sequence[WorkerConfig],
-    prefix_hash: int,
-    uplink_totals: list[int],
-    shadows: list[list[Distribution]] | None = None,
-) -> ScoreResult:
-    """Check and decode every worker's SCORES_UPLOAD body, in worker-index
-    order, and add each one's frame bytes to its entry of ``uplink_totals``.
+    def _configure(self, configs: Sequence[WorkerConfig]) -> None:
+        raise NotImplementedError
 
-    Each upload must carry gamma + 1 payloads of the vocabulary and k that
-    its worker's config asked for, and a mirror checksum equal to
-    ``prefix_hash``.
-    """
-    payloads: list[list[TopKPayload]] = []
-    uplink: list[int] = []
-    for i, (upload, cfg) in enumerate(zip(uploads, configs, strict=True)):
-        try:
-            checksum, bodies = unpack_scores(upload)
-            received = [decode_payload(b) for b in bodies]
-        except (FramingError, ValueError) as exc:
-            raise WorkerFailureError(f"worker {i}: bad upload ({exc})") from exc
-        if len(received) != cfg.gamma + 1:
-            raise WorkerFailureError(f"worker {i}: sent {len(received)} payloads, "
-                                     f"configured gamma + 1 = {cfg.gamma + 1}")
-        for t, p in enumerate(received):
-            if p.vocab_size != cfg.vocab_size:
-                raise WorkerFailureError(f"worker {i}: payload {t} has vocab_size "
-                                         f"{p.vocab_size}, configured {cfg.vocab_size}")
-            if p.k != cfg.k:
-                raise WorkerFailureError(
-                    f"worker {i}: payload {t} has k = {p.k}, configured {cfg.k}")
-        payloads.append(received)
-        if checksum != prefix_hash:
-            raise WorkerFailureError(f"worker {i}: prefix mirror diverged")
-        uplink.append(FRAME_HEADER.size + len(upload))
-        uplink_totals[i] += uplink[-1]
-    return ScoreResult(payloads=payloads, uplink_bytes=uplink, shadows=shadows)
+    def _exchange(self, delta: Sequence[int], draft: Sequence[int]) -> Replies:
+        raise NotImplementedError
 
 
-class InProcessPool:
+class InProcessPool(WorkerPool):
     """Worker pool living in the orchestrator process.
 
     Payload bytes still pass through encode/decode, so results are
@@ -463,22 +492,16 @@ class InProcessPool:
     """
 
     def __init__(self, m: int, factory: ModelFactory, *, instrumented: bool = False) -> None:
+        super().__init__(m)
         self._cores = [WorkerCore(i, factory, expose_shadows=instrumented) for i in range(m)]
         self._helpers: list[ThreadPoolExecutor] = []
-        self._pending: list[int] = []
-        self._configs: Sequence[WorkerConfig] = ()
-        self.uplink_totals = [0] * m
 
-    def configure(self, configs: Sequence[WorkerConfig]) -> None:
-        if len(configs) != len(self._cores):
-            raise ValueError("one config per worker required")
-        self._pending = []
+    def _configure(self, configs: Sequence[WorkerConfig]) -> None:
         for i, (core, cfg) in enumerate(zip(self._cores, configs)):
             try:
                 core.configure(cfg)
             except (ProtocolError, ValueError) as exc:
                 raise WorkerFailureError(f"worker {i}: {exc}") from exc
-        self._configs = tuple(configs)
 
     def _score(
         self, i: int, delta: Sequence[int], draft: Sequence[int]
@@ -488,12 +511,11 @@ class InProcessPool:
         except (ProtocolError, ValueError) as exc:
             raise WorkerFailureError(f"worker {i}: {exc}") from exc
 
-    def score_block(self, prefix_hash: int, draft: Sequence[int]) -> ScoreResult:
+    def _exchange(self, delta: Sequence[int], draft: Sequence[int]) -> Replies:
         # concurrent.futures (and the logging it imports) loads when an
         # in-process pool first scores, not in every draftwire command
         from concurrent.futures import ThreadPoolExecutor, wait
 
-        delta, self._pending = tuple(self._pending), []
         if not self._helpers:
             # one single-thread executor per helper worker: a shared one
             # would let one idle helper take two workers' jobs in turn
@@ -508,11 +530,7 @@ class InProcessPool:
         replies += [f.result() for f in futures]
         uploads, shadows = zip(*replies)
         # every core exposes its shadows, or none does
-        return _read_uploads(uploads, self._configs, prefix_hash, self.uplink_totals,
-                             None if shadows[0] is None else list(shadows))
-
-    def commit(self, tokens: Sequence[int]) -> None:
-        self._pending.extend(tokens)
+        return uploads, None if shadows[0] is None else list(shadows)
 
     def close(self) -> None:
         """Join the helper threads; a later block starts new ones."""
@@ -521,31 +539,32 @@ class InProcessPool:
         self._helpers = []
 
 
-class TcpPool:
+class TcpPool(WorkerPool):
     """Worker pool over framed TCP connections.
 
-    Broadcasts are written to every worker before any reply is read, so
-    workers score concurrently; replies are read in worker-index order,
-    which also fixes aggregation order. Any timeout, ERROR reply, or
-    malformed response fails the decode step naming the worker.
+    Every request kind goes out in one round: it is written to every
+    worker before any reply is read, so workers are greeted, configured
+    and score concurrently; replies are read in worker-index order, which
+    also fixes aggregation order. Each reply must arrive whole within
+    ``timeout`` seconds of the start of its read; sends keep ``timeout``
+    as the socket timeout. Any timeout, ERROR reply, or malformed response
+    fails the decode step naming the worker.
     """
 
     def __init__(self, endpoints: Sequence[tuple[str, int]], *, timeout: float = DEFAULT_TIMEOUT) -> None:
+        super().__init__(len(endpoints))
         self._socks: list[socket.socket] = []
+        self._timeout = timeout
         self._corr = 0
-        self._pending: list[int] = []
-        self._configs: Sequence[WorkerConfig] = ()
-        self.uplink_totals = [0] * len(endpoints)
         try:
             for host, port in endpoints:
                 sock = socket.create_connection((host, port), timeout=timeout)
-                sock.settimeout(timeout)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._socks.append(sock)
-            for i in range(len(self._socks)):
-                reply = self._request(i, Kind.HELLO, pack_hello())
+            replies = self._round(Kind.HELLO, [pack_hello()] * len(self._socks), Kind.HELLO)
+            for i, body in enumerate(replies):
                 try:
-                    version = unpack_hello(reply.body)
+                    version = unpack_hello(body)
                 except FramingError as exc:
                     raise WorkerFailureError(f"worker {i}: {exc}") from exc
                 if version != PROTOCOL_VERSION:
@@ -554,23 +573,18 @@ class TcpPool:
             self.close()
             raise
 
-    def _next_corr(self) -> int:
-        self._corr += 1
-        return self._corr
-
-    def _send(self, i: int, kind: Kind, body: bytes, corr_id: int) -> None:
-        try:
-            self._socks[i].sendall(frame_encode(Message(kind, corr_id, body)))
-        except OSError as exc:
-            raise WorkerFailureError(f"worker {i}: send failed ({exc})") from exc
-
     def _recv(self, i: int, expect: Kind, corr_id: int) -> Message:
+        """Worker i's reply, read whole within ``timeout`` seconds."""
+        sock = self._socks[i]
+        deadline = time.monotonic() + self._timeout
         try:
-            msg = frame_decode(lambda n: _read_exact(self._socks[i], n))
+            msg = frame_decode(lambda n: _read_exact(sock, n, deadline))
         except socket.timeout as exc:
             raise WorkerFailureError(f"worker {i}: timed out waiting for {expect.name}") from exc
         except (FramingError, OSError) as exc:
             raise WorkerFailureError(f"worker {i}: {exc}") from exc
+        finally:
+            sock.settimeout(self._timeout)
         if msg.kind == Kind.ERROR:
             raise WorkerFailureError(f"worker {i}: remote error: {msg.body.decode(errors='replace')}")
         if msg.kind != expect:
@@ -579,37 +593,25 @@ class TcpPool:
             raise WorkerFailureError(f"worker {i}: correlation id mismatch")
         return msg
 
-    def _request(self, i: int, kind: Kind, body: bytes) -> Message:
-        corr = self._next_corr()
-        self._send(i, kind, body, corr)
-        return self._recv(i, kind, corr)
+    def _round(self, kind: Kind, bodies: Sequence[bytes], reply_kind: Kind) -> list[bytes]:
+        """Send ``bodies[i]`` to worker i, for every worker, then read each
+        reply in worker-index order; return the reply bodies."""
+        first = self._corr + 1
+        self._corr += len(bodies)
+        for i, body in enumerate(bodies):
+            try:
+                self._socks[i].sendall(frame_encode(Message(kind, first + i, body)))
+            except OSError as exc:
+                raise WorkerFailureError(f"worker {i}: send failed ({exc})") from exc
+        return [self._recv(i, reply_kind, first + i).body for i in range(len(bodies))]
 
-    def configure(self, configs: Sequence[WorkerConfig]) -> None:
-        if len(configs) != len(self._socks):
-            raise ValueError("one config per worker required")
-        self._pending = []
-        corrs = []
-        for i, cfg in enumerate(configs):
-            corr = self._next_corr()
-            self._send(i, Kind.CONFIGURE, pack_configure(cfg), corr)
-            corrs.append(corr)
-        for i, corr in enumerate(corrs):
-            self._recv(i, Kind.CONFIGURE, corr)
-        self._configs = tuple(configs)
+    def _configure(self, configs: Sequence[WorkerConfig]) -> None:
+        self._round(Kind.CONFIGURE, [pack_configure(cfg) for cfg in configs], Kind.CONFIGURE)
 
-    def score_block(self, prefix_hash: int, draft: Sequence[int]) -> ScoreResult:
-        body = pack_draft_broadcast(self._pending, draft)
-        self._pending = []
-        corrs = []
-        for i in range(len(self._socks)):
-            corr = self._next_corr()
-            self._send(i, Kind.DRAFT_BROADCAST, body, corr)
-            corrs.append(corr)
-        uploads = [self._recv(i, Kind.SCORES_UPLOAD, corr).body for i, corr in enumerate(corrs)]
-        return _read_uploads(uploads, self._configs, prefix_hash, self.uplink_totals)
-
-    def commit(self, tokens: Sequence[int]) -> None:
-        self._pending.extend(tokens)
+    def _exchange(self, delta: Sequence[int], draft: Sequence[int]) -> Replies:
+        body = pack_draft_broadcast(delta, draft)
+        return self._round(Kind.DRAFT_BROADCAST, [body] * len(self._socks),
+                           Kind.SCORES_UPLOAD), None
 
     def close(self) -> None:
         """Disconnect; each worker goes back to accept its next session."""

@@ -218,6 +218,17 @@ class TestCliRun:
         assert code == 2
         assert "homogeneous" in capsys.readouterr().err
 
+    def test_heterogeneous_k_is_rejected_before_decoding(self, monkeypatch, capsys):
+        decoded = []
+        monkeypatch.setattr("draftwire.cli.run_sample", lambda *a, **kw: decoded.append(a))
+        code = main(["run", "--vocab_size", "64", "--k", "8,16", "--samples", "2",
+                     "--max_tokens", "16"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "homogeneous" in captured.err
+        assert "sample 0:" not in captured.out
+        assert decoded == []
+
     def test_deterministic_across_invocations(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -400,7 +400,7 @@ class TestArrayScoringMatchesOracle:
             got = [instrument_position(
                 score_block(block, TopKProfile.homogeneous(k, 3, size)), 0) for k in ks]
             # the widest payloads are kept: asking for them orders nothing
-            assert [block.payloads(i, max(ks))[0].shape for i in range(3)] == [(1, max(ks))] * 3
+            assert [a.shape for a in block.stack(max(ks))] == [(1, 3, max(ks))] * 2
             monkeypatch.undo()
             for k, step in zip(ks, got):
                 profile = TopKProfile.homogeneous(k, 3, size)
@@ -563,6 +563,13 @@ class TestBlockScorerPaths:
         block = ShadowBlock([[P1, P1], [P2, P2]], [q], W)
         with pytest.raises(ValueError, match=r"^acceptance rate nan outside \[0, 1\]$"):
             score_block(block, PROFILE)
+
+    def test_nan_acceptance_rate_is_checked_at_full_width(self):
+        # at k = |V| every alpha is alpha_exact, which holds the same check
+        q = Distribution.unchecked(np.array([np.nan, 0.5, 0.25, 0.25]))
+        block = ShadowBlock([[P1, P1], [P2, P2]], [q], W)
+        with pytest.raises(ValueError, match=r"^acceptance rate nan outside \[0, 1\]$"):
+            score_block(block, TopKProfile((4, 4), 4))
 
     def test_unchecked_step_equals_validating_constructor(self):
         step = reference_step()

@@ -445,10 +445,8 @@ class TestTraceModel:
         write_trace(path, rows, [stable_prefix_hash(p) for p in ((), (1, 2), (1, 2, 0))])
         m = TraceModel.from_file(path)
         assert m.vocab_size == 2
-        assert m.steps_remaining == 3
         assert m.distribution(()).probs[0] == pytest.approx(0.75, abs=1e-7)
         assert m.distribution((1, 2)).probs[0] == pytest.approx(0.25, abs=1e-7)
-        assert m.steps_remaining == 1
 
     def test_exhaustion(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -466,7 +464,6 @@ class TestTraceModel:
         m.distribution((0,))
         with pytest.raises(TraceMismatchError, match=rf"^{path} row 1: recorded for prefix"):
             m.distribution((0, 0))
-        assert m.steps_remaining == 1  # the row is not consumed
         assert m.distribution((0, 1)).probs[0] == pytest.approx(0.25, abs=1e-7)
 
     def test_version_1_file_is_not_replayed(self, tmp_path):

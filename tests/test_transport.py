@@ -858,6 +858,109 @@ class TestTcpPool:
             TcpPool([("127.0.0.1", free_port)], timeout=0.5)
 
 
+def scripted_worker(serve):
+    """A one-session peer that runs ``serve(conn)`` on its connection; a
+    socket error ends it quietly. Returns its thread and port."""
+    ready: queue.Queue = queue.Queue()
+
+    def run():
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            ready.put(listener.getsockname()[1])
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                try:
+                    serve(conn)
+                except OSError:
+                    pass
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, ready.get(timeout=5)
+
+
+def trickle(conn, data, stop):
+    """Send ``data`` one byte every 0.3 s until it is all sent or ``stop`` is set."""
+    for i in range(len(data)):
+        if stop.wait(0.3):
+            return
+        conn.sendall(data[i:i + 1])
+
+
+class TestTcpRounds:
+    """Each request kind goes to every worker before any reply is read,
+    and each reply must arrive whole within the pool's timeout."""
+
+    def test_workers_are_greeted_in_one_round(self):
+        second_greeted = threading.Event()
+
+        def first(conn):
+            msg = recv(conn)
+            if second_greeted.wait(timeout=5):  # worker 1 holds its own HELLO
+                send(conn, Kind.HELLO, msg.corr_id, pack_hello())
+            conn.recv(1)  # until the pool disconnects
+
+        def second(conn):
+            msg = recv(conn)
+            second_greeted.set()
+            send(conn, Kind.HELLO, msg.corr_id, pack_hello())
+            conn.recv(1)
+
+        workers = [scripted_worker(first), scripted_worker(second)]
+        try:
+            TcpPool([("127.0.0.1", port) for _, port in workers], timeout=2.0).close()
+        finally:
+            second_greeted.set()
+            for thread, _ in workers:
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+
+    def test_trickled_hello_times_out(self):
+        stop = threading.Event()
+
+        def serve(conn):
+            msg = recv(conn)
+            trickle(conn, frame_encode(Message(Kind.HELLO, msg.corr_id, pack_hello())), stop)
+
+        thread, port = scripted_worker(serve)
+        start = time.monotonic()
+        try:
+            with pytest.raises(WorkerFailureError, match=r"^worker 0: timed out waiting for HELLO$"):
+                TcpPool([("127.0.0.1", port)], timeout=0.5)
+            assert time.monotonic() - start < 1.5
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+
+    def test_trickled_upload_times_out(self):
+        stop = threading.Event()
+
+        def serve(conn):
+            for _ in range(2):  # HELLO, CONFIGURE
+                msg = recv(conn)
+                send(conn, msg.kind, msg.corr_id, pack_hello() if msg.kind == Kind.HELLO else b"")
+            msg = recv(conn)  # the draft
+            upload = pack_scores(stable_prefix_hash((0,)), [])
+            trickle(conn, frame_encode(Message(Kind.SCORES_UPLOAD, msg.corr_id, upload)), stop)
+
+        thread, port = scripted_worker(serve)
+        pool = TcpPool([("127.0.0.1", port)], timeout=0.5)
+        try:
+            pool.configure(worker_configs(m=1))
+            pool.commit((0,))
+            start = time.monotonic()
+            with pytest.raises(WorkerFailureError,
+                               match=r"^worker 0: timed out waiting for SCORES_UPLOAD$"):
+                pool.score_block(stable_prefix_hash((0,)), (1, 2))
+            assert time.monotonic() - start < 1.5
+        finally:
+            stop.set()
+            pool.close()
+            thread.join(timeout=5)
+
+
 def truncate_uploads(monkeypatch):
     """Every payload a worker encodes loses its last byte."""
     encode = transport.encode_payload
