@@ -38,7 +38,6 @@ from .metrics import SweepRecord, check_bounds, instrument_position, write_sweep
 from .models import MarkovModel, SyntheticModel, TraceModel, read_trace, write_trace
 from .specdec import (
     DraftBlock,
-    PrefixState,
     VerificationOutcome,
     acceptance_rate,
     generate_draft,

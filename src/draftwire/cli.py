@@ -53,7 +53,7 @@ from .engine import (
 from .dist import Distribution
 from .metrics import SweepRecord, SweepTally, sweep_aggregate, write_sweep_csv
 from .models import TraceError, read_trace, write_trace
-from .seeding import stable_prefix_hash
+from .seeding import Prefix
 from .specdec import ModelProvider
 from .transport import (
     InProcessPool,
@@ -316,8 +316,8 @@ class _PrefixLog:
         self.model = model
         self.hashes: list[int] = []
 
-    def distribution(self, prefix: Sequence[int]) -> Distribution:
-        self.hashes.append(stable_prefix_hash(prefix))
+    def distribution(self, prefix: Prefix) -> Distribution:
+        self.hashes.append(prefix.hash)
         return self.model.distribution(prefix)
 
 

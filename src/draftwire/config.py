@@ -8,9 +8,10 @@ starting with # (or blank) are ignored; arrays are comma-separated.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
@@ -119,6 +120,15 @@ def _int_list(raw: str, key: str) -> tuple[int, ...]:
 
 def _float_list(raw: str, key: str) -> tuple[float, ...]:
     return tuple(_float(part.strip(), key) for part in raw.split(",") if part.strip())
+
+
+@contextmanager
+def _config_error(source: str) -> Iterator[None]:
+    """Re-raise a ValueError or OSError as a ConfigError naming ``source``."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 class _SharedModelState:
@@ -263,6 +273,27 @@ class RunConfig:
             raise ConfigError("samples must be >= 1")
         if not self.timeout > 0:
             raise ConfigError("timeout must be > 0")
+        self._validate_model()
+
+    def _validate_model(self) -> None:
+        """Each model setting against the model's own rule, one key at a
+        time so that the error names its key; a Markov config also fits its
+        corpus here, once, for the run to reuse."""
+        if self.model == "synthetic":
+            for key, arg in (("temperature", "temperature"),
+                             ("draft_temperature", "temperature"),
+                             ("concentration", "concentration"),
+                             ("draft_concentration", "concentration"),
+                             ("correlation", "correlation")):
+                with _config_error(key):
+                    SyntheticModel(self.vocab_size, 0, shared_seed=0, **{arg: getattr(self, key)})
+        elif self.model == "markov":
+            with _config_error("markov_order"):
+                MarkovModel(self.vocab_size, self.markov_order, 1.0, {})
+            with _config_error("markov_smoothing"):
+                MarkovModel(self.vocab_size, 1, self.markov_smoothing, {})
+            with _config_error(f"corpus {self.corpus}"):
+                self._markov()
 
     def validate_sweep(self) -> None:
         """Sweep-list checks, applied only when the lists are actually used."""

@@ -16,6 +16,12 @@ differ only in the scorer and the commit they pass it:
   vectors, never touching the top-K/codec machinery. At k = |V| the
   compressed path must reproduce it byte for byte.
 
+Both scorers hand verification a ``_Targets`` sequence that aggregates the
+target at position t only when verification reads it, which is up to the
+first rejection: a block builds accepted + 1 of its gamma + 1 targets. The
+prefix is a ``seeding.Prefix``, which carries its hash, so neither the
+loop nor a model query hashes a whole prefix.
+
 RNG discipline (the determinism contract): a sample owns two streams keyed
 by (sample seed, role) - one consumed only by draft sampling, one only by
 verification (a uniform per examined step, then one sampling draw). Worker
@@ -25,8 +31,9 @@ order cannot change the transcript.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +41,9 @@ from .aggregation import TopKProfile, WeightVector, aggregate, aggregate_compres
 from .compression import Strategy
 from .dist import Distribution
 from .metrics import ShadowBlock, StepMetrics, instrument_position, score_block
-from .seeding import MASK64, ROLE_DRAFT_SAMPLING, ROLE_VERIFICATION, stable_prefix_hash, stream
-from .specdec import ModelProvider, PrefixState, generate_draft, verify_block
+from .seeding import MASK64, ROLE_DRAFT_SAMPLING, ROLE_VERIFICATION, Prefix, stream
+from .seeding import stable_prefix_hash  # noqa: F401  perfbench/tracing.py wraps it here
+from .specdec import ModelProvider, generate_draft, scored_prefixes, verify_block
 from .transport import WorkerConfig, WorkerFailureError, WorkerPool
 
 
@@ -109,17 +117,37 @@ def sample_seed_for(seed: int, sample_index: int) -> int:
     return (seed + sample_index) & MASK64
 
 
+class _Targets(Sequence[Distribution]):
+    """A block's gamma + 1 aggregated targets, each built by ``build(t)``
+    when it is first read and kept from then on."""
+
+    __slots__ = ("_build", "_built")
+
+    def __init__(self, count: int, build: Callable[[int], Distribution]) -> None:
+        self._build = build
+        self._built: list[Distribution | None] = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, t: int) -> Distribution:
+        target = self._built[t]
+        if target is None:
+            target = self._built[t] = self._build(t)
+        return target
+
+
 # What a block scorer returns: the gamma + 1 aggregated targets, the exact
 # worker distributions behind them (None: nothing to record) and the
 # block's uplink bytes.
-_BlockScores = tuple[list[Distribution], Sequence[Sequence[Distribution]] | None, int]
+_BlockScores = tuple[_Targets, Sequence[Sequence[Distribution]] | None, int]
 
 
 def _decode(
     draft_model: ModelProvider,
     settings: SessionSettings,
     sample_seed: int,
-    score: Callable[[tuple[int, ...], tuple[int, ...]], _BlockScores],
+    score: Callable[[Prefix, tuple[int, ...]], _BlockScores],
     commit: Callable[[tuple[int, ...]], None],
 ) -> SampleResult:
     """The speculative decode loop that both paths share.
@@ -132,15 +160,16 @@ def _decode(
     draft_rng = stream(sample_seed, ROLE_DRAFT_SAMPLING)
     verify_rng = stream(sample_seed, ROLE_VERIFICATION)
 
-    prefix = PrefixState(settings.prompt)
+    prefix = Prefix.of(settings.prompt)
     emitted: list[int] = []
     records: list[BlockRecord] = []
     blocks = accepted = uplink = 0
 
     while True:
         draft = generate_draft(draft_model, prefix, settings.gamma, draft_rng)
-        p_bars, worker_dists, block_uplink = score(prefix.tokens, draft.tokens)
-        outcome = verify_block(draft, p_bars, verify_rng)
+        targets, worker_dists, block_uplink = score(prefix, draft.tokens)
+        outcome = verify_block(draft, targets, verify_rng)
+        del targets  # not held while the next block drafts
         blocks += 1
         accepted += outcome.accepted_count
         uplink += block_uplink
@@ -162,7 +191,7 @@ def _decode(
         if len(committed) >= room:
             committed = committed[:room]
             done = True
-        prefix.extend(committed)
+        prefix = prefix.extend(committed)
         emitted.extend(committed)
         commit(tuple(committed))
         if done:
@@ -188,19 +217,19 @@ def run_sample(
     pool.configure(settings.worker_configs(sample_seed))
     pool.commit(settings.prompt)
 
-    def score(prefix: tuple[int, ...], draft: tuple[int, ...]) -> _BlockScores:
-        result = pool.score_block(stable_prefix_hash(prefix), draft)
+    def score(prefix: Prefix, draft: tuple[int, ...]) -> _BlockScores:
+        # every upload is decoded and checked here, before verification
+        result = pool.score_block(prefix.hash, draft)
         if instrumented and result.shadows is None:
             raise WorkerFailureError("pool does not expose shadow distributions")
-        p_bars = [
-            aggregate_compressed(
-                [result.payloads[i][t] for i in range(settings.m)],
-                settings.weights,
-                settings.strategy,
-            )
-            for t in range(settings.gamma + 1)
-        ]
-        return p_bars, result.shadows if instrumented else None, sum(result.uplink_bytes)
+        payloads = result.payloads  # the targets keep these, not the result
+
+        def target(t: int) -> Distribution:
+            return aggregate_compressed([row[t] for row in payloads], settings.weights,
+                                        settings.strategy)
+
+        return (_Targets(settings.gamma + 1, target),
+                result.shadows if instrumented else None, sum(result.uplink_bytes))
 
     return _decode(draft_model, settings, sample_seed, score, pool.commit)
 
@@ -220,24 +249,18 @@ def run_reference_sample(
     if len(worker_models) != settings.m:
         raise ValueError("one worker model per weight required")
 
-    def score(prefix: tuple[int, ...], draft: tuple[int, ...]) -> _BlockScores:
-        worker_dists = [
-            [model.distribution(prefix + draft[:t]) for t in range(settings.gamma + 1)]
-            for model in worker_models
-        ]
-        p_bars = [
-            aggregate(
-                [
-                    Distribution.unchecked(
-                        worker_dists[i][t].probs.astype(np.float32).astype(np.float64)
-                    )
-                    for i in range(settings.m)
-                ],
+    def score(prefix: Prefix, draft: tuple[int, ...]) -> _BlockScores:
+        prefixes = scored_prefixes(prefix, draft)
+        worker_dists = [[model.distribution(p) for p in prefixes] for model in worker_models]
+
+        def target(t: int) -> Distribution:
+            return aggregate(
+                [Distribution.unchecked(dists[t].probs.astype(np.float32).astype(np.float64))
+                 for dists in worker_dists],
                 settings.weights,
             )
-            for t in range(settings.gamma + 1)
-        ]
-        return p_bars, worker_dists, 0
+
+        return _Targets(settings.gamma + 1, target), worker_dists, 0
 
     return _decode(draft_model, settings, sample_seed, score, lambda committed: None)
 

@@ -34,7 +34,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dist import Distribution, softmax_inplace
-from .seeding import keyed_normals, stable_prefix_hash
+from .seeding import Prefix, keyed_normals
+from .seeding import stable_prefix_hash  # noqa: F401  perfbench/tracing.py wraps it here
 
 TRACE_MAGIC = b"SFTR"
 TRACE_VERSION = 2
@@ -135,8 +136,8 @@ class SyntheticModel:
             return keyed_normals(seed, h, self.vocab_size)
         return self.memo.normals(seed, h, self.vocab_size)
 
-    def distribution(self, prefix: Sequence[int]) -> Distribution:
-        h = stable_prefix_hash(prefix)
+    def distribution(self, prefix: Prefix) -> Distribution:
+        h = prefix.hash
         rho = self.correlation
         if 0.0 < rho < 1.0:
             z = keyed_normals(self.seed, h, self.vocab_size)
@@ -190,8 +191,8 @@ class MarkovModel:
             row[tokens[i]] += 1.0
         return cls(vocab_size, order, smoothing, table)
 
-    def distribution(self, prefix: Sequence[int]) -> Distribution:
-        ctx = tuple(int(t) for t in prefix[-self.order:]) if len(prefix) >= self.order else None
+    def distribution(self, prefix: Prefix) -> Distribution:
+        ctx = prefix[-self.order:] if len(prefix) >= self.order else None
         counts = self._table.get(ctx) if ctx is not None else None
         if counts is None:
             counts = np.zeros(self.vocab_size, dtype=np.float64)
@@ -200,12 +201,15 @@ class MarkovModel:
 
 
 def load_corpus(path: str | Path) -> list[int]:
-    """Whitespace-separated integer token file."""
-    text = Path(path).read_text()
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ValueError(f"corpus {path} contains a non-integer token") from exc
+    """Whitespace-separated integer token file; a ValueError names the
+    first token that is not an integer."""
+    tokens = []
+    for tok in Path(path).read_text().split():
+        try:
+            tokens.append(int(tok))
+        except ValueError:
+            raise ValueError(f"non-integer token {tok!r}") from None
+    return tokens
 
 
 class Trace(NamedTuple):
@@ -304,13 +308,13 @@ class TraceModel:
     def vocab_size(self) -> int:
         return int(self.rows.shape[1])
 
-    def distribution(self, prefix: Sequence[int]) -> Distribution:
+    def distribution(self, prefix: Prefix) -> Distribution:
         row = self._cursor
         if row >= self.rows.shape[0]:
             raise TraceExhaustedError(
                 f"trace exhausted after {self.rows.shape[0]} steps"
             )
-        asked = stable_prefix_hash(prefix)
+        asked = prefix.hash
         if asked != self.prefix_hashes[row]:
             raise TraceMismatchError(
                 f"{self.source} row {row}: recorded for prefix hash "

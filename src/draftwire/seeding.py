@@ -5,6 +5,10 @@ keyed by (seed, role), so independent streams (draft sampling, verification,
 per-model logits) never interleave and any run is reproducible from its
 config seed alone. Python's built-in ``hash`` is salted per process and must
 never be used for anything that crosses a process or network boundary.
+
+A ``Prefix`` carries its ``stable_prefix_hash`` with its tokens: extending
+it hashes only the new tokens, so a decode does O(1) hashing work per token
+however long its output grows, and no model query hashes a whole prefix.
 """
 
 from __future__ import annotations
@@ -30,17 +34,47 @@ _HASH_MULTIPLIER = 0x00000100000001B3
 _HASH_TOKEN_BIAS = 0x9E3779B97F4A7C15
 
 
-def stable_prefix_hash(tokens: Iterable[int]) -> int:
+def stable_prefix_hash(tokens: Iterable[int], start: int = _HASH_OFFSET) -> int:
     """64-bit polynomial rolling hash of a token sequence.
 
     Fixed constants, no per-process salt: identical across platforms,
     processes and runs. Used to key synthetic logit noise and to checksum
-    worker prefix mirrors on the wire.
+    worker prefix mirrors on the wire. From ``start``, the hash of some
+    prefix, it returns the hash of that prefix followed by ``tokens``.
     """
-    h = _HASH_OFFSET
+    h = start
     for t in tokens:
         h = (h * _HASH_MULTIPLIER + ((int(t) + _HASH_TOKEN_BIAS) & MASK64)) & MASK64
     return h
+
+
+class Prefix(tuple):
+    """An immutable token prefix and its ``stable_prefix_hash``, ``.hash``.
+
+    It is the tuple of its tokens. ``extend`` returns a new prefix and
+    advances the hash over the new tokens only.
+    """
+
+    hash: int
+
+    def __new__(cls, tokens: tuple[int, ...], prefix_hash: int) -> "Prefix":
+        """The prefix of ``tokens``, whose hash the caller has computed;
+        use ``of`` or ``extend``."""
+        self = super().__new__(cls, tokens)
+        object.__setattr__(self, "hash", prefix_hash)
+        return self
+
+    @classmethod
+    def of(cls, tokens: Iterable[int]) -> "Prefix":
+        tokens = tuple(int(t) for t in tokens)
+        return cls(tokens, stable_prefix_hash(tokens))
+
+    def extend(self, tokens: Iterable[int]) -> "Prefix":
+        tokens = tuple(int(t) for t in tokens)
+        return Prefix(self + tokens, stable_prefix_hash(tokens, self.hash))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("a Prefix is immutable")
 
 
 def derive_seed(seed: int, role: int) -> int:

@@ -21,6 +21,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .dist import Distribution, sample
+from .seeding import Prefix
 
 RESIDUAL_DENOMINATOR_FLOOR = 1e-12
 
@@ -31,29 +32,6 @@ class DegenerateResidualError(ValueError):
 
 class InvalidDraftError(ValueError):
     """A draft token has zero probability under its own proposal."""
-
-
-class PrefixState:
-    """The committed token sequence: prompt plus verified output.
-
-    Grows monotonically; draft tokens are never added until verification
-    commits them.
-    """
-
-    __slots__ = ("_tokens",)
-
-    def __init__(self, tokens: Sequence[int] = ()) -> None:
-        self._tokens = [int(t) for t in tokens]
-
-    @property
-    def tokens(self) -> tuple[int, ...]:
-        return tuple(self._tokens)
-
-    def extend(self, tokens: Sequence[int]) -> None:
-        self._tokens.extend(int(t) for t in tokens)
-
-    def __len__(self) -> int:
-        return len(self._tokens)
 
 
 @dataclass(frozen=True)
@@ -111,28 +89,36 @@ class VerificationOutcome:
 class ModelProvider(Protocol):
     """A next-token distribution conditioned on a token prefix."""
 
-    def distribution(self, prefix: Sequence[int]) -> Distribution: ...
+    def distribution(self, prefix: Prefix) -> Distribution: ...
 
 
 def generate_draft(
     draft_model: ModelProvider,
-    prefix: PrefixState,
+    prefix: Prefix,
     gamma: int,
     rng: np.random.Generator,
 ) -> DraftBlock:
     """Autoregressively sample a gamma-token draft, keeping each q_t."""
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    context = list(prefix.tokens)
     tokens: list[int] = []
     dists: list[Distribution] = []
     for _ in range(gamma):
-        d = draft_model.distribution(tuple(context))
+        d = draft_model.distribution(prefix)
         t = sample(d, rng)
         tokens.append(t)
         dists.append(d)
-        context.append(t)
+        prefix = prefix.extend((t,))
     return DraftBlock(tokens=tuple(tokens), draft_dists=tuple(dists))
+
+
+def scored_prefixes(prefix: Prefix, draft: Sequence[int]) -> list[Prefix]:
+    """The gamma + 1 prefixes a draft block is scored at: the committed
+    prefix, then that prefix followed by each longer run of draft tokens."""
+    out = [prefix]
+    for t in draft:
+        out.append(out[-1].extend((t,)))
+    return out
 
 
 def acceptance_rate(p_bar: Distribution, q: Distribution) -> float:
@@ -151,36 +137,47 @@ def residual_distribution(p_bar: Distribution, q: Distribution) -> Distribution:
     """Normalized positive part of p_bar - q, used after a rejection."""
     if p_bar.vocab_size != q.vocab_size:
         raise ValueError("distributions must share a vocabulary size")
-    surplus = np.maximum(p_bar.probs - q.probs, 0.0)
+    surplus = np.subtract(p_bar.probs, q.probs)
+    np.maximum(surplus, 0.0, out=surplus)
     denom = float(surplus.sum())
     if denom <= RESIDUAL_DENOMINATOR_FLOOR:
         raise DegenerateResidualError("distributions agree; residual mass is zero")
-    return Distribution.unchecked(surplus / denom)
+    surplus /= denom
+    return Distribution.unchecked(surplus)
 
 
 def verify_block(
     draft: DraftBlock,
-    aggregated: Sequence[Distribution],
+    targets: Sequence[Distribution],
     rng: np.random.Generator,
 ) -> VerificationOutcome:
     """Accept/reject a draft block against gamma+1 target distributions.
+
+    Reads ``targets[t]`` only at the positions it examines, each once, and
+    ``targets[gamma]`` only when every draft token is accepted, so a
+    sequence that builds each target when it is read builds no more than
+    the block emits. Each target's vocabulary is checked when it is read.
 
     Consumes the rng in a fixed order: one uniform per examined step, then
     exactly one sampling draw for the trailing token. That schedule is part
     of the determinism contract and must not change.
     """
     gamma = draft.gamma
-    if len(aggregated) != gamma + 1:
-        raise ValueError(f"expected {gamma + 1} target distributions, got {len(aggregated)}")
-    for d in aggregated:
-        if d.vocab_size != draft.draft_dists[0].vocab_size:
+    if len(targets) != gamma + 1:
+        raise ValueError(f"expected {gamma + 1} target distributions, got {len(targets)}")
+    vocab_size = draft.draft_dists[0].vocab_size
+
+    def target(t: int) -> Distribution:
+        p_t = targets[t]
+        if p_t.vocab_size != vocab_size:
             raise ValueError("target and draft vocabulary sizes differ")
+        return p_t
 
     accept_probs: list[float] = []
     for t in range(gamma):
         x_t = draft.tokens[t]
         q_t = draft.draft_dists[t]
-        p_t = aggregated[t]
+        p_t = target(t)
         q_x = float(q_t.probs[x_t])
         if q_x <= 0.0:
             raise InvalidDraftError(f"draft token {x_t} has zero proposal probability")
@@ -202,7 +199,7 @@ def verify_block(
             per_step_accept_prob=tuple(accept_probs),
         )
 
-    bonus = sample(aggregated[gamma], rng)
+    bonus = sample(target(gamma), rng)
     return VerificationOutcome(
         accepted_count=gamma,
         emitted_tokens=tuple(draft.tokens) + (bonus,),

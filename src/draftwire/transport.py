@@ -50,8 +50,9 @@ import numpy as np
 
 from .compression import TopKPayload, decode_payload, encode_payload, truncate_topk
 from .dist import Distribution
-from .seeding import stable_prefix_hash
-from .specdec import ModelProvider
+from .seeding import Prefix
+from .seeding import stable_prefix_hash  # noqa: F401  perfbench/tracing.py wraps it here
+from .specdec import ModelProvider, scored_prefixes
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -231,9 +232,10 @@ ModelFactory = Callable[[int, int, int], ModelProvider]
 class WorkerCore:
     """Scoring state machine shared by the TCP worker and in-process mode.
 
-    Holds the prefix mirror and the configured model; scores gamma+1
-    positions per draft block and encodes each to payload bytes. Exposes
-    the pre-truncation distributions only when asked (instrumented runs).
+    Holds the prefix mirror, a ``Prefix`` whose hash is the checksum, and
+    the configured model; scores gamma+1 positions per draft block and
+    encodes each to payload bytes. Exposes the pre-truncation
+    distributions only when asked (instrumented runs).
     """
 
     def __init__(self, index: int, factory: ModelFactory, *, expose_shadows: bool = False) -> None:
@@ -242,7 +244,7 @@ class WorkerCore:
         self._expose_shadows = expose_shadows
         self._config: WorkerConfig | None = None
         self._model: ModelProvider | None = None
-        self._mirror: list[int] = []
+        self._mirror = Prefix.of(())
 
     def configure(self, cfg: WorkerConfig) -> None:
         if not 1 <= cfg.k <= cfg.vocab_size:
@@ -251,7 +253,7 @@ class WorkerCore:
             raise ProtocolError("gamma must be >= 1")
         self._model = self._factory(cfg.vocab_size, cfg.seed_material, self.index)
         self._config = cfg
-        self._mirror = []
+        self._mirror = Prefix.of(())
 
     def handle_draft(
         self, delta: Sequence[int], draft: Sequence[int]
@@ -263,13 +265,11 @@ class WorkerCore:
         cfg = self._config
         if len(draft) != cfg.gamma:
             raise ProtocolError(f"expected {cfg.gamma} draft tokens, got {len(draft)}")
-        self._mirror.extend(int(t) for t in delta)
-        checksum = stable_prefix_hash(self._mirror)
+        self._mirror = self._mirror.extend(delta)
         bodies: list[bytes] = []
         shadows: list[Distribution] | None = [] if self._expose_shadows else None
-        context = list(self._mirror)
-        for t in range(cfg.gamma + 1):
-            d = self._model.distribution(tuple(context + [int(x) for x in draft[:t]]))
+        for prefix in scored_prefixes(self._mirror, draft):
+            d = self._model.distribution(prefix)
             if d.vocab_size != cfg.vocab_size:
                 raise ProtocolError(
                     f"model vocabulary {d.vocab_size} != configured {cfg.vocab_size}"
@@ -277,7 +277,7 @@ class WorkerCore:
             bodies.append(encode_payload(truncate_topk(d, cfg.k)))
             if shadows is not None:
                 shadows.append(d)
-        return pack_scores(checksum, bodies), shadows
+        return pack_scores(self._mirror.hash, bodies), shadows
 
 
 def _read_exact(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
@@ -548,7 +548,9 @@ class TcpPool(WorkerPool):
     also fixes aggregation order. Each reply must arrive whole within
     ``timeout`` seconds of the start of its read; sends keep ``timeout``
     as the socket timeout. Any timeout, ERROR reply, or malformed response
-    fails the decode step naming the worker.
+    fails the decode step naming the worker; an endpoint that cannot be
+    connected to fails the pool's construction naming the worker and its
+    endpoint, after closing the connections already opened.
     """
 
     def __init__(self, endpoints: Sequence[tuple[str, int]], *, timeout: float = DEFAULT_TIMEOUT) -> None:
@@ -557,10 +559,14 @@ class TcpPool(WorkerPool):
         self._timeout = timeout
         self._corr = 0
         try:
-            for host, port in endpoints:
-                sock = socket.create_connection((host, port), timeout=timeout)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i, (host, port) in enumerate(endpoints):
+                try:
+                    sock = socket.create_connection((host, port), timeout=timeout)
+                except OSError as exc:
+                    raise WorkerFailureError(
+                        f"worker {i} ({host}:{port}): cannot connect ({exc})") from exc
                 self._socks.append(sock)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             replies = self._round(Kind.HELLO, [pack_hello()] * len(self._socks), Kind.HELLO)
             for i, body in enumerate(replies):
                 try:

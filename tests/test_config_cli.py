@@ -1,3 +1,4 @@
+import hashlib
 import re
 import socket
 
@@ -289,6 +290,45 @@ class TestCliRun:
         assert "worker failure" in capsys.readouterr().err
 
 
+# (command and flags, what the error names); {corpus} is a good corpus,
+# {tmp} the test's directory
+MODEL_SETTING_ERRORS = [
+    pytest.param(["run", "--draft_temperature", "0"], "draft_temperature", id="draft_temperature"),
+    pytest.param(["run", "--draft_concentration", "-2"], "draft_concentration",
+                 id="draft_concentration"),
+    pytest.param(["sweep", "--correlation", "2"], "correlation", id="sweep-correlation"),
+    pytest.param(["run", "--temperature", "0"], "temperature", id="temperature"),
+    pytest.param(["run", "--model", "markov", "--corpus", "{corpus}", "--markov_order", "0"],
+                 "markov_order", id="markov_order"),
+    pytest.param(["run", "--model", "markov", "--corpus", "{corpus}", "--markov_smoothing", "0"],
+                 "markov_smoothing", id="markov_smoothing"),
+    pytest.param(["run", "--model", "markov", "--corpus", "{tmp}/words.txt"],
+                 "words.txt: non-integer token 'two'", id="corpus-word"),
+    pytest.param(["run", "--model", "markov", "--corpus", "{tmp}/wide.txt"],
+                 "wide.txt: corpus token 16 outside", id="corpus-token-out-of-vocabulary"),
+    pytest.param(["run", "--model", "markov", "--corpus", "{tmp}/missing.txt"],
+                 "missing.txt: [Errno 2]", id="corpus-missing"),
+]
+
+
+class TestModelSettingErrors:
+    @pytest.mark.parametrize("argv, named", MODEL_SETTING_ERRORS)
+    def test_invalid_model_setting_exits_2_before_decoding(self, tmp_path, capsys, argv, named):
+        (tmp_path / "corpus.txt").write_text("0 1 2 3 2 1 0")
+        (tmp_path / "words.txt").write_text("0 1 two 3")
+        (tmp_path / "wide.txt").write_text("0 1 16 3")
+        argv = [a.format(corpus=tmp_path / "corpus.txt", tmp=tmp_path) for a in argv]
+        code = main([*argv, "--vocab_size", "16", "--k", "4", "--samples", "1",
+                     "--max_tokens", "4", "--sweep_ks", "4", "--sweep_temperatures", "1.0",
+                     "--csv", str(tmp_path / "out.csv")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("config error: ")
+        assert named in err
+        assert "Traceback" not in err
+        assert "sample 0:" not in out
+
+
 SWEEP_ARGS = ["sweep", "--vocab_size", "16", "--samples", "1", "--max_tokens", "8",
               "--gamma", "2", "--k", "4", "--sweep_ks", "1,4,16",
               "--sweep_temperatures", "1.0"]
@@ -389,6 +429,25 @@ class TestCliTrace:
         rows = read_sweep_csv(csv_path)
         assert len(rows) == 1
         assert float(rows[0]["delta_bar"]) <= 2 * float(rows[0]["eps_bar"]) + 1e-9
+
+    # sha256 of each file a recording writes, pinned: every row and its
+    # prefix hash must stay byte for byte what earlier versions wrote
+    RECORD_DIGESTS = {
+        "draft.trace": "1b9194bceea7a0c4864b50148571f79486d4b0792e861aae5c8bd56832decae2",
+        "worker_0.trace": "f840961d4fd5e02904a879deb6350d43b55d57b377d239eab252ddade5501efe",
+        "worker_1.trace": "dd81dc97f4a531b6e3bdc04bd84f8f8206b25e8cd1d74fecbae6e9504dd9e74c",
+        "drafts.txt": "434e8fa163a4bcf1e5aefc5ae50ffccda2e228471db5d2aa78c09ca5701d8113",
+        "transcript.txt": "ffd516bd6bb1222dd8167e255f0125f780bb3c96d44b263c9fbba8a8a6fc1fb4",
+    }
+
+    def test_recorded_files_are_pinned(self, tmp_path, capsys):
+        trace_dir = tmp_path / "traces"
+        assert main(["trace-record", "--trace_dir", str(trace_dir), "--vocab_size", "64",
+                     "--workers", "2", "--gamma", "3", "--k", "8", "--samples", "1",
+                     "--max_tokens", "24", "--seed", "5", "--correlation", "0.9"]) == 0
+        digests = {name: hashlib.sha256((trace_dir / name).read_bytes()).hexdigest()
+                   for name in self.RECORD_DIGESTS}
+        assert digests == self.RECORD_DIGESTS
 
     def test_samples_other_than_one_is_a_config_error(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"

@@ -15,7 +15,7 @@ from draftwire.engine import (
 )
 from draftwire.metrics import check_bounds
 from draftwire.models import SyntheticModel, read_trace, write_trace
-from draftwire.seeding import MASK64, ROLE_DRAFT_MODEL, derive_seed
+from draftwire.seeding import MASK64, ROLE_DRAFT_MODEL, Prefix, derive_seed
 from draftwire.transport import InProcessPool, WorkerFailureError, expected_upload_bytes
 
 FACTORY = synthetic_worker_factory(concentration=3.0, temperature=1.0, correlation=0.9)
@@ -200,7 +200,7 @@ class TestFirstTokenMarginal:
     def target_at_prompt(self, workers, weights):
         dense = [
             Distribution.unchecked(
-                m.distribution((0,)).probs.astype(np.float32).astype(np.float64))
+                m.distribution(Prefix.of((0,))).probs.astype(np.float32).astype(np.float64))
             for m in workers
         ]
         return aggregate(dense, weights).probs
@@ -378,6 +378,51 @@ class TestReferenceIsDense:
         ref = run_reference_sample(draft_model_for(21, vocab_size=16), workers, settings, 21)
         assert len(ref.tokens) == 16
         assert len(ref.records) == ref.blocks
+
+
+class TestTargetsOnDemand:
+    """A block aggregates the targets that verification reads: its
+    accepted positions plus the one that rejects or the bonus."""
+
+    def counted(self, monkeypatch, name):
+        from draftwire import engine
+
+        calls = []
+        fn = getattr(engine, name)
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    def test_compressed_path_aggregates_accepted_plus_blocks(self, monkeypatch, instrumented):
+        calls = self.counted(monkeypatch, "aggregate_compressed")
+        settings = make_settings(vocab_size=16, k=4, gamma=4, max_tokens=40)
+        pool = InProcessPool(2, FACTORY, instrumented=instrumented)
+        try:
+            for ss in range(5):
+                calls.clear()
+                res = run_sample(draft_model_for(ss, vocab_size=16), pool, settings, ss,
+                                 instrumented=instrumented)
+                assert res.blocks > 1
+                assert len(calls) == res.accepted + res.blocks
+        finally:
+            pool.close()
+
+    def test_reference_path_aggregates_accepted_plus_blocks(self, monkeypatch):
+        calls = self.counted(monkeypatch, "aggregate")
+        settings = make_settings(vocab_size=16, k=16, gamma=4, max_tokens=40)
+        for ss in range(5):
+            calls.clear()
+            workers = [FACTORY(16, ss, i) for i in range(2)]
+            res = run_reference_sample(draft_model_for(ss, vocab_size=16), workers, settings, ss)
+            assert res.blocks > 1
+            assert len(calls) == res.accepted + res.blocks
+            # every worker distribution is still recorded
+            assert all(len(dists) == 5 for rec in res.records for dists in rec.worker_dists)
 
 
 class TestReferenceValidation:

@@ -22,53 +22,53 @@ from draftwire.models import (
     read_trace,
     write_trace,
 )
-from draftwire.seeding import keyed_normals, stable_prefix_hash
+from draftwire.seeding import Prefix, keyed_normals, stable_prefix_hash
 
 
 class TestSyntheticModel:
     def test_deterministic(self):
         m = SyntheticModel(vocab_size=32, seed=7)
-        a = m.distribution((1, 2, 3))
-        b = m.distribution((1, 2, 3))
+        a = m.distribution(Prefix.of((1, 2, 3)))
+        b = m.distribution(Prefix.of((1, 2, 3)))
         assert np.array_equal(a.probs, b.probs)
 
     def test_prefix_sensitivity(self):
         m = SyntheticModel(vocab_size=32, seed=7)
-        a = m.distribution((1, 2, 3))
-        b = m.distribution((1, 2, 4))
+        a = m.distribution(Prefix.of((1, 2, 3)))
+        b = m.distribution(Prefix.of((1, 2, 4)))
         assert not np.array_equal(a.probs, b.probs)
 
     def test_seed_sensitivity_across_100_seeds(self):
         seen = set()
         for seed in range(100):
             m = SyntheticModel(vocab_size=16, seed=seed)
-            seen.add(m.distribution((0,)).probs.tobytes())
+            seen.add(m.distribution(Prefix.of((0,))).probs.tobytes())
         assert len(seen) == 100
 
     def test_zero_concentration_is_uniform(self):
         m = SyntheticModel(vocab_size=8, seed=3, concentration=0.0)
-        assert m.distribution((5, 6)).probs == pytest.approx([0.125] * 8, abs=1e-15)
+        assert m.distribution(Prefix.of((5, 6))).probs == pytest.approx([0.125] * 8, abs=1e-15)
 
     def test_full_correlation_reproduces_shared_model(self):
         shared = SyntheticModel(vocab_size=16, seed=11)
         follower = SyntheticModel(vocab_size=16, seed=999, correlation=1.0,
                                   shared_seed=11)
-        for prefix in [(0,), (4, 2), (9, 9, 9)]:
+        for prefix in map(Prefix.of, [(0,), (4, 2), (9, 9, 9)]):
             assert np.array_equal(shared.distribution(prefix).probs,
                                   follower.distribution(prefix).probs)
 
     def test_zero_correlation_ignores_shared_seed(self):
         a = SyntheticModel(vocab_size=16, seed=5, correlation=0.0, shared_seed=1)
         b = SyntheticModel(vocab_size=16, seed=5, correlation=0.0, shared_seed=2)
-        assert np.array_equal(a.distribution((3,)).probs, b.distribution((3,)).probs)
+        assert np.array_equal(a.distribution(Prefix.of((3,))).probs, b.distribution(Prefix.of((3,))).probs)
 
     def test_partial_correlation_between_extremes(self):
         shared = SyntheticModel(vocab_size=64, seed=11)
         near = SyntheticModel(vocab_size=64, seed=999, correlation=0.99, shared_seed=11)
         far = SyntheticModel(vocab_size=64, seed=999, correlation=0.1, shared_seed=11)
-        ref = shared.distribution((1,)).probs
-        d_near = np.abs(near.distribution((1,)).probs - ref).sum()
-        d_far = np.abs(far.distribution((1,)).probs - ref).sum()
+        ref = shared.distribution(Prefix.of((1,))).probs
+        d_near = np.abs(near.distribution(Prefix.of((1,))).probs - ref).sum()
+        d_far = np.abs(far.distribution(Prefix.of((1,))).probs - ref).sum()
         assert 0.0 < d_near < d_far
 
     def test_parameter_validation(self):
@@ -87,7 +87,7 @@ class TestSyntheticModel:
         rng = np.random.default_rng(60)
         m = SyntheticModel(vocab_size=128, seed=21, concentration=4.0, temperature=0.8)
         for _ in range(50):
-            prefix = tuple(int(t) for t in rng.integers(0, 128, size=rng.integers(1, 6)))
+            prefix = Prefix.of(rng.integers(0, 128, size=rng.integers(1, 6)))
             d = m.distribution(prefix)
             Distribution(d.probs)  # re-run the checked constructor
 
@@ -135,7 +135,7 @@ class TestNormalMemo:
         worker = SyntheticModel(seed=999, correlation=correlation, shared_seed=11, **params)
         worker_memo = SyntheticModel(seed=999, correlation=correlation, shared_seed=11,
                                      memo=memo, **params)
-        for prefix in map(tuple, prefixes):
+        for prefix in map(Prefix.of, prefixes):
             for plain, memoized, seed, rho, shared in (
                 (draft, draft_memo, 11, 0.0, None),
                 (worker, worker_memo, 999, correlation, 11),
@@ -219,8 +219,8 @@ class TestNormalMemo:
         before = shared.copy()
         for rho in (0.0, 0.5, 1.0):
             SyntheticModel(vocab_size=16, seed=5, concentration=3.0, correlation=rho,
-                           shared_seed=11, memo=memo).distribution((1, 2))
-        SyntheticModel(vocab_size=16, seed=11, concentration=3.0, memo=memo).distribution((1, 2))
+                           shared_seed=11, memo=memo).distribution(Prefix.of((1, 2)))
+        SyntheticModel(vocab_size=16, seed=11, concentration=3.0, memo=memo).distribution(Prefix.of((1, 2)))
         assert np.array_equal(shared, before)
 
     def test_run_config_memo_holds_at_most_one_block(self):
@@ -269,36 +269,36 @@ class TestMarkovModel:
         # corpus [0, 0]: one observed 0 -> 0 transition
         lam = 0.05
         m = MarkovModel.fit([0, 0], vocab_size=2, order=1, smoothing=lam)
-        d = m.distribution((0,))
+        d = m.distribution(Prefix.of((0,)))
         assert d.probs == pytest.approx(
             [(1 + lam) / (1 + 2 * lam), lam / (1 + 2 * lam)], abs=1e-15)
 
     def test_bigram_counts(self):
         # 0->1 twice, 1->0 once, 1->1 once from corpus 0 1 1 0 1
         m = MarkovModel.fit([0, 1, 1, 0, 1], vocab_size=2, order=1, smoothing=0.5)
-        d = m.distribution((0,))
+        d = m.distribution(Prefix.of((0,)))
         assert d.probs == pytest.approx([0.5 / 3, 2.5 / 3], abs=1e-15)
-        d = m.distribution((1,))
+        d = m.distribution(Prefix.of((1,)))
         assert d.probs == pytest.approx([1.5 / 3, 1.5 / 3], abs=1e-15)
 
     def test_unseen_context_uniform(self):
         m = MarkovModel.fit([0, 1, 0, 1], vocab_size=4, order=1, smoothing=0.05)
-        assert m.distribution((3,)).probs == pytest.approx([0.25] * 4, abs=1e-15)
+        assert m.distribution(Prefix.of((3,))).probs == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_short_prefix_uniform(self):
         m = MarkovModel.fit([0, 1, 0, 1], vocab_size=2, order=2, smoothing=0.05)
-        assert m.distribution((1,)).probs == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert m.distribution(Prefix.of((1,))).probs == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_order_two_context(self):
         m = MarkovModel.fit([0, 1, 2, 0, 1, 2], vocab_size=3, order=2, smoothing=0.01)
-        d = m.distribution((0, 1))
+        d = m.distribution(Prefix.of((0, 1)))
         assert int(np.argmax(d.probs)) == 2
         assert d.probs[2] > 0.99
 
     def test_sharpens_as_smoothing_shrinks(self):
         for lam, floor in [(1.0, 0.5), (0.1, 0.9), (0.001, 0.999)]:
             m = MarkovModel.fit([0, 1] * 20, vocab_size=2, order=1, smoothing=lam)
-            assert m.distribution((0,)).probs[1] > floor
+            assert m.distribution(Prefix.of((0,))).probs[1] > floor
 
     def test_corpus_token_out_of_range(self):
         with pytest.raises(ValueError):
@@ -306,8 +306,8 @@ class TestMarkovModel:
 
     def test_referentially_transparent(self):
         m = MarkovModel.fit([0, 1, 1, 0], vocab_size=2)
-        a = m.distribution((1,))
-        b = m.distribution((1,))
+        a = m.distribution(Prefix.of((1,)))
+        b = m.distribution(Prefix.of((1,)))
         assert np.array_equal(a.probs, b.probs)
 
     def test_parameter_validation(self):
@@ -445,26 +445,26 @@ class TestTraceModel:
         write_trace(path, rows, [stable_prefix_hash(p) for p in ((), (1, 2), (1, 2, 0))])
         m = TraceModel.from_file(path)
         assert m.vocab_size == 2
-        assert m.distribution(()).probs[0] == pytest.approx(0.75, abs=1e-7)
-        assert m.distribution((1, 2)).probs[0] == pytest.approx(0.25, abs=1e-7)
+        assert m.distribution(Prefix.of(())).probs[0] == pytest.approx(0.75, abs=1e-7)
+        assert m.distribution(Prefix.of((1, 2))).probs[0] == pytest.approx(0.25, abs=1e-7)
 
     def test_exhaustion(self, tmp_path):
         path = tmp_path / "t.trace"
         write_trace(path, np.array([[0.5, 0.5]]), [stable_prefix_hash(())])
         m = TraceModel.from_file(path)
-        m.distribution(())
+        m.distribution(Prefix.of(()))
         with pytest.raises(TraceExhaustedError):
-            m.distribution(())
+            m.distribution(Prefix.of(()))
 
     def test_another_prefix_is_a_mismatch_naming_file_and_row(self, tmp_path):
         path = tmp_path / "t.trace"
         write_trace(path, np.array([[0.75, 0.25], [0.25, 0.75]]),
                     [stable_prefix_hash(p) for p in ((0,), (0, 1))])
         m = TraceModel.from_file(path)
-        m.distribution((0,))
+        m.distribution(Prefix.of((0,)))
         with pytest.raises(TraceMismatchError, match=rf"^{path} row 1: recorded for prefix"):
-            m.distribution((0, 0))
-        assert m.distribution((0, 1)).probs[0] == pytest.approx(0.25, abs=1e-7)
+            m.distribution(Prefix.of((0, 0)))
+        assert m.distribution(Prefix.of((0, 1))).probs[0] == pytest.approx(0.25, abs=1e-7)
 
     def test_version_1_file_is_not_replayed(self, tmp_path):
         # a version-1 row records no prefix, so a replay could not be checked

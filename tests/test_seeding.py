@@ -1,9 +1,13 @@
 import threading
 
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from draftwire.seeding import (
     MASK64,
+    Prefix,
     ROLE_DRAFT_MODEL,
     ROLE_DRAFT_SAMPLING,
     ROLE_VERIFICATION,
@@ -60,6 +64,34 @@ class TestStablePrefixHash:
     def test_accepts_numpy_ints(self):
         assert stable_prefix_hash(np.array([1, 2, 3], dtype=np.uint32)) == \
             stable_prefix_hash((1, 2, 3))
+
+
+# token 0, small ids and ids up to the u32 wire limit
+TOKEN_LISTS = st.lists(st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 2**32 - 1)),
+                       max_size=8)
+
+
+class TestPrefix:
+    @given(TOKEN_LISTS, TOKEN_LISTS)
+    def test_extend_matches_hashing_the_whole_prefix(self, a, b):
+        extended = Prefix.of(a).extend(b)
+        whole = Prefix.of(a + b)
+        assert tuple(extended) == tuple(whole) == tuple(a + b)
+        assert extended.hash == whole.hash == stable_prefix_hash(a + b)
+
+    def test_extending_one_token_at_a_time(self):
+        prefix = Prefix.of(())
+        for t in (5, 0, 0, 2**32 - 1):
+            prefix = prefix.extend((t,))
+        assert prefix == (5, 0, 0, 2**32 - 1)
+        assert prefix.hash == stable_prefix_hash((5, 0, 0, 2**32 - 1))
+
+    def test_is_immutable(self):
+        prefix = Prefix.of((1, 2))
+        with pytest.raises(AttributeError):
+            prefix.hash = 0
+        assert prefix.extend((3,)) == (1, 2, 3)
+        assert prefix == (1, 2) and prefix.hash == stable_prefix_hash((1, 2))
 
 
 class TestDeriveSeed:

@@ -5,11 +5,11 @@ from hypothesis import given
 from conftest import distribution_pairs, random_distribution
 from draftwire.dist import Distribution, tv_distance
 from draftwire.models import MarkovModel
+from draftwire.seeding import Prefix
 from draftwire.specdec import (
     DegenerateResidualError,
     DraftBlock,
     InvalidDraftError,
-    PrefixState,
     VerificationOutcome,
     acceptance_rate,
     generate_draft,
@@ -264,6 +264,67 @@ class TestVerifyForcedUniforms:
             verify_block(bad_block, [q, q], ScriptedUniforms([0.1, 0.1]))
 
 
+class RecordingTargets:
+    """gamma + 1 targets that record which positions are read; position t
+    is built by ``make(t)`` at its read."""
+
+    def __init__(self, count, make):
+        self.count = count
+        self.make = make
+        self.read = []
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, t):
+        self.read.append(t)
+        return self.make(t)
+
+
+class TestVerifyReadsTargetsOnDemand:
+    """Verification reads each examined position's target once, and the
+    bonus target only after a full acceptance."""
+
+    Q = Distribution([0.5, 0.5])
+    GAMMA = 3
+
+    def block(self):
+        return DraftBlock(tokens=(0,) * self.GAMMA, draft_dists=(self.Q,) * self.GAMMA)
+
+    def targets(self, p_at=None):
+        return RecordingTargets(self.GAMMA + 1, p_at or (lambda t: Distribution([0.25, 0.75])))
+
+    def test_rejection_at_one_reads_targets_zero_and_one(self):
+        targets = self.targets()
+        rng = ScriptedUniforms([0.1, 0.9, 0.0])  # ratio 0.5: accept, reject, residual
+        out = verify_block(self.block(), targets, rng)
+        assert out.rejection_step == 1
+        assert targets.read == [0, 1]
+        assert rng.consumed == 3
+
+    def test_full_acceptance_reads_every_target(self):
+        targets = self.targets()
+        rng = ScriptedUniforms([0.1, 0.2, 0.3, 0.0])  # three accepts, then the bonus
+        out = verify_block(self.block(), targets, rng)
+        assert out.rejection_step is None
+        assert targets.read == [0, 1, 2, 3]
+        assert rng.consumed == 4
+
+    def test_vocabulary_mismatch_raises_at_a_read_position(self):
+        wide = Distribution([0.25, 0.25, 0.25, 0.25])
+        targets = self.targets(lambda t: wide if t == 1 else Distribution([0.25, 0.75]))
+        with pytest.raises(ValueError, match="vocabulary sizes differ"):
+            verify_block(self.block(), targets, ScriptedUniforms([0.1, 0.1]))
+        assert targets.read == [0, 1]
+
+    def test_vocabulary_mismatch_at_an_unread_position_is_never_built(self):
+        wide = Distribution([0.25, 0.25, 0.25, 0.25])
+        targets = self.targets(lambda t: wide if t >= 2 else Distribution([0.25, 0.75]))
+        out = verify_block(self.block(), targets, ScriptedUniforms([0.1, 0.9, 0.0]))
+        assert out.rejection_step == 1
+        assert targets.read == [0, 1]
+
+
 class TestMonotoneCoupling:
     def test_raising_target_never_flips_accept_to_reject(self):
         rng = np.random.default_rng(53)
@@ -291,7 +352,7 @@ class TestGenerateDraft:
             def distribution(self, prefix):
                 return Distribution([0.0, 1.0, 0.0])
 
-        block = generate_draft(PointModel(), PrefixState([0]), 3,
+        block = generate_draft(PointModel(), Prefix.of([0]), 3,
                                np.random.default_rng(1))
         assert block.tokens == (1, 1, 1)
         assert all(d.probs[1] == 1.0 for d in block.draft_dists)
@@ -302,13 +363,13 @@ class TestGenerateDraft:
                 rng = np.random.default_rng(hash(prefix) & 0xFFFF)
                 return Distribution.unchecked(np.full(4, 0.25))
 
-        a = generate_draft(NoisyModel(), PrefixState([7]), 4, np.random.default_rng(9))
-        b = generate_draft(NoisyModel(), PrefixState([7]), 4, np.random.default_rng(9))
+        a = generate_draft(NoisyModel(), Prefix.of([7]), 4, np.random.default_rng(9))
+        b = generate_draft(NoisyModel(), Prefix.of([7]), 4, np.random.default_rng(9))
         assert a.tokens == b.tokens
 
     def test_markov_alternating_corpus(self):
         model = MarkovModel.fit([0, 1] * 40, vocab_size=2, order=1, smoothing=0.05)
-        block = generate_draft(model, PrefixState([0]), 2, ScriptedUniforms([0.5, 0.5]))
+        block = generate_draft(model, Prefix.of([0]), 2, ScriptedUniforms([0.5, 0.5]))
         assert block.tokens == (1, 0)
         assert block.draft_dists[0].probs[1] > 0.99
 
@@ -318,7 +379,7 @@ class TestGenerateDraft:
                 return Distribution([1.0, 0.0])
 
         with pytest.raises(ValueError):
-            generate_draft(PointModel(), PrefixState(), 0, np.random.default_rng(0))
+            generate_draft(PointModel(), Prefix.of(()), 0, np.random.default_rng(0))
 
     def test_context_grows_during_draft(self):
         seen = []
@@ -328,7 +389,7 @@ class TestGenerateDraft:
                 seen.append(tuple(prefix))
                 return Distribution([1.0, 0.0])
 
-        generate_draft(Recorder(), PrefixState([5]), 3, np.random.default_rng(0))
+        generate_draft(Recorder(), Prefix.of([5]), 3, np.random.default_rng(0))
         assert seen == [(5,), (5, 0), (5, 0, 0)]
 
 

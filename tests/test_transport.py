@@ -851,11 +851,33 @@ class TestTcpPool:
         assert not thread.is_alive()
 
     def test_connection_refused(self):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            free_port = probe.getsockname()[1]
-        with pytest.raises(OSError):
+        free_port = unused_port()
+        with pytest.raises(WorkerFailureError,
+                           match=rf"^worker 0 \(127\.0\.0\.1:{free_port}\): cannot connect "):
             TcpPool([("127.0.0.1", free_port)], timeout=0.5)
+
+    def test_refused_second_endpoint_names_it_and_closes_the_first(self):
+        closed = threading.Event()
+
+        def first(conn):
+            if conn.recv(1) == b"":  # the pool closed without a HELLO
+                closed.set()
+
+        thread, port = scripted_worker(first)
+        free_port = unused_port()
+        with pytest.raises(WorkerFailureError,
+                           match=rf"^worker 1 \(127\.0\.0\.1:{free_port}\): cannot connect "):
+            TcpPool([("127.0.0.1", port), ("127.0.0.1", free_port)], timeout=0.5)
+        assert closed.wait(timeout=5)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def unused_port():
+    """A loopback port that nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 def scripted_worker(serve):
@@ -959,6 +981,141 @@ class TestTcpRounds:
             stop.set()
             pool.close()
             thread.join(timeout=5)
+
+
+# How a scripted worker answers one request: validly three times in four,
+# so that about two scripts in five reach a result, or with a fault. Each
+# fault comes with the values it needs, drawn up front: a kind byte; a body
+# mode, an index and random bytes; a correlation id offset; a cut position.
+REPLY_FAULTS = st.one_of(
+    st.tuples(st.just("kind"), st.integers(0, 255)),
+    st.tuples(st.just("body"), st.sampled_from(("random", "flip", "truncate", "extend")),
+              st.integers(0, 2**16), st.binary(max_size=40)),
+    st.tuples(st.just("corr"), st.one_of(st.integers(-3, 3).filter(bool),
+                                         st.integers(4, 2**64 - 1))),
+    st.tuples(st.just("cut"), st.integers(0, 2**16)),
+    st.just(("stall",)),
+    st.just(("trickle",)),
+)
+REPLY_ACTIONS = st.integers(0, 3).flatmap(lambda n: REPLY_FAULTS if n == 0 else st.just(("valid",)))
+
+
+def faulty_body(body, mode, index, noise):
+    """``body`` replaced by ``noise``, with a byte flipped, cut short at
+    ``index`` or extended by ``noise``, as ``mode`` says."""
+    if mode == "random":
+        return noise
+    if not body:
+        return noise[:1]
+    i = index % len(body)
+    if mode == "flip":
+        return body[:i] + bytes([body[i] ^ (1 + index % 255)]) + body[i + 1:]
+    if mode == "truncate":
+        return body[:i]
+    return body + noise
+
+
+def scripted_replies(actions, closed):
+    """A worker that answers HELLO, CONFIGURE and one DRAFT_BROADCAST as
+    ``actions`` say, the valid reply from a real ``WorkerCore``. Unless it
+    cuts a reply and closes, it then waits for the pool to close the
+    connection, with a FIN or (when the pool left bytes unread) a reset,
+    and sets ``closed``."""
+    core = WorkerCore(0, FACTORY)
+
+    def valid_body(msg):
+        if msg.kind == Kind.HELLO:
+            return pack_hello()
+        if msg.kind == Kind.CONFIGURE:
+            core.configure(unpack_configure(msg.body))
+            return b""
+        return core.handle_draft(*unpack_draft_broadcast(msg.body))[0]
+
+    def answer(conn):
+        """Reply to each request; False once this side has closed."""
+        for action in actions:
+            msg = recv(conn)
+            reply = {"HELLO": Kind.HELLO, "CONFIGURE": Kind.CONFIGURE,
+                     "DRAFT_BROADCAST": Kind.SCORES_UPLOAD}[msg.kind.name]
+            body, corr = valid_body(msg), msg.corr_id
+            name = action[0]
+            if name == "stall":
+                return True
+            if name == "trickle":  # a byte per 0.1 s while the pool stays
+                frame = frame_encode(Message(reply, corr, body))
+                conn.settimeout(0.1)
+                for i in range(len(frame)):
+                    try:
+                        if conn.recv(1) == b"":
+                            closed.set()
+                            return False
+                    except socket.timeout:
+                        conn.sendall(frame[i:i + 1])
+                return True
+            if name == "body":
+                body = faulty_body(body, *action[1:])
+            elif name == "corr":
+                corr = (corr + action[1]) % 2**64
+            frame = frame_encode(Message(reply, corr, body))
+            if name == "kind":
+                frame = frame[:4] + bytes([action[1]]) + frame[5:]
+            if name == "cut":
+                conn.sendall(frame[:action[1] % len(frame)])
+                return False
+            conn.sendall(frame)
+        return True
+
+    def serve(conn):
+        try:
+            if answer(conn):
+                conn.settimeout(5)
+                if conn.recv(1) == b"":
+                    closed.set()
+        except (TruncatedStreamError, ConnectionResetError):
+            closed.set()
+
+    return serve
+
+
+class TestOrchestratorFuzz:
+    """A scripted worker answers each of the pool's requests with a valid
+    reply or a fault. Whatever it sends, a session ends in a ScoreResult of
+    gamma + 1 configured payloads or in a WorkerFailureError naming worker
+    0, within the reply deadlines plus 1 s, and the pool closes its socket."""
+
+    CFG = TestWorkerServer.CFG
+    TIMEOUT = 0.3
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(REPLY_ACTIONS, min_size=3, max_size=3))
+    def test_any_reply_script_ends_in_a_result_or_a_named_failure(self, actions):
+        closed = threading.Event()
+        thread, port = scripted_worker(scripted_replies(actions, closed))
+        start = time.monotonic()
+        pool = None
+        try:
+            pool = TcpPool([("127.0.0.1", port)], timeout=self.TIMEOUT)
+            pool.configure([self.CFG])
+            pool.commit((0,))
+            result = pool.score_block(stable_prefix_hash((0,)), (1, 2))
+        except WorkerFailureError as exc:
+            assert str(exc).startswith("worker 0")
+        else:
+            assert isinstance(result, ScoreResult)
+            [row] = result.payloads
+            assert len(row) == self.CFG.gamma + 1
+            assert all((p.k, p.vocab_size) == (self.CFG.k, self.CFG.vocab_size) for p in row)
+        finally:
+            if pool is not None:
+                pool.close()
+        # three rounds, each with its own reply deadline
+        assert time.monotonic() - start < 3 * self.TIMEOUT + 1.0
+        if pool is not None:
+            assert pool._socks[0].fileno() == -1
+        if not any(action[0] == "cut" for action in actions):
+            assert closed.wait(timeout=5)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 def truncate_uploads(monkeypatch):
