@@ -25,12 +25,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
@@ -63,6 +60,9 @@ from .transport import (
     expected_upload_bytes,
     worker_serve,
 )
+
+if TYPE_CHECKING:
+    import subprocess
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -127,12 +127,17 @@ def _row_point(cfg: RunConfig, samples: int) -> dict[str, int | float]:
             "samples": samples}
 
 
-def _tally_records(tally: SweepTally, records: Sequence[BlockRecord], weights: WeightVector,
-                   k_profile: TopKProfile) -> None:
-    """Score every position of ``records`` into ``tally``, block by block."""
+def _tally_records(records: Sequence[BlockRecord], weights: WeightVector,
+                   scoring: Sequence[tuple[TopKProfile, Sequence[SweepTally]]]) -> None:
+    """Score every position of ``records``, block by block, at each k
+    profile of ``scoring`` into that profile's tallies. With the profiles
+    widest first each shadow is put in payload order once."""
     for rec in records:
-        for step in block_step_metrics(rec, weights, k_profile):
-            tally.add(step)
+        cache = RecordCache()
+        for k_profile, tallies in scoring:
+            for step in block_step_metrics(rec, weights, k_profile, cache=cache):
+                for tally in tallies:
+                    tally.add(step)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -152,7 +157,7 @@ def cmd_run(cfg: RunConfig) -> int:
             res = run_sample(cfg.draft_model(ss), pool, settings, ss,
                              instrumented=instrumented)
             print(f"sample {s}: {' '.join(str(t) for t in res.tokens)}")
-            _tally_records(tally, res.records, cfg.weights, settings.k_profile)
+            _tally_records(res.records, cfg.weights, [(settings.k_profile, [tally])])
             drafted += res.drafted
             accepted += res.accepted
             uplink += res.uplink_bytes
@@ -171,25 +176,23 @@ def cmd_run(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     cfg.validate_sweep()
-    # Each reference sample is scored at every K as soon as it is decoded;
-    # only the running tallies outlive it. A tally adds its K's steps in
-    # (sample, block, position) order; rows go strategy, T, ascending K.
+    # Each reference sample is scored at every K as soon as it is decoded,
+    # and released before the next one decodes: only the running tallies
+    # outlive it. A tally adds its K's steps in (sample, block, position)
+    # order; rows go strategy, T, ascending K.
     profiles = {k: TopKProfile.homogeneous(k, cfg.workers, cfg.vocab_size)
                 for k in sorted(cfg.sweep_ks, reverse=True)}
     rows: dict[Strategy, list[SweepRecord]] = {strategy: [] for strategy in Strategy}
     for temp in cfg.sweep_temperatures:
         cfg_t = cfg.with_temperature(temp)
         tallies = {k: [SweepTally(strategy) for strategy in Strategy] for k in profiles}
+        scoring = [(profile, tallies[k]) for k, profile in profiles.items()]
         for s in range(cfg.samples):
             ss = sample_seed_for(cfg.seed, s)
-            res = run_reference_sample(cfg_t.draft_model(ss), cfg_t.worker_models(ss),
-                                       cfg_t.settings(), ss)
-            for rec in res.records:
-                cache = RecordCache()  # Ks widest first: each shadow is truncated once
-                for k, profile in profiles.items():
-                    for step in block_step_metrics(rec, cfg.weights, profile, cache=cache):
-                        for tally in tallies[k]:
-                            tally.add(step)
+            records = run_reference_sample(cfg_t.draft_model(ss), cfg_t.worker_models(ss),
+                                           cfg_t.settings(), ss).records
+            _tally_records(records, cfg.weights, scoring)
+            del records  # scored: not held while the next sample decodes
         for k in sorted(profiles):
             for tally in tallies[k]:
                 rows[tally.strategy].append(tally.record(
@@ -227,6 +230,8 @@ def cmd_serve_worker(cfg: RunConfig, host: str, port: int, worker_index: int) ->
 
 
 def _spawn_worker(cfg: RunConfig, index: int) -> tuple[subprocess.Popen, int]:
+    import subprocess  # only launch-demo starts processes
+
     cmd = [
         sys.executable, "-m", "draftwire", "serve-worker",
         "--host", "127.0.0.1", "--port", "0", "--worker_index", str(index),
@@ -256,6 +261,8 @@ def _spawn_worker(cfg: RunConfig, index: int) -> tuple[subprocess.Popen, int]:
 
 
 def cmd_launch_demo(cfg: RunConfig) -> int:
+    import subprocess
+
     settings = cfg.settings()
     procs: list[subprocess.Popen] = []
     try:
@@ -336,12 +343,14 @@ def cmd_trace_record(cfg: RunConfig) -> int:
     workers = [_PrefixLog(model) for model in cfg.worker_models(ss)]
     res = run_reference_sample(draft, workers, settings, ss)
 
-    # each model was queried once per recorded row, in row order
-    q_rows = np.stack([d.probs for rec in res.records for d in rec.q_dists])
+    # each model was queried once per recorded row, in row order; the
+    # rows are written from the records, not copied into one array first
+    q_rows = [d.probs for rec in res.records for d in rec.q_dists]
     write_trace(out / "draft.trace", q_rows, draft.hashes)
     for i, worker in enumerate(workers):
-        rows = np.stack([d.probs for rec in res.records for d in rec.worker_dists[i]])
-        write_trace(out / f"worker_{i}.trace", rows, worker.hashes)
+        write_trace(out / f"worker_{i}.trace",
+                    [d.probs for rec in res.records for d in rec.worker_dists[i]],
+                    worker.hashes)
     (out / "drafts.txt").write_text(
         "\n".join(" ".join(str(t) for t in rec.draft_tokens) for rec in res.records) + "\n"
     )

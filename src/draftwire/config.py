@@ -15,6 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
+from .dist import check_temperature
 from .engine import SessionSettings
 from .models import MarkovModel, NormalMemo, SyntheticModel, TraceModel, load_corpus
 from .seeding import ROLE_DRAFT_MODEL, ROLE_WORKER_MODEL_BASE, derive_seed
@@ -269,6 +270,9 @@ class RunConfig:
             self.settings()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for key in ("temperature", "draft_temperature"):
+            with _config_error(key):
+                check_temperature(getattr(self, key))
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if not self.timeout > 0:
@@ -280,9 +284,7 @@ class RunConfig:
         time so that the error names its key; a Markov config also fits its
         corpus here, once, for the run to reuse."""
         if self.model == "synthetic":
-            for key, arg in (("temperature", "temperature"),
-                             ("draft_temperature", "temperature"),
-                             ("concentration", "concentration"),
+            for key, arg in (("concentration", "concentration"),
                              ("draft_concentration", "concentration"),
                              ("correlation", "correlation")):
                 with _config_error(key):
@@ -305,8 +307,8 @@ class RunConfig:
         if not self.sweep_temperatures:
             raise ConfigError("sweep_temperatures must be non-empty")
         for t in self.sweep_temperatures:
-            if not t > 0:
-                raise ConfigError("temperatures must be > 0")
+            with _config_error("sweep_temperatures"):
+                check_temperature(t)
         # a repeated value would score and report the same point twice
         for key, values in (("sweep_ks", self.sweep_ks),
                             ("sweep_temperatures", self.sweep_temperatures)):

@@ -86,15 +86,23 @@ def softmax_with_temperature(logits, temperature: float) -> Distribution:
     return softmax_inplace(np.array(logits, dtype=np.float64), temperature)
 
 
+def check_temperature(temperature: float) -> None:
+    """The one validity rule for a temperature: finite and > 0."""
+    if not 0.0 < temperature < np.inf:  # false for NaN too
+        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
+
+
 def softmax_inplace(logits: np.ndarray, temperature: float) -> Distribution:
     """``softmax_with_temperature`` computed inside ``logits``, a float64
     array that the caller hands over: it becomes the distribution's storage.
 
     The float operations and their order are the same; only the division
-    at T = 1, which is exact, is skipped.
+    at T = 1, which is exact, is skipped. A temperature so small that a
+    logit gap divided by it overflows sends that logit to -inf, whose
+    weight is 0: the T -> 0 limit, not an error, so that overflow is not
+    reported.
     """
-    if not np.isfinite(temperature) or temperature <= 0.0:
-        raise ValueError(f"temperature must be a positive real, got {temperature!r}")
+    check_temperature(temperature)
     if logits.ndim != 1 or logits.size < 2:
         raise ValueError("logits must be a 1-D vector of length >= 2")
     hi = logits.max()
@@ -103,7 +111,8 @@ def softmax_inplace(logits: np.ndarray, temperature: float) -> Distribution:
         raise ValueError("logits must be finite")
     logits -= hi
     if temperature != 1.0:
-        logits /= temperature
+        with np.errstate(over="ignore"):
+            logits /= temperature
     np.exp(logits, out=logits)
     logits /= logits.sum()
     return Distribution.unchecked(logits)

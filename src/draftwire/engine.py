@@ -72,6 +72,8 @@ class SessionSettings:
         for t in self.prompt:
             if not 0 <= t < self.vocab_size:
                 raise ValueError(f"prompt token {t} outside vocabulary")
+        if self.eos is not None and not 0 <= self.eos < self.vocab_size:
+            raise ValueError(f"eos {self.eos} outside vocabulary [0, {self.vocab_size})")
 
     @property
     def m(self) -> int:

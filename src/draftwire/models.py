@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dist import Distribution, softmax_inplace
+from .dist import Distribution, check_temperature, softmax_inplace
 from .seeding import Prefix, keyed_normals
 from .seeding import stable_prefix_hash  # noqa: F401  perfbench/tracing.py wraps it here
 
@@ -41,6 +41,10 @@ TRACE_MAGIC = b"SFTR"
 TRACE_VERSION = 2
 TRACE_SUM_TOLERANCE = 1e-5
 _TRACE_HEADER_BYTES = 14
+# A logit is concentration times a blend of two normal draws. Capping the
+# concentration far below the float64 limit keeps every logit and logit gap
+# finite; long before this scale each distribution is one-hot in effect.
+MAX_CONCENTRATION = 1e300
 
 
 class TraceError(ValueError):
@@ -120,10 +124,10 @@ class SyntheticModel:
     def __post_init__(self) -> None:
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
-        if not self.concentration >= 0.0:
-            raise ValueError("concentration must be >= 0")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be > 0")
+        if not 0.0 <= self.concentration <= MAX_CONCENTRATION:
+            raise ValueError(f"concentration must lie in [0, {MAX_CONCENTRATION:g}], "
+                             f"got {self.concentration!r}")
+        check_temperature(self.temperature)
         if not 0.0 <= self.correlation <= 1.0:
             raise ValueError("correlation must lie in [0, 1]")
         if self.correlation > 0.0 and self.shared_seed is None:
@@ -219,23 +223,30 @@ class Trace(NamedTuple):
     prefix_hashes: np.ndarray | None  # (steps,) uint64; None in a version-1 file
 
 
-def write_trace(path: str | Path, rows: np.ndarray, prefix_hashes: Sequence[int]) -> None:
+def write_trace(path: str | Path, rows: Sequence[np.ndarray],
+                prefix_hashes: Sequence[int]) -> None:
     """Record per-query distributions as a version-2 trace.
 
     Layout (little-endian): magic, u16 version, u32 vocab_size, u32 steps,
     then ``steps`` u64 prefix hashes (``stable_prefix_hash`` of the prefix
     each row answers), then the rows as dense f32.
+
+    ``rows`` is a (steps, vocab_size) array or a sequence of ``steps``
+    vectors. Each is narrowed to f32 and written on its own, so the file
+    is never built whole in memory.
     """
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
+    steps = len(rows)
+    shape = np.shape(rows[0]) if steps else ()
+    if len(shape) != 1 or shape[0] < 2 or any(np.shape(row) != shape for row in rows):
         raise ValueError("trace rows must be a (steps, vocab_size) array")
-    steps, vocab_size = arr.shape
     if len(prefix_hashes) != steps:
         raise ValueError(f"{len(prefix_hashes)} prefix hashes for {steps} trace rows")
-    header = TRACE_MAGIC + np.array([TRACE_VERSION], dtype="<u2").tobytes()
-    header += np.array([vocab_size, steps], dtype="<u4").tobytes()
-    hashes = np.asarray(prefix_hashes, dtype="<u8").tobytes()
-    Path(path).write_bytes(header + hashes + arr.astype("<f4").tobytes())
+    with open(path, "wb") as fh:
+        fh.write(TRACE_MAGIC + np.array([TRACE_VERSION], dtype="<u2").tobytes())
+        fh.write(np.array([shape[0], steps], dtype="<u4").tobytes())
+        fh.write(np.asarray(prefix_hashes, dtype="<u8").tobytes())
+        for row in rows:
+            fh.write(np.asarray(row, dtype=np.float64).astype("<f4").tobytes())
 
 
 def read_trace(path: str | Path) -> Trace:

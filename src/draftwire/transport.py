@@ -40,7 +40,6 @@ is fixed by worker index regardless of reply arrival order.
 from __future__ import annotations
 
 import enum
-import socket
 import struct
 import time
 from dataclasses import dataclass
@@ -55,6 +54,7 @@ from .seeding import stable_prefix_hash  # noqa: F401  perfbench/tracing.py wrap
 from .specdec import ModelProvider, scored_prefixes
 
 if TYPE_CHECKING:
+    import socket
     from concurrent.futures import ThreadPoolExecutor
 
 PROTOCOL_VERSION = 3
@@ -282,14 +282,14 @@ class WorkerCore:
 
 def _read_exact(sock: socket.socket, n: int, deadline: float | None = None) -> bytes:
     """Read n bytes, fewer if the stream ends; past a ``time.monotonic()``
-    ``deadline``, raise ``socket.timeout``."""
+    ``deadline``, raise ``TimeoutError``."""
     chunks = []
     remaining = n
     while remaining > 0:
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0.0:
-                raise socket.timeout("reply deadline passed")
+                raise TimeoutError("reply deadline passed")
             sock.settimeout(left)
         chunk = sock.recv(remaining)
         if not chunk:
@@ -313,6 +313,8 @@ def worker_serve(
     accept, so one worker serves any number of runs in turn. The
     bound port (useful with port 0) is reported through ``ready``.
     """
+    import socket  # in-process runs never load it
+
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
@@ -554,6 +556,8 @@ class TcpPool(WorkerPool):
     """
 
     def __init__(self, endpoints: Sequence[tuple[str, int]], *, timeout: float = DEFAULT_TIMEOUT) -> None:
+        import socket  # in-process runs never load it
+
         super().__init__(len(endpoints))
         self._socks: list[socket.socket] = []
         self._timeout = timeout
@@ -585,7 +589,7 @@ class TcpPool(WorkerPool):
         deadline = time.monotonic() + self._timeout
         try:
             msg = frame_decode(lambda n: _read_exact(sock, n, deadline))
-        except socket.timeout as exc:
+        except TimeoutError as exc:
             raise WorkerFailureError(f"worker {i}: timed out waiting for {expect.name}") from exc
         except (FramingError, OSError) as exc:
             raise WorkerFailureError(f"worker {i}: {exc}") from exc
@@ -612,7 +616,12 @@ class TcpPool(WorkerPool):
         return [self._recv(i, reply_kind, first + i).body for i in range(len(bodies))]
 
     def _configure(self, configs: Sequence[WorkerConfig]) -> None:
-        self._round(Kind.CONFIGURE, [pack_configure(cfg) for cfg in configs], Kind.CONFIGURE)
+        replies = self._round(Kind.CONFIGURE, [pack_configure(cfg) for cfg in configs],
+                              Kind.CONFIGURE)
+        for i, body in enumerate(replies):
+            if body:  # the protocol defines this reply as empty
+                raise WorkerFailureError(f"worker {i}: CONFIGURE reply carries "
+                                         f"{len(body)} unexpected bytes")
 
     def _exchange(self, delta: Sequence[int], draft: Sequence[int]) -> Replies:
         body = pack_draft_broadcast(delta, draft)

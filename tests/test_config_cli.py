@@ -1,6 +1,7 @@
 import hashlib
 import re
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +299,17 @@ MODEL_SETTING_ERRORS = [
                  id="draft_concentration"),
     pytest.param(["sweep", "--correlation", "2"], "correlation", id="sweep-correlation"),
     pytest.param(["run", "--temperature", "0"], "temperature", id="temperature"),
+    # one temperature rule, finite and > 0, for every temperature
+    pytest.param(["run", "--temperature", "inf"], "temperature:", id="temperature-inf"),
+    pytest.param(["run", "--draft_temperature", "inf"], "draft_temperature:",
+                 id="draft_temperature-inf"),
+    pytest.param(["run", "--temperature", "nan"], "temperature:", id="temperature-nan"),
+    pytest.param(["run", "--concentration", "inf"], "concentration:", id="concentration-inf"),
+    pytest.param(["run", "--draft_concentration", "1e301"], "draft_concentration:",
+                 id="draft_concentration-too-large"),
+    pytest.param(["run", "--eos", "9999"], "eos 9999 outside vocabulary", id="eos-out-of-vocabulary"),
+    pytest.param(["trace-record", "--eos", "16", "--trace_dir", "{tmp}/traces"],
+                 "eos 16 outside vocabulary", id="trace-record-eos"),
     pytest.param(["run", "--model", "markov", "--corpus", "{corpus}", "--markov_order", "0"],
                  "markov_order", id="markov_order"),
     pytest.param(["run", "--model", "markov", "--corpus", "{corpus}", "--markov_smoothing", "0"],
@@ -309,6 +321,42 @@ MODEL_SETTING_ERRORS = [
     pytest.param(["run", "--model", "markov", "--corpus", "{tmp}/missing.txt"],
                  "missing.txt: [Errno 2]", id="corpus-missing"),
 ]
+
+
+# Run in a fresh interpreter: prints the network modules loaded after the
+# import, then after an in-process run and sweep.
+NETWORK_MODULES_SCRIPT = """
+import contextlib, io, sys
+import draftwire, draftwire.cli
+def loaded():
+    return sorted({"socket", "subprocess"} & set(sys.modules))
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert draftwire.cli.main(["run", *sys.argv[1:]]) == 0
+    assert draftwire.cli.main(["run", "--mode", "inprocess", *sys.argv[1:]]) == 0
+    assert draftwire.cli.main(["sweep", *sys.argv[1:], "--sweep_ks", "1,4",
+                               "--sweep_temperatures", "1.0", "--csv", "sweep.csv"]) == 0
+print(loaded())
+"""
+
+
+def test_in_process_commands_load_no_network_module(tmp_path):
+    """``socket`` and ``subprocess`` load only where ``TcpPool``,
+    ``worker_serve`` or ``launch-demo`` use them: not with the package, and
+    not in an in-process run or sweep."""
+    import os
+    import subprocess
+    import sys
+
+    import draftwire
+
+    env = dict(os.environ)
+    src = str(Path(draftwire.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", NETWORK_MODULES_SCRIPT, *RUN_ARGS],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestModelSettingErrors:
@@ -367,6 +415,16 @@ class TestCliSweep:
         assert code == 2
         assert "sweep k=99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("temps", ["1,inf", "-1", "nan,1.0", "0.8,0"])
+    def test_sweep_temperature_outside_the_rule_exits_2(self, tmp_path, capsys, temps):
+        code = main([*SWEEP_ARGS, "--sweep_temperatures", temps,
+                     "--csv", str(tmp_path / "sweep.csv")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("config error: sweep_temperatures: temperature must be "
+                              "finite and > 0")
+        assert "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize("ks, temps, message", [
         ("4,4", "1.0", "sweep_ks repeats 4"),
         ("1,4,1", "1.0", "sweep_ks repeats 1"),
@@ -382,6 +440,31 @@ class TestCliSweep:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not csv_path.exists()
+
+    def test_sweep_releases_each_sample_before_decoding_the_next(self, monkeypatch, tmp_path,
+                                                                capsys):
+        # Scored at every K once decoded, a sample's records are gone by the
+        # time the next sample decodes, at the same temperature or the next.
+        import weakref
+
+        from draftwire import cli
+
+        alive, decodes = [], []
+        decode = cli.run_reference_sample
+
+        def watched(*args, **kwargs):
+            decodes.append(sum(ref() is not None for ref in alive))
+            res = decode(*args, **kwargs)
+            alive.extend(weakref.ref(rec) for rec in res.records)
+            return res
+
+        monkeypatch.setattr(cli, "run_reference_sample", watched)
+        argv = [*SWEEP_ARGS, "--samples", "3", "--sweep_temperatures", "0.8,1.2",
+                "--csv", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert decodes == [0] * 6
+        assert alive and all(ref() is None for ref in alive)
 
     def test_sweep_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import distribution_pairs, distributions, random_distribution
 from draftwire.dist import (
     Distribution,
+    check_temperature,
     l1_distance,
     sample,
     sample_from_uniform,
@@ -71,10 +73,23 @@ class TestSoftmax:
         assert d.probs == pytest.approx([e2 / (e2 + 1), 1 / (e2 + 1)], abs=1e-12)
         assert d.probs[0] > softmax_with_temperature([1.0, 0.0], 1.0).probs[0]
 
-    @pytest.mark.parametrize("temp", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("temp", [0.0, -1.0, float("nan"), float("inf"), -float("inf"),
+                                      -1e-320])
     def test_rejects_bad_temperature(self, temp):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             softmax_with_temperature([1.0, 0.0], temp)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            check_temperature(temp)
+
+    @pytest.mark.parametrize("temp", [1e-320, 5e-324, 1e-300])
+    def test_tiny_temperature_is_the_zero_limit_without_a_warning(self, temp):
+        # a logit gap over T overflows to -inf: weight 0, the argmax keeps it
+        # all; the overflow is the intended limit, so nothing is reported
+        logits = np.array([0.5, -3.0, 2.0, 2.0 - 1e-9, -1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = softmax_inplace(logits, temp)
+        assert d.probs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
     def test_rejects_non_finite_logits(self):
         with pytest.raises(ValueError):

@@ -74,10 +74,12 @@ class TestSyntheticModel:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             SyntheticModel(vocab_size=1, seed=0)
-        with pytest.raises(ValueError):
-            SyntheticModel(vocab_size=4, seed=0, concentration=-1.0)
-        with pytest.raises(ValueError):
-            SyntheticModel(vocab_size=4, seed=0, temperature=0.0)
+        for concentration in (-1.0, float("inf"), float("nan"), 1e301):
+            with pytest.raises(ValueError, match="concentration must lie in"):
+                SyntheticModel(vocab_size=4, seed=0, concentration=concentration)
+        for temperature in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+                SyntheticModel(vocab_size=4, seed=0, temperature=temperature)
         with pytest.raises(ValueError):
             SyntheticModel(vocab_size=4, seed=0, correlation=1.5, shared_seed=1)
         with pytest.raises(ValueError):

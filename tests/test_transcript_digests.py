@@ -241,3 +241,39 @@ def test_instrumented_run_output_digest_is_pinned(name, tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out.replace(str(out), "CSV")
     assert hashlib.sha256(stdout.encode() + out.read_bytes()).hexdigest() == RUN_DIGESTS[name]
+
+
+# ``draftwire trace-record``: every file of a recording, byte for byte, with
+# meta.cfg's absolute trace_dir replaced by a placeholder. Three weighted
+# workers and an EOS exercise the row order and the stop rule. Recorded
+# when the rows were still stacked into one array before writing.
+TRACE_RECORD_CASES = {
+    "v64-two-workers": ["--vocab_size", "64", "--max_tokens", "24"],
+    "v256-three-workers-eos-weighted": ["--vocab_size", "256", "--workers", "3",
+                                        "--correlation", "0.6", "--eos", "5",
+                                        "--weights", "0.2,0.3,0.5", "--gamma", "3",
+                                        "--max_tokens", "40"],
+}
+
+TRACE_RECORD_DIGESTS = {
+    "v64-two-workers":
+        "443761c6f2f3aafd8116c678e72bdd8ccbed03925df2cf79fb05e6dc4caa383d",
+    "v256-three-workers-eos-weighted":
+        "5a35294177160fdf11965a34e8dc73f8a8eda12385213e5285f2a06380270918",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_RECORD_CASES))
+def test_trace_record_files_digest_is_pinned(name, tmp_path, capsys):
+    from draftwire import cli
+
+    out = tmp_path / "t"
+    code = cli.main(["trace-record", "--seed", "7", "--samples", "1",
+                     *TRACE_RECORD_CASES[name], "--trace_dir", str(out)])
+    assert code == 0
+    capsys.readouterr()
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes().replace(str(out.resolve()).encode(), b"TRACE_DIR"))
+    assert h.hexdigest() == TRACE_RECORD_DIGESTS[name]

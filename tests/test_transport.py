@@ -991,6 +991,7 @@ REPLY_FAULTS = st.one_of(
     st.tuples(st.just("kind"), st.integers(0, 255)),
     st.tuples(st.just("body"), st.sampled_from(("random", "flip", "truncate", "extend")),
               st.integers(0, 2**16), st.binary(max_size=40)),
+    st.just(("body", "random", 0, b"garbage")),
     st.tuples(st.just("corr"), st.one_of(st.integers(-3, 3).filter(bool),
                                          st.integers(4, 2**64 - 1))),
     st.tuples(st.just("cut"), st.integers(0, 2**16)),
@@ -1081,7 +1082,8 @@ class TestOrchestratorFuzz:
     """A scripted worker answers each of the pool's requests with a valid
     reply or a fault. Whatever it sends, a session ends in a ScoreResult of
     gamma + 1 configured payloads or in a WorkerFailureError naming worker
-    0, within the reply deadlines plus 1 s, and the pool closes its socket."""
+    0, within the reply deadlines plus 1 s, and the pool closes its socket.
+    A CONFIGURE reply that carries a body always ends in the failure."""
 
     CFG = TestWorkerServer.CFG
     TIMEOUT = 0.3
@@ -1089,6 +1091,8 @@ class TestOrchestratorFuzz:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(REPLY_ACTIONS, min_size=3, max_size=3))
     def test_any_reply_script_ends_in_a_result_or_a_named_failure(self, actions):
+        configure = actions[1]
+        refused = configure[0] == "body" and faulty_body(b"", *configure[1:]) != b""
         closed = threading.Event()
         thread, port = scripted_worker(scripted_replies(actions, closed))
         start = time.monotonic()
@@ -1101,6 +1105,7 @@ class TestOrchestratorFuzz:
         except WorkerFailureError as exc:
             assert str(exc).startswith("worker 0")
         else:
+            assert not refused
             assert isinstance(result, ScoreResult)
             [row] = result.payloads
             assert len(row) == self.CFG.gamma + 1
@@ -1114,6 +1119,21 @@ class TestOrchestratorFuzz:
             assert pool._socks[0].fileno() == -1
         if not any(action[0] == "cut" for action in actions):
             assert closed.wait(timeout=5)
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_configure_reply_with_a_body_is_refused(self):
+        closed = threading.Event()
+        actions = [("valid",), ("body", "random", 0, b"garbage"), ("valid",)]
+        thread, port = scripted_worker(scripted_replies(actions, closed))
+        pool = TcpPool([("127.0.0.1", port)], timeout=self.TIMEOUT)
+        try:
+            with pytest.raises(WorkerFailureError,
+                               match="worker 0: CONFIGURE reply carries 7 unexpected bytes"):
+                pool.configure([self.CFG])
+        finally:
+            pool.close()
+        assert closed.wait(timeout=5)
         thread.join(timeout=5)
         assert not thread.is_alive()
 
