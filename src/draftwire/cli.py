@@ -48,7 +48,8 @@ from .engine import (
     sample_seed_for,
 )
 from .dist import Distribution
-from .metrics import SweepRecord, SweepTally, sweep_aggregate, write_sweep_csv
+from .metrics import SweepRecord, SweepTally, write_sweep_csv
+from .metrics import sweep_aggregate  # noqa: F401  perfbench/tracing.py wraps it here
 from .models import TraceError, read_trace, write_trace
 from .seeding import Prefix
 from .specdec import ModelProvider
@@ -402,12 +403,10 @@ def _load_trace_records(trace_dir: Path, workers: int, gamma: int,
         draft_tokens = tuple(int(t) for t in draft_lines[b].split())
         if len(draft_tokens) != gamma:
             raise ConfigError(f"draft line {b} does not hold {gamma} tokens")
-        q = tuple(Distribution.unchecked(q_rows[b * gamma + t].copy()) for t in range(gamma))
+        # views of the read-only rows: each row is held once
+        q = tuple(Distribution.unchecked(q_rows[b * gamma + t]) for t in range(gamma))
         dists = tuple(
-            tuple(
-                Distribution.unchecked(rows[b * (gamma + 1) + t].copy())
-                for t in range(gamma + 1)
-            )
+            tuple(Distribution.unchecked(rows[b * (gamma + 1) + t]) for t in range(gamma + 1))
             for rows in worker_rows
         )
         records.append(BlockRecord(draft_tokens=draft_tokens, q_dists=q, worker_dists=dists))
@@ -421,9 +420,9 @@ def cmd_trace_replay(cfg: RunConfig) -> int:
     records = _load_trace_records(Path(cfg.trace_dir), cfg.workers, cfg.gamma, cfg.vocab_size)
     k_profile = TopKProfile(cfg.ks, cfg.vocab_size)
     point = _row_point(cfg, 1)
-    steps = [step for rec in records
-             for step in block_step_metrics(rec, cfg.weights, k_profile)]
-    return _report_point(cfg, sweep_aggregate(steps, strategy=cfg.strategy, **point))
+    tally = SweepTally(cfg.strategy)
+    _tally_records(records, cfg.weights, [(k_profile, [tally])])
+    return _report_point(cfg, tally.record(**point))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -63,6 +63,11 @@ _STRATEGIES = {s.name.lower(): s for s in Strategy}
 
 _MODES = ("instrumented", "inprocess", "networked")
 
+# The most workers a run may have. An in-process pool starts one helper
+# thread per worker after the first, so an unbounded M would start that
+# many threads; every configuration in the tests and the README has M <= 5.
+MAX_WORKERS = 64
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
@@ -180,8 +185,8 @@ class RunConfig:
         workers = _int(raw["workers"], "workers")
         if vocab_size < 2:
             raise ConfigError("vocab_size must be >= 2")
-        if workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
 
         k_raw = raw["k"].strip()
         if k_raw == "full":

@@ -17,7 +17,7 @@ differ only in the scorer and the commit they pass it:
   compressed path must reproduce it byte for byte.
 
 Both scorers hand verification a ``_Targets`` sequence that aggregates the
-target at position t only when verification reads it, which is up to the
+target at position t when verification reads it, which is up to the
 first rejection: a block builds accepted + 1 of its gamma + 1 targets. The
 prefix is a ``seeding.Prefix``, which carries its hash, so neither the
 loop nor a model query hashes a whole prefix.
@@ -121,22 +121,20 @@ def sample_seed_for(seed: int, sample_index: int) -> int:
 
 class _Targets(Sequence[Distribution]):
     """A block's gamma + 1 aggregated targets, each built by ``build(t)``
-    when it is first read and kept from then on."""
+    whenever it is read. Verification reads each position at most once, so
+    none is kept."""
 
-    __slots__ = ("_build", "_built")
+    __slots__ = ("_build", "_positions")
 
     def __init__(self, count: int, build: Callable[[int], Distribution]) -> None:
         self._build = build
-        self._built: list[Distribution | None] = [None] * count
+        self._positions = range(count)
 
     def __len__(self) -> int:
-        return len(self._built)
+        return len(self._positions)
 
     def __getitem__(self, t: int) -> Distribution:
-        target = self._built[t]
-        if target is None:
-            target = self._built[t] = self._build(t)
-        return target
+        return self._build(self._positions[t])  # IndexError past the end
 
 
 # What a block scorer returns: the gamma + 1 aggregated targets, the exact

@@ -24,7 +24,7 @@ Violations are counted, never raised, so a sweep reports them in its CSV.
 array pass over a ``ShadowBlock``, which holds what no K changes (the
 stacked shadows, their exact aggregate and a payload stack), and checks
 the ranges of the whole block at once. ``instrument_position`` then
-builds one position's ``StepMetrics`` unchecked. A ``SweepTally`` folds
+builds one position's ``StepMetrics``. A ``SweepTally`` folds
 one strategy's steps into a CSV row as they arrive; the sweep keeps one
 per (K, strategy) and ``sweep_aggregate`` folds a finished list.
 """
@@ -89,8 +89,8 @@ class StepMetrics:
     """Everything measured at one scored position, one record per strategy.
 
     ``alpha_exact`` is None at the bonus position. ``by_strategy`` covers
-    every ``Strategy``. The constructor checks the ranges;
-    ``unchecked`` wraps values that ``score_block`` has already checked.
+    every ``Strategy``. ``score_block`` has checked the ranges, for the
+    whole block at once.
     """
 
     worker_epsilons: tuple[float, ...]
@@ -98,46 +98,21 @@ class StepMetrics:
     alpha_exact: float | None
     by_strategy: dict[Strategy, StrategyMetrics]
 
-    def __post_init__(self) -> None:
-        missing = set(Strategy) - self.by_strategy.keys()
-        if missing:
-            raise ValueError(f"no metrics for {sorted(s.name for s in missing)}")
-        records = self.by_strategy.values()
-        _check_range(np.array(self.worker_epsilons), _EPSILON)
-        _check_range(np.array([v for rec in records for v in (*rec.local_errors, rec.bias)]), _L1)
-        _check_range(np.array([a for a in (self.alpha_exact, *(rec.alpha for rec in records))
-                               if a is not None]), _RATE)
 
-    @classmethod
-    def unchecked(cls, worker_epsilons: tuple[float, ...], weighted_epsilon: float,
-                  alpha_exact: float | None,
-                  by_strategy: dict[Strategy, StrategyMetrics]) -> "StepMetrics":
-        """Wrap values whose ranges are already checked; no checks. Internal
-        fast path for ``instrument_position``, since ``score_block`` checks
-        a whole block at once."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "worker_epsilons", worker_epsilons)
-        object.__setattr__(self, "weighted_epsilon", weighted_epsilon)
-        object.__setattr__(self, "alpha_exact", alpha_exact)
-        object.__setattr__(self, "by_strategy", by_strategy)
-        return self
-
-
-# ``StepMetrics``' ranges, as (upper bound, message): every value must lie
+# ``score_block``'s ranges, as (upper bound, message): every value must lie
 # in [0, upper bound].
 _EPSILON = (1.0, "residual mass {} outside [0, 1]")
 _L1 = (2.0 + BOUND_TOLERANCE, "L1 value {} outside [0, 2]")
 _RATE = (1.0, "acceptance rate {} outside [0, 1]")
 
 
-def _check_range(values: np.ndarray, rule: tuple[float, str], *,
-                 nonnegative: bool = False) -> None:
+def _check_range(values: np.ndarray, rule: tuple[float, str]) -> None:
     """Raise ``rule``'s ValueError for the first value outside its range;
-    NaN is outside every range. Values that are ``nonnegative`` by
-    construction (or NaN) have only their maximum read."""
+    NaN is outside every range. The values are non-negative by
+    construction (or NaN), so only their maximum is read."""
     top, message = rule
-    # NaN propagates into min and max and fails every comparison
-    if values.size and not ((nonnegative or values.min() >= 0.0) and values.max() <= top):
+    # NaN propagates into the maximum and fails the comparison
+    if values.size and not values.max() <= top:
         outside = values[~((values >= 0.0) & (values <= top))]
         raise ValueError(message.format(float(outside.flat[0])))
 
@@ -270,10 +245,10 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     biases are 0.0 and each alpha is ``alpha_exact``, returned with no
     reconstruction array. eps still comes from ``reconstructions``.
 
-    ``StepMetrics``' range checks run here once for the whole block, with
-    the same ValueError texts. eps, L1 values and the clamped rates,
-    ``block.alpha_exact`` among them, are non-negative (or NaN) by
-    construction, so only their maxima are read.
+    The range checks of every value run here, once for the whole block:
+    eps in [0, 1], L1 values in [0, 2] and the clamped rates,
+    ``block.alpha_exact`` among them, in [0, 1]. Each raises a ValueError
+    naming the first value outside.
     """
     w = block.weights
     m = len(w)
@@ -285,8 +260,8 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     ids, probs = block.stack(max(ks))
     if min(ks) == size:
         epsilons = reconstructions(probs, size)[0]
-        _check_range(epsilons, _EPSILON, nonnegative=True)
-        _check_range(block.alpha_exact, _RATE, nonnegative=True)
+        _check_range(epsilons, _EPSILON)
+        _check_range(block.alpha_exact, _RATE)
         alpha_exact = block.alpha_exact.tolist()
         return BlockScores(
             epsilons=epsilons.tolist(),
@@ -310,16 +285,16 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
             kept, other = rules[strategy]
             recon[layer, group] = np.asarray(other).T[..., None]  # per payload, or a scalar
             flat[block.offsets[layer][:, group] + group_ids] = kept
-    _check_range(epsilons, _EPSILON, nonnegative=True)
+    _check_range(epsilons, _EPSILON)
     p_comp = np.multiply(recon[:, 0], w[0], out=recon[:, m])
     for i in range(1, m):
         p_comp += recon[:, i] * w[i]
     alphas = _acceptance(p_comp[:, :len(block.q)], block.q)
     recon -= exact  # every slot becomes its gap to the exact row
     l1 = np.abs(recon, out=recon).sum(axis=-1)
-    _check_range(l1, _L1, nonnegative=True)
-    _check_range(alphas, _RATE, nonnegative=True)
-    _check_range(block.alpha_exact, _RATE, nonnegative=True)
+    _check_range(l1, _L1)
+    _check_range(alphas, _RATE)
+    _check_range(block.alpha_exact, _RATE)
     return BlockScores(
         epsilons=epsilons.tolist(),
         weighted_epsilons=_weighted_sum(epsilons, w).tolist(),
@@ -345,7 +320,7 @@ def instrument_position(scores: BlockScores, t: int) -> StepMetrics:
     alpha_exact = scores.alpha_exact[t] if has_q else None
     errors, biases = scores.local_errors[t], scores.biases[t]
     alphas = scores.alphas[t] if has_q else [None] * len(_LAYERS)
-    return StepMetrics.unchecked(
+    return StepMetrics(
         tuple(scores.epsilons[t]),
         scores.weighted_epsilons[t],
         alpha_exact,

@@ -219,7 +219,7 @@ def load_corpus(path: str | Path) -> list[int]:
 class Trace(NamedTuple):
     """The rows of a trace file and the prefix hash each was recorded for."""
 
-    rows: np.ndarray  # (steps, vocab_size) float64
+    rows: np.ndarray  # (steps, vocab_size) float64, read-only
     prefix_hashes: np.ndarray | None  # (steps,) uint64; None in a version-1 file
 
 
@@ -255,7 +255,8 @@ def read_trace(path: str | Path) -> Trace:
     Reads version 2 and version 1, which has no prefix hashes: its rows can
     still be re-scored offline, but ``TraceModel`` refuses to replay them.
     Rows whose sum drifts from 1 by less than the storage tolerance are
-    renormalized; larger deviations mean the file is corrupt.
+    renormalized; larger deviations mean the file is corrupt. The rows are
+    read-only, so each row can be handed out as a view, not a copy.
     """
     buf = Path(path).read_bytes()
     if len(buf) < _TRACE_HEADER_BYTES or buf[:4] != TRACE_MAGIC:
@@ -272,18 +273,22 @@ def read_trace(path: str | Path) -> Trace:
         raise TraceError(f"trace declares {expected} bytes but file has {len(buf)}")
     hashes = None
     if version == TRACE_VERSION:
-        hashes = np.frombuffer(buf, dtype="<u8", count=steps, offset=_TRACE_HEADER_BYTES)
+        # copied: a view would keep the whole file's bytes alive
+        hashes = np.frombuffer(buf, dtype="<u8", count=steps,
+                               offset=_TRACE_HEADER_BYTES).copy()
+    # widened once; each row is renormalized in place
     rows = np.frombuffer(buf, dtype="<f4", offset=offset).astype(np.float64)
     rows = rows.reshape(steps, vocab_size)
-    out = np.empty_like(rows)
     for i, row in enumerate(rows):
         if np.any(row < 0.0) or not np.all(np.isfinite(row)):
             raise TraceError(f"trace row {i} has invalid probabilities")
         total = row.sum()
         if abs(total - 1.0) >= TRACE_SUM_TOLERANCE or total <= 0.0:
             raise TraceError(f"trace row {i} sums to {total!r}")
-        out[i] = row / total if total != 1.0 else row
-    return Trace(out, hashes)
+        if total != 1.0:
+            row /= total
+    rows.setflags(write=False)
+    return Trace(rows, hashes)
 
 
 class TraceModel:
@@ -332,4 +337,4 @@ class TraceModel:
                 f"{self.prefix_hashes[row]:#018x}, asked about {asked:#018x}"
             )
         self._cursor += 1
-        return Distribution.unchecked(self.rows[row].copy())
+        return Distribution.unchecked(self.rows[row])

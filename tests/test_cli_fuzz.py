@@ -5,8 +5,8 @@
 to drawn values: 0, negatives, inf, nan, 1e-320, 2^64 and beyond, lists
 with repeats, and random text. Keys that size the work (|V|, workers, gamma,
 samples, max_tokens) draw only small or invalid values, so that no example
-is expensive. Keys that name files or endpoints are left out: their runtime
-failures rightly exit 1.
+is expensive; workers also draws values above its cap. Keys that name
+files or endpoints are left out: their runtime failures rightly exit 1.
 
 Every outcome is exit 0 with its output lines, or exit 2 with a
 ``config error:`` line and no ``sample 0:`` line. No exception leaves
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from draftwire import cli
+from draftwire.config import MAX_WORKERS
 
 BASE = ["--vocab_size", "16", "--k", "4", "--gamma", "2", "--samples", "1",
         "--max_tokens", "4", "--sweep_ks", "1,4,16", "--sweep_temperatures", "1.0"]
@@ -37,6 +38,8 @@ NUMBER = st.one_of(
 )
 # values for the keys that size the work: small, or invalid
 SIZE = st.one_of(SPECIAL, st.integers(-3, 6).map(str), TEXT)
+# workers also draws values above the cap, never a large valid one
+WORKERS = st.one_of(SIZE, st.integers(MAX_WORKERS + 1, 2**80).map(str))
 VOCAB = st.one_of(SPECIAL, st.integers(-3, 24).map(str), TEXT)
 
 
@@ -54,7 +57,7 @@ def choices(*names):
 
 KEYS = {
     "vocab_size": VOCAB,
-    "workers": SIZE,
+    "workers": WORKERS,
     "gamma": SIZE,
     "samples": SIZE,
     "max_tokens": SIZE,

@@ -3,12 +3,15 @@ import re
 import socket
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from draftwire import cli
 from draftwire.cli import main
 from draftwire.compression import Strategy
 from draftwire.config import (
     DEFAULTS,
+    MAX_WORKERS,
     ConfigError,
     RunConfig,
     merge_config,
@@ -72,6 +75,9 @@ class TestRunConfigTyping:
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
             config_from(vocab_size=32, k="33")
+
+    def test_workers_at_the_cap_is_valid(self):
+        assert config_from(workers=MAX_WORKERS, k="full").workers == MAX_WORKERS
 
     def test_weights_explicit(self):
         cfg = config_from(weights="0.25,0.75")
@@ -154,6 +160,14 @@ RUN_ARGS = ["--vocab_size", "16", "--samples", "2", "--max_tokens", "8",
 
 
 class TestCliRun:
+    @pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 10**6, 2**64])
+    def test_workers_above_the_cap_exit_2_before_any_pool(self, workers, monkeypatch,
+                                                           capsys):
+        monkeypatch.setattr(cli, "_make_pool", lambda cfg: pytest.fail("a pool was built"))
+        assert main(["run", *RUN_ARGS, "--workers", str(workers)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: workers must be in [1, {MAX_WORKERS}], got {workers}\n")
+
     def test_instrumented_run(self, tmp_path, capsys):
         csv_path = tmp_path / "row.csv"
         code = main(["run", *RUN_ARGS, "--csv", str(csv_path)])
@@ -175,8 +189,6 @@ class TestCliRun:
         # A sample's records are scored once it is decoded and are gone by
         # the time the next sample decodes, so a run holds one sample's.
         import weakref
-
-        from draftwire import cli
 
         events, alive = [], []
         run, score = cli.run_sample, cli.block_step_metrics
@@ -512,6 +524,27 @@ class TestCliTrace:
         rows = read_sweep_csv(csv_path)
         assert len(rows) == 1
         assert float(rows[0]["delta_bar"]) <= 2 * float(rows[0]["eps_bar"]) + 1e-9
+
+    def test_replayed_records_are_views_of_the_read_only_trace_rows(self, tmp_path,
+                                                                     capsys, monkeypatch):
+        trace_dir = tmp_path / "traces"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        loaded = []
+
+        def keep(path):
+            trace = read_trace(path)
+            loaded.append(trace.rows)
+            return trace
+
+        monkeypatch.setattr(cli, "read_trace", keep)
+        records = cli._load_trace_records(trace_dir, workers=2, gamma=2, vocab_size=16)
+        q_rows, *worker_rows = loaded
+        assert not any(rows.flags.writeable for rows in loaded)
+        for rec in records:
+            assert all(np.shares_memory(d.probs, q_rows) for d in rec.q_dists)
+            for rows, dists in zip(worker_rows, rec.worker_dists, strict=True):
+                assert all(np.shares_memory(d.probs, rows) for d in dists)
 
     # sha256 of each file a recording writes, pinned: every row and its
     # prefix hash must stay byte for byte what earlier versions wrote

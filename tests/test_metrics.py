@@ -160,20 +160,6 @@ class TestCheckBounds:
         assert check_bounds(step, REN).thm2 == 0
         assert check_bounds(step, RES).thm2 == 0
 
-    def test_step_metric_validation(self):
-        blank = StrategyMetrics(local_errors=(0.0,), bias=0.0, alpha=None, dalpha=None)
-        for worker_epsilons, by_strategy in (
-            ((1.5,), {s: blank for s in Strategy}),  # impossible residual mass
-            ((0.0,), {REN: blank}),  # a strategy without metrics
-        ):
-            with pytest.raises(ValueError):
-                StepMetrics(
-                    worker_epsilons=worker_epsilons,
-                    weighted_epsilon=0.0,
-                    alpha_exact=None,
-                    by_strategy=by_strategy,
-                )
-
 
 class TestSweepAggregate:
     def record(self, steps, strategy=Strategy.RENORMALIZED):
@@ -571,11 +557,10 @@ class TestBlockScorerPaths:
         with pytest.raises(ValueError, match=r"^acceptance rate nan outside \[0, 1\]$"):
             score_block(block, TopKProfile((4, 4), 4))
 
-    def test_unchecked_step_equals_validating_constructor(self):
-        step = reference_step()
-        fields = (step.worker_epsilons, step.weighted_epsilon, step.alpha_exact,
-                  step.by_strategy)
-        assert StepMetrics.unchecked(*fields) == StepMetrics(*fields) == step
-        bonus = reference_step(q=None)
-        assert StepMetrics.unchecked(bonus.worker_epsilons, bonus.weighted_epsilon, None,
-                                     bonus.by_strategy) == bonus
+    def test_residual_mass_range_is_checked(self):
+        # a NaN in a shadow makes its residual mass NaN; score_block, not the
+        # step record, is where every range is checked
+        bad = Distribution.unchecked(np.array([0.5, np.nan, 0.25, 0.25]))
+        block = ShadowBlock([[bad], [P2]], [Q], W)
+        with pytest.raises(ValueError, match=r"^residual mass nan outside \[0, 1\]$"):
+            score_block(block, TopKProfile((4, 4), 4))

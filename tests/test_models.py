@@ -468,6 +468,16 @@ class TestTraceModel:
             m.distribution(Prefix.of((0, 0)))
         assert m.distribution(Prefix.of((0, 1))).probs[0] == pytest.approx(0.25, abs=1e-7)
 
+    def test_rows_are_views_of_the_read_only_trace(self, tmp_path):
+        path = tmp_path / "t.trace"
+        prefixes = ((0,), (0, 1))
+        write_trace(path, np.array([[0.75, 0.25], [0.25, 0.75]]),
+                    [stable_prefix_hash(p) for p in prefixes])
+        m = TraceModel.from_file(path)
+        assert not m.rows.flags.writeable
+        for prefix in prefixes:
+            assert np.shares_memory(m.distribution(Prefix.of(prefix)).probs, m.rows)
+
     def test_version_1_file_is_not_replayed(self, tmp_path):
         # a version-1 row records no prefix, so a replay could not be checked
         path = tmp_path / "t.trace"

@@ -277,3 +277,38 @@ def test_trace_record_files_digest_is_pinned(name, tmp_path, capsys):
         h.update(path.name.encode() + b"\0")
         h.update(path.read_bytes().replace(str(out.resolve()).encode(), b"TRACE_DIR"))
     assert h.hexdigest() == TRACE_RECORD_DIGESTS[name]
+
+
+# ``draftwire trace-replay``: stdout and the metrics CSV row, byte for byte,
+# replayed from the ``trace-record`` cases above at a narrower K. Recorded
+# when the replay listed every step before folding them into one row and
+# held a second copy of every trace row.
+TRACE_REPLAY_CASES = {
+    "v64-two-workers-k8": ("v64-two-workers", ["--k", "8"]),
+    "v256-three-workers-eos-weighted-k16-residual": (
+        "v256-three-workers-eos-weighted", ["--k", "16", "--strategy", "residual_uniform"]),
+}
+
+TRACE_REPLAY_DIGESTS = {
+    "v64-two-workers-k8":
+        "f71796e1135190c7d2f42dbb32da1f127555415bb752159a03237562828927ee",
+    "v256-three-workers-eos-weighted-k16-residual":
+        "90b11a3fd1baa39f85a29fa0774e3147ace869c8ed22ee2551e60923d3fe538b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_REPLAY_CASES))
+def test_trace_replay_output_digest_is_pinned(name, tmp_path, capsys):
+    from draftwire import cli
+
+    recording, replay = TRACE_REPLAY_CASES[name]
+    trace_dir, out = tmp_path / "t", tmp_path / "replay.csv"
+    assert cli.main(["trace-record", "--seed", "7", "--samples", "1",
+                     *TRACE_RECORD_CASES[recording], "--trace_dir", str(trace_dir)]) == 0
+    capsys.readouterr()
+    code = cli.main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), *replay,
+                     "--csv", str(out)])
+    assert code == 0
+    stdout = capsys.readouterr().out.replace(str(out), "CSV")
+    assert hashlib.sha256(stdout.encode() + out.read_bytes()).hexdigest() == \
+        TRACE_REPLAY_DIGESTS[name]
