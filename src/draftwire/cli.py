@@ -48,7 +48,7 @@ from .engine import (
     sample_seed_for,
 )
 from .dist import Distribution
-from .metrics import SweepRecord, SweepTally, write_sweep_csv
+from .metrics import SweepTally, write_sweep_csv
 from .metrics import sweep_aggregate  # noqa: F401  perfbench/tracing.py wraps it here
 from .models import TraceError, read_trace, write_trace
 from .seeding import Prefix
@@ -100,7 +100,7 @@ def _homogeneous_k(cfg: RunConfig) -> int:
     return cfg.ks[0]
 
 
-def _print_record(rec: SweepRecord) -> None:
+def _print_record(rec: SweepTally) -> None:
     print(
         f"strategy={rec.strategy.name.lower()} K={rec.k} T={rec.temperature} "
         f"steps={rec.steps} delta_bar={rec.delta_bar:.6g} eps_bar={rec.eps_bar:.6g} "
@@ -108,7 +108,7 @@ def _print_record(rec: SweepRecord) -> None:
     )
 
 
-def _report_point(cfg: RunConfig, row: SweepRecord) -> int:
+def _report_point(cfg: RunConfig, row: SweepTally) -> int:
     """Print one config point's metrics row, write it to ``cfg.csv`` if set,
     and return the exit code."""
     _print_record(row)
@@ -121,11 +121,11 @@ def _report_point(cfg: RunConfig, row: SweepRecord) -> int:
     return EXIT_OK
 
 
-def _row_point(cfg: RunConfig, samples: int) -> dict[str, int | float]:
-    """``SweepTally.record``'s keywords for a row at ``cfg``'s point."""
-    return {"m": cfg.workers, "gamma": cfg.gamma, "vocab_size": cfg.vocab_size,
-            "k": _homogeneous_k(cfg), "temperature": cfg.temperature, "seed": cfg.seed,
-            "samples": samples}
+def _row(cfg: RunConfig, samples: int) -> SweepTally:
+    """An empty metrics row at ``cfg``'s point."""
+    return SweepTally(cfg.strategy, m=cfg.workers, gamma=cfg.gamma,
+                      vocab_size=cfg.vocab_size, k=_homogeneous_k(cfg),
+                      temperature=cfg.temperature, seed=cfg.seed, samples=samples)
 
 
 def _tally_records(records: Sequence[BlockRecord], weights: WeightVector,
@@ -145,12 +145,11 @@ def cmd_run(cfg: RunConfig) -> int:
     settings = cfg.settings()
     instrumented = cfg.mode == "instrumented"
     # a metrics row needs a homogeneous k: refuse before decoding anything
-    point = _row_point(cfg, cfg.samples) if instrumented else {}
+    row = _row(cfg, cfg.samples) if instrumented else None
     pool = _make_pool(cfg)
     # An instrumented sample is scored as soon as it is decoded, so only one
     # sample's records are held; steps are added in (sample, block,
     # position) order.
-    tally = SweepTally(cfg.strategy)
     drafted = accepted = uplink = blocks = 0
     try:
         for s in range(cfg.samples):
@@ -158,7 +157,8 @@ def cmd_run(cfg: RunConfig) -> int:
             res = run_sample(cfg.draft_model(ss), pool, settings, ss,
                              instrumented=instrumented)
             print(f"sample {s}: {' '.join(str(t) for t in res.tokens)}")
-            _tally_records(res.records, cfg.weights, [(settings.k_profile, [tally])])
+            if row is not None:
+                _tally_records(res.records, cfg.weights, [(settings.k_profile, [row])])
             drafted += res.drafted
             accepted += res.accepted
             uplink += res.uplink_bytes
@@ -170,54 +170,46 @@ def cmd_run(cfg: RunConfig) -> int:
     print(f"blocks={blocks} drafted={drafted} accepted={accepted} "
           f"accept_rate={accepted / drafted:.4f} uplink_bytes={uplink}")
 
-    if not instrumented:
+    if row is None:
         return EXIT_OK
-    return _report_point(cfg, tally.record(**point))
+    return _report_point(cfg, row)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     cfg.validate_sweep()
-    # Each reference sample is scored at every K as soon as it is decoded,
-    # and released before the next one decodes: only the running tallies
-    # outlive it. A tally adds its K's steps in (sample, block, position)
-    # order; rows go strategy, T, ascending K.
-    profiles = {k: TopKProfile.homogeneous(k, cfg.workers, cfg.vocab_size)
-                for k in sorted(cfg.sweep_ks, reverse=True)}
-    rows: dict[Strategy, list[SweepRecord]] = {strategy: [] for strategy in Strategy}
+    # One row per (strategy, T, K), in CSV order: strategy, T, ascending K.
+    # Each reference sample is scored at every K, widest first, as soon as
+    # it is decoded, and released before the next one decodes: only the
+    # rows outlive it. A row adds its steps in (sample, block, position)
+    # order.
+    ks = sorted(cfg.sweep_ks)
+    rows = [SweepTally(strategy, m=cfg.workers, gamma=cfg.gamma, vocab_size=cfg.vocab_size,
+                       k=k, temperature=temp, seed=cfg.seed, samples=cfg.samples)
+            for strategy in Strategy for temp in cfg.sweep_temperatures for k in ks]
     for temp in cfg.sweep_temperatures:
         cfg_t = cfg.with_temperature(temp)
-        tallies = {k: [SweepTally(strategy) for strategy in Strategy] for k in profiles}
-        scoring = [(profile, tallies[k]) for k, profile in profiles.items()]
+        scoring = [(TopKProfile.homogeneous(k, cfg.workers, cfg.vocab_size),
+                    [row for row in rows if row.temperature == temp and row.k == k])
+                   for k in reversed(ks)]
         for s in range(cfg.samples):
             ss = sample_seed_for(cfg.seed, s)
             records = run_reference_sample(cfg_t.draft_model(ss), cfg_t.worker_models(ss),
                                            cfg_t.settings(), ss).records
             _tally_records(records, cfg.weights, scoring)
             del records  # scored: not held while the next sample decodes
-        for k in sorted(profiles):
-            for tally in tallies[k]:
-                rows[tally.strategy].append(tally.record(
-                    m=cfg.workers,
-                    gamma=cfg.gamma,
-                    vocab_size=cfg.vocab_size,
-                    k=k,
-                    temperature=temp,
-                    seed=cfg.seed,
-                    samples=cfg.samples,
-                ))
 
     out = cfg.csv or "sweep.csv"
-    all_rows = [row for strategy in Strategy for row in rows[strategy]]
-    write_sweep_csv(all_rows, out)
-    print(f"wrote {len(all_rows)} rows to {out}")
+    write_sweep_csv(rows, out)
+    print(f"wrote {len(rows)} rows to {out}")
 
     for strategy in Strategy:
         for temp in cfg.sweep_temperatures:
-            deltas = [r.delta_bar for r in rows[strategy] if r.temperature == temp]
+            deltas = [r.delta_bar for r in rows
+                      if r.strategy is strategy and r.temperature == temp]
             mono = all(a >= b - 1e-12 for a, b in zip(deltas, deltas[1:]))
             print(f"{strategy.name.lower()} T={temp}: delta_bar by K "
                   f"{['%.5g' % d for d in deltas]} non-increasing={mono}")
-    violations = sum(row.violations for row in all_rows)
+    violations = sum(row.violations for row in rows)
     if violations:
         print(f"BOUND VIOLATIONS: {violations}", file=sys.stderr)
         return EXIT_VIOLATION
@@ -419,10 +411,9 @@ def cmd_trace_replay(cfg: RunConfig) -> int:
         return EXIT_USAGE
     records = _load_trace_records(Path(cfg.trace_dir), cfg.workers, cfg.gamma, cfg.vocab_size)
     k_profile = TopKProfile(cfg.ks, cfg.vocab_size)
-    point = _row_point(cfg, 1)
-    tally = SweepTally(cfg.strategy)
-    _tally_records(records, cfg.weights, [(k_profile, [tally])])
-    return _report_point(cfg, tally.record(**point))
+    row = _row(cfg, 1)
+    _tally_records(records, cfg.weights, [(k_profile, [row])])
+    return _report_point(cfg, row)
 
 
 def build_parser() -> argparse.ArgumentParser:

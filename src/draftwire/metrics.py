@@ -24,9 +24,9 @@ Violations are counted, never raised, so a sweep reports them in its CSV.
 array pass over a ``ShadowBlock``, which holds what no K changes (the
 stacked shadows, their exact aggregate and a payload stack), and checks
 the ranges of the whole block at once. ``instrument_position`` then
-builds one position's ``StepMetrics``. A ``SweepTally`` folds
-one strategy's steps into a CSV row as they arrive; the sweep keeps one
-per (K, strategy) and ``sweep_aggregate`` folds a finished list.
+builds one position's ``StepMetrics``. A ``SweepTally`` is one CSV row,
+built at its (strategy, K, temperature) point, that folds that strategy's
+steps as they arrive; ``sweep_aggregate`` folds a finished list into one.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ class ShadowBlock:
         than the stack, the stack is rebuilt at k: below |V| by truncating
         every shadow once more; at k == |V|, with nothing to select, by one
         ``_payload_order`` sort of all M (positions) rows of ``exact``,
-        held as transposed views."""
+        held as transposed views. A shadow holding NaN raises ValueError."""
         if self._ids.shape[2] < k:
             size = self.exact.shape[2]
             if k == size:
@@ -176,7 +176,12 @@ class ShadowBlock:
             else:
                 tops = [[truncate_topk(d, k) for d in dists] for dists in self.worker_dists]
                 positions = range(self.exact.shape[1])
-                self._ids = np.array([[top[t].ids for top in tops] for t in positions])
+                try:
+                    self._ids = np.array([[top[t].ids for top in tops] for t in positions])
+                except ValueError:  # payloads of unequal width
+                    # only a NaN probability keeps a selection from filling k slots
+                    raise ValueError(f"shadow probability nan: a top-{k} selection "
+                                     f"kept fewer than {k} tokens") from None
                 self._probs = np.array([[top[t].probs for top in tops] for t in positions])
         return self._ids[:, :, :k], self._probs[:, :, :k]
 
@@ -367,25 +372,58 @@ def check_bounds(step: StepMetrics, strategy: Strategy) -> BoundCounts:
     return BoundCounts(lemma1, thm1, thm2)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One CSV row: a (strategy, K, temperature) point averaged over steps."""
+class SweepTally:
+    """One CSV row: a (strategy, K, temperature) point, averaged over the
+    steps added to it.
 
-    strategy: Strategy
-    m: int
-    gamma: int
-    vocab_size: int
-    k: int
-    temperature: float
-    seed: int
-    samples: int
-    steps: int
-    delta_bar: float
-    eps_bar: float
-    delta_alpha_bar: float
-    lemma1_violations: int
-    thm1_violations: int
-    thm2_violations: int
+    All steps contribute to delta_bar and eps_bar; delta_alpha_bar averages
+    only the positions that had a draft proposal. Sums run in the order the
+    steps are added, so a row is reproducible when its steps arrive in the
+    same order. The averages of a row with no steps raise ValueError.
+    """
+
+    __slots__ = ("strategy", "m", "gamma", "vocab_size", "k", "temperature", "seed",
+                 "samples", "steps", "delta_sum", "eps_sum", "dalpha_sum", "dalpha_n",
+                 "lemma1_violations", "thm1_violations", "thm2_violations")
+
+    def __init__(self, strategy: Strategy, *, m: int, gamma: int, vocab_size: int, k: int,
+                 temperature: float, seed: int, samples: int) -> None:
+        self.strategy = strategy
+        self.m, self.gamma, self.vocab_size, self.k = m, gamma, vocab_size, k
+        self.temperature, self.seed, self.samples = temperature, seed, samples
+        self.steps = self.dalpha_n = 0
+        self.lemma1_violations = self.thm1_violations = self.thm2_violations = 0
+        self.delta_sum = self.eps_sum = self.dalpha_sum = 0.0
+
+    def add(self, step: StepMetrics) -> None:
+        rec = step.by_strategy[self.strategy]
+        self.steps += 1
+        self.delta_sum += rec.bias
+        self.eps_sum += step.weighted_epsilon
+        if rec.dalpha is not None:
+            self.dalpha_sum += rec.dalpha
+            self.dalpha_n += 1
+        counts = check_bounds(step, self.strategy)
+        self.lemma1_violations += counts.lemma1
+        self.thm1_violations += counts.thm1
+        self.thm2_violations += counts.thm2
+
+    def _mean(self, total: float, n: int) -> float:
+        if not self.steps:
+            raise ValueError("cannot aggregate an empty step list")
+        return total / n if n else 0.0
+
+    @property
+    def delta_bar(self) -> float:
+        return self._mean(self.delta_sum, self.steps)
+
+    @property
+    def eps_bar(self) -> float:
+        return self._mean(self.eps_sum, self.steps)
+
+    @property
+    def delta_alpha_bar(self) -> float:
+        return self._mean(self.dalpha_sum, self.dalpha_n)
 
     @property
     def k_pct(self) -> float:
@@ -426,72 +464,19 @@ class SweepRecord:
         }
 
 
-class SweepTally:
-    """Running sums of one strategy's step metrics, for one CSV row.
-
-    All steps contribute to delta_bar and eps_bar; delta_alpha_bar averages
-    only the positions that had a draft proposal. Sums run in the order the
-    steps are added, so a row is reproducible when its steps arrive in the
-    same order.
-    """
-
-    __slots__ = ("strategy", "steps", "delta_sum", "eps_sum", "dalpha_sum", "dalpha_n",
-                 "lemma1", "thm1", "thm2")
-
-    def __init__(self, strategy: Strategy) -> None:
-        self.strategy = strategy
-        self.steps = self.dalpha_n = self.lemma1 = self.thm1 = self.thm2 = 0
-        self.delta_sum = self.eps_sum = self.dalpha_sum = 0.0
-
-    def add(self, step: StepMetrics) -> None:
-        rec = step.by_strategy[self.strategy]
-        self.steps += 1
-        self.delta_sum += rec.bias
-        self.eps_sum += step.weighted_epsilon
-        if rec.dalpha is not None:
-            self.dalpha_sum += rec.dalpha
-            self.dalpha_n += 1
-        counts = check_bounds(step, self.strategy)
-        self.lemma1 += counts.lemma1
-        self.thm1 += counts.thm1
-        self.thm2 += counts.thm2
-
-    def record(self, *, m: int, gamma: int, vocab_size: int, k: int, temperature: float,
-               seed: int, samples: int) -> SweepRecord:
-        """The averages so far as one row at the given sweep point."""
-        n = self.steps
-        if not n:
-            raise ValueError("cannot aggregate an empty step list")
-        return SweepRecord(
-            strategy=self.strategy,
-            m=m,
-            gamma=gamma,
-            vocab_size=vocab_size,
-            k=k,
-            temperature=temperature,
-            seed=seed,
-            samples=samples,
-            steps=n,
-            delta_bar=self.delta_sum / n,
-            eps_bar=self.eps_sum / n,
-            delta_alpha_bar=(self.dalpha_sum / self.dalpha_n) if self.dalpha_n else 0.0,
-            lemma1_violations=self.lemma1,
-            thm1_violations=self.thm1,
-            thm2_violations=self.thm2,
-        )
-
-
 def sweep_aggregate(steps: Sequence[StepMetrics], *, strategy: Strategy,
-                    **point: int | float) -> SweepRecord:
+                    **point: int | float) -> SweepTally:
     """Average one strategy's step metrics, in step order, into a CSV row;
-    ``point`` holds ``SweepTally.record``'s keyword arguments."""
-    tally = SweepTally(strategy)
+    ``point`` holds ``SweepTally``'s keyword arguments."""
+    if not steps:
+        raise ValueError("cannot aggregate an empty step list")
+    row = SweepTally(strategy, **point)
     for step in steps:
-        tally.add(step)
-    return tally.record(**point)
+        row.add(step)
+    return row
 
 
-def write_sweep_csv(records: Sequence[SweepRecord], path: str | Path) -> None:
+def write_sweep_csv(records: Sequence[SweepTally], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()

@@ -5,12 +5,17 @@ its ``targets()`` lists must resolve, so a refactor that renames or drops a
 wrapped function fails here rather than only when the benchmark runs.
 """
 
+import ast
 import csv
 import importlib.util
 import threading
+import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+# The comment that marks an import kept in ``src/`` only for the benchmark.
+WRAPPED_IMPORT = "# noqa: F401  perfbench/tracing.py wraps it here"
 
 
 def load_tracing():
@@ -26,6 +31,26 @@ def test_every_traced_call_site_resolves():
     missing = [(getattr(owner, "__name__", owner), attr) for owner, attr, _ in sites
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_benchmark_only_imports_are_wrapped():
+    """Each import marked as kept for the benchmark names a (module,
+    attribute) pair that ``targets()`` wraps. When ``targets()`` drops a
+    pair, this names the import that can go with it."""
+    wrapped = {(owner.__name__.rpartition(".")[2], attr)
+               for owner, attr, _ in load_tracing().targets()
+               if isinstance(owner, types.ModuleType)}
+    marked = set()
+    for path in sorted((ROOT / "src" / "draftwire").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        marked |= {(path.stem, alias.asname or alias.name)
+                   for node in ast.parse(text).body
+                   if isinstance(node, ast.ImportFrom)
+                   and lines[node.lineno - 1].endswith(WRAPPED_IMPORT)
+                   for alias in node.names}
+    assert marked
+    assert sorted(marked - wrapped) == []
 
 
 def test_sweep_scores_each_position_through_engine_attribute(monkeypatch, tmp_path):

@@ -16,6 +16,7 @@ from draftwire.metrics import (
     StepMetrics,
     StrategyMetrics,
     ShadowBlock,
+    SweepTally,
     check_bounds,
     instrument_position,
     read_sweep_csv,
@@ -193,6 +194,10 @@ class TestSweepAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             self.record([])
+        row = SweepTally(REN, m=2, gamma=4, vocab_size=4, k=2, temperature=1.0, seed=42,
+                         samples=1)
+        with pytest.raises(ValueError, match="empty step list"):
+            row.delta_bar
 
     def test_derived_properties(self):
         rec = self.record([reference_step()])
@@ -564,3 +569,12 @@ class TestBlockScorerPaths:
         block = ShadowBlock([[bad], [P2]], [Q], W)
         with pytest.raises(ValueError, match=r"^residual mass nan outside \[0, 1\]$"):
             score_block(block, TopKProfile((4, 4), 4))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_nan_shadow_is_named_at_every_k(self, k):
+        # below |V| a NaN shadow's top-k selection can keep fewer than k
+        # tokens (at k = 2 here); the error names the NaN at every k
+        bad = Distribution.unchecked(np.array([0.5, np.nan, 0.25, 0.25]))
+        block = ShadowBlock([[bad], [P2]], [Q], W)
+        with pytest.raises(ValueError, match="nan"):
+            score_block(block, TopKProfile((k, k), 4))
