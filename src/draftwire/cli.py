@@ -27,7 +27,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
@@ -37,6 +37,7 @@ from .config import (
     ConfigError,
     RunConfig,
     load_config_file,
+    load_trace,
     merge_config,
 )
 from .engine import (
@@ -50,9 +51,9 @@ from .engine import (
 from .dist import Distribution
 from .metrics import SweepTally, write_sweep_csv
 from .metrics import sweep_aggregate  # noqa: F401  perfbench/tracing.py wraps it here
-from .models import TraceError, read_trace, write_trace
+from .models import TraceError, TraceMismatchError, write_trace
 from .seeding import Prefix
-from .specdec import ModelProvider
+from .specdec import ModelProvider, scored_prefixes
 from .transport import (
     InProcessPool,
     TcpPool,
@@ -128,7 +129,7 @@ def _row(cfg: RunConfig, samples: int) -> SweepTally:
                       temperature=cfg.temperature, seed=cfg.seed, samples=samples)
 
 
-def _tally_records(records: Sequence[BlockRecord], weights: WeightVector,
+def _tally_records(records: Iterable[BlockRecord], weights: WeightVector,
                    scoring: Sequence[tuple[TopKProfile, Sequence[SweepTally]]]) -> None:
     """Score every position of ``records``, block by block, at each k
     profile of ``scoring`` into that profile's tallies. With the profiles
@@ -323,8 +324,7 @@ class _PrefixLog:
 
 def cmd_trace_record(cfg: RunConfig) -> int:
     if not cfg.trace_dir:
-        print("trace-record requires --trace_dir", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("trace-record requires --trace_dir")
     if cfg.samples != 1:
         # the file layout holds one sample
         raise ConfigError(f"trace-record records one sample, got samples = {cfg.samples}")
@@ -368,51 +368,70 @@ def cmd_trace_record(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_trace_records(trace_dir: Path, workers: int, gamma: int,
-                        vocab_size: int) -> list[BlockRecord]:
-    paths = [trace_dir / "draft.trace", *(trace_dir / f"worker_{i}.trace" for i in range(workers))]
-    q_rows, *worker_rows = all_rows = [read_trace(path).rows for path in paths]
-    for path, rows in zip(paths, all_rows):
-        if rows.shape[1] != vocab_size:
-            raise ConfigError(f"{path} holds rows of {rows.shape[1]} tokens, "
-                              f"but vocab_size is {vocab_size}")
+def _read_token_lines(path: Path) -> list[list[int]]:
+    """The integer tokens of each line of a recorded text file."""
+    lines: list[list[int]] = []
+    try:
+        for n, line in enumerate(path.read_bytes().splitlines(), 1):
+            lines.append([int(tok) for tok in line.split()])
+    except OSError as exc:
+        raise TraceError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise TraceError(f"{path} line {n}: {exc}") from None
+    return lines
+
+
+def _load_trace_records(cfg: RunConfig) -> Iterator[BlockRecord]:
+    """Yield the blocks of the recording in ``cfg.trace_dir``, walked from
+    the prompt: each line of ``drafts.txt`` is read from ``TraceModel``s at
+    its scored prefixes, so every row is checked against the prefix it
+    answers. A block's committed run of ``transcript.txt`` tokens leads to
+    the next block's first recorded prefix; the last one ends the file."""
+    trace_dir, gamma = Path(cfg.trace_dir), cfg.gamma
+    paths = [trace_dir / "draft.trace",
+             *(trace_dir / f"worker_{i}.trace" for i in range(cfg.workers))]
+    draft_model, *workers = [load_trace(path, cfg.vocab_size) for path in paths]
     drafts_path = trace_dir / "drafts.txt"
-    draft_lines = drafts_path.read_text().splitlines()
-    blocks, extra = divmod(q_rows.shape[0], gamma)
+    draft_lines = _read_token_lines(drafts_path)
+    q_rows = len(draft_model.prefix_hashes)
+    blocks, extra = divmod(q_rows, gamma)
     if extra:
-        raise ConfigError(f"{paths[0]} holds {q_rows.shape[0]} rows, not a whole number "
+        raise ConfigError(f"{paths[0]} holds {q_rows} rows, not a whole number "
                           f"of blocks of gamma = {gamma} rows")
     if len(draft_lines) != blocks:
         raise ConfigError(f"{drafts_path} holds {len(draft_lines)} lines, but {paths[0]} "
                           f"holds {blocks} blocks of gamma = {gamma} rows")
-    for path, rows in zip(paths[1:], worker_rows):
-        if rows.shape[0] != blocks * (gamma + 1):
-            raise ConfigError(f"{path} holds {rows.shape[0]} rows, but {blocks} blocks at "
-                              f"gamma = {gamma} need {blocks} x {gamma + 1} = "
+    for path, model in zip(paths[1:], workers):
+        if len(model.prefix_hashes) != blocks * (gamma + 1):
+            raise ConfigError(f"{path} holds {len(model.prefix_hashes)} rows, but {blocks} "
+                              f"blocks at gamma = {gamma} need {blocks} x {gamma + 1} = "
                               f"{blocks * (gamma + 1)}")
-    records = []
-    for b in range(blocks):
-        draft_tokens = tuple(int(t) for t in draft_lines[b].split())
-        if len(draft_tokens) != gamma:
+    transcript = [t for line in _read_token_lines(trace_dir / "transcript.txt") for t in line]
+    prefix, pos = Prefix.of(cfg.prompt), 0
+    reach = draft_model.prefix_hashes[gamma::gamma] + [prefix.extend(transcript).hash]
+    for b, draft in enumerate(draft_lines):
+        if len(draft) != gamma:
             raise ConfigError(f"draft line {b} does not hold {gamma} tokens")
+        prefixes = scored_prefixes(prefix, draft)
         # views of the read-only rows: each row is held once
-        q = tuple(Distribution.unchecked(q_rows[b * gamma + t]) for t in range(gamma))
-        dists = tuple(
-            tuple(Distribution.unchecked(rows[b * (gamma + 1) + t]) for t in range(gamma + 1))
-            for rows in worker_rows
-        )
-        records.append(BlockRecord(draft_tokens=draft_tokens, q_dists=q, worker_dists=dists))
-    return records
+        q = tuple(draft_model.distribution(p) for p in prefixes[:gamma])
+        dists = tuple(tuple(model.distribution(p) for p in prefixes) for model in workers)
+        run = transcript[pos:pos + gamma + 1]  # accepted draft tokens, then one more
+        n = next((n for n in range(1, len(run) + 1)
+                  if run[:n - 1] == draft[:n - 1] and prefix.extend(run[:n]).hash == reach[b]), 0)
+        if not n:
+            raise TraceMismatchError(f"{trace_dir / 'transcript.txt'}: no run of 1 to {gamma + 1} "
+                                     f"tokens continues block {b} as recorded")
+        prefix, pos = prefix.extend(run[:n]), pos + n
+        yield BlockRecord(draft_tokens=tuple(draft), q_dists=q, worker_dists=dists)
 
 
 def cmd_trace_replay(cfg: RunConfig) -> int:
     if not cfg.trace_dir:
-        print("trace-replay requires --trace_dir", file=sys.stderr)
-        return EXIT_USAGE
-    records = _load_trace_records(Path(cfg.trace_dir), cfg.workers, cfg.gamma, cfg.vocab_size)
-    k_profile = TopKProfile(cfg.ks, cfg.vocab_size)
+        raise ConfigError("trace-replay requires --trace_dir")
     row = _row(cfg, 1)
-    _tally_records(records, cfg.weights, [(k_profile, [row])])
+    k_profile = TopKProfile(cfg.ks, cfg.vocab_size)
+    _tally_records(_load_trace_records(cfg), cfg.weights, [(k_profile, [row])])
     return _report_point(cfg, row)
 
 

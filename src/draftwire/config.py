@@ -137,6 +137,15 @@ def _config_error(source: str) -> Iterator[None]:
         raise ConfigError(f"{source}: {exc}") from exc
 
 
+def load_trace(path: Path, vocab_size: int) -> TraceModel:
+    """The recorded model in ``path``; its rows must be ``vocab_size`` wide."""
+    model = TraceModel.from_file(path)
+    if model.vocab_size != vocab_size:
+        raise ConfigError(f"{path} holds rows of {model.vocab_size} tokens, "
+                          f"but vocab_size is {vocab_size}")
+    return model
+
+
 class _SharedModelState:
     """Built at most once per config and shared with its temperature variants."""
 
@@ -381,12 +390,7 @@ class RunConfig:
         trace_dir = Path(self.trace_dir)
 
         def trace_factory(vocab_size: int, seed_material: int, index: int) -> ModelProvider:
-            model = TraceModel.from_file(trace_dir / f"worker_{index}.trace")
-            if model.vocab_size != vocab_size:
-                raise ValueError(
-                    f"trace vocabulary {model.vocab_size} != configured {vocab_size}"
-                )
-            return model
+            return load_trace(trace_dir / f"worker_{index}.trace", vocab_size)
 
         return trace_factory
 

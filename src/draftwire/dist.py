@@ -75,17 +75,6 @@ def _check_same_vocab(a: Distribution, b: Distribution) -> None:
         )
 
 
-def softmax_with_temperature(logits, temperature: float) -> Distribution:
-    """Temperature-rescaled softmax.
-
-    Computes ``exp((logit - max) / T)`` and normalizes; subtracting the max
-    keeps the exponentials in range. Lower temperatures sharpen the
-    distribution, higher ones flatten it, and the ranking of the logits is
-    preserved either way. The caller's logits are never written.
-    """
-    return softmax_inplace(np.array(logits, dtype=np.float64), temperature)
-
-
 def check_temperature(temperature: float) -> None:
     """The one validity rule for a temperature: finite and > 0."""
     if not 0.0 < temperature < np.inf:  # false for NaN too
@@ -93,14 +82,16 @@ def check_temperature(temperature: float) -> None:
 
 
 def softmax_inplace(logits: np.ndarray, temperature: float) -> Distribution:
-    """``softmax_with_temperature`` computed inside ``logits``, a float64
+    """Temperature-rescaled softmax, computed inside ``logits``, a float64
     array that the caller hands over: it becomes the distribution's storage.
 
-    The float operations and their order are the same; only the division
-    at T = 1, which is exact, is skipped. A temperature so small that a
-    logit gap divided by it overflows sends that logit to -inf, whose
-    weight is 0: the T -> 0 limit, not an error, so that overflow is not
-    reported.
+    Computes ``exp((logit - max) / T)`` and normalizes; subtracting the max
+    keeps the exponentials in range, and the division at T = 1, which is
+    exact, is skipped. Lower temperatures sharpen the distribution, higher
+    ones flatten it, and the ranking of the logits is preserved either way.
+    A temperature so small that a logit gap divided by it overflows sends
+    that logit to -inf, whose weight is 0: the T -> 0 limit, not an error,
+    so that overflow is not reported.
     """
     check_temperature(temperature)
     if logits.ndim != 1 or logits.size < 2:
@@ -122,16 +113,6 @@ def l1_distance(a: Distribution, b: Distribution) -> float:
     """L1 distance between two distributions; lies in [0, 2]."""
     _check_same_vocab(a, b)
     return float(np.abs(a.probs - b.probs).sum())
-
-
-def tv_distance(a: Distribution, b: Distribution) -> float:
-    """Total variation distance: half the L1 distance.
-
-    Shares the L1 arithmetic path so ``tv == l1 / 2`` holds exactly. Also
-    equals ``1 - sum(min(a, b))``, which is how acceptance rates relate to
-    it.
-    """
-    return l1_distance(a, b) / 2.0
 
 
 def sample_from_uniform(d: Distribution, u: float) -> int:

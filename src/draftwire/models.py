@@ -220,7 +220,7 @@ class Trace(NamedTuple):
     """The rows of a trace file and the prefix hash each was recorded for."""
 
     rows: np.ndarray  # (steps, vocab_size) float64, read-only
-    prefix_hashes: np.ndarray | None  # (steps,) uint64; None in a version-1 file
+    prefix_hashes: np.ndarray  # (steps,) uint64
 
 
 def write_trace(path: str | Path, rows: Sequence[np.ndarray],
@@ -250,41 +250,41 @@ def write_trace(path: str | Path, rows: Sequence[np.ndarray],
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Load a trace back into float64 rows, validating the header.
+    """Load a version-2 trace back into float64 rows, validating the header.
 
-    Reads version 2 and version 1, which has no prefix hashes: its rows can
-    still be re-scored offline, but ``TraceModel`` refuses to replay them.
-    Rows whose sum drifts from 1 by less than the storage tolerance are
+    Each failure is a ``TraceError`` naming the file. Version 1 records no
+    prefixes, so no replay of it could be checked: it is refused. Rows
+    whose sum drifts from 1 by less than the storage tolerance are
     renormalized; larger deviations mean the file is corrupt. The rows are
     read-only, so each row can be handed out as a view, not a copy.
     """
-    buf = Path(path).read_bytes()
+    try:
+        buf = Path(path).read_bytes()
+    except OSError as exc:
+        raise TraceError(f"cannot read {path}: {exc.strerror}") from None
     if len(buf) < _TRACE_HEADER_BYTES or buf[:4] != TRACE_MAGIC:
         raise TraceError(f"{path} is not a trace file")
     version = int(np.frombuffer(buf, dtype="<u2", count=1, offset=4)[0])
-    if version not in (1, TRACE_VERSION):
-        raise TraceError(f"unsupported trace version {version}")
+    if version != TRACE_VERSION:
+        raise TraceError(f"{path}: unsupported trace version {version}")
     vocab_size, steps = (int(x) for x in np.frombuffer(buf, dtype="<u4", count=2, offset=6))
     if vocab_size < 2 or steps < 1:
-        raise TraceError(f"trace header has vocab_size={vocab_size}, steps={steps}")
-    offset = _TRACE_HEADER_BYTES + (8 * steps if version == TRACE_VERSION else 0)
+        raise TraceError(f"{path} header has vocab_size={vocab_size}, steps={steps}")
+    offset = _TRACE_HEADER_BYTES + 8 * steps
     expected = offset + 4 * steps * vocab_size
     if len(buf) != expected:
-        raise TraceError(f"trace declares {expected} bytes but file has {len(buf)}")
-    hashes = None
-    if version == TRACE_VERSION:
-        # copied: a view would keep the whole file's bytes alive
-        hashes = np.frombuffer(buf, dtype="<u8", count=steps,
-                               offset=_TRACE_HEADER_BYTES).copy()
+        raise TraceError(f"{path} declares {expected} bytes but has {len(buf)}")
+    # copied: a view would keep the whole file's bytes alive
+    hashes = np.frombuffer(buf, dtype="<u8", count=steps, offset=_TRACE_HEADER_BYTES).copy()
     # widened once; each row is renormalized in place
     rows = np.frombuffer(buf, dtype="<f4", offset=offset).astype(np.float64)
     rows = rows.reshape(steps, vocab_size)
     for i, row in enumerate(rows):
         if np.any(row < 0.0) or not np.all(np.isfinite(row)):
-            raise TraceError(f"trace row {i} has invalid probabilities")
+            raise TraceError(f"{path} row {i} has invalid probabilities")
         total = row.sum()
         if abs(total - 1.0) >= TRACE_SUM_TOLERANCE or total <= 0.0:
-            raise TraceError(f"trace row {i} sums to {total!r}")
+            raise TraceError(f"{path} row {i} sums to {total!r}")
         if total != 1.0:
             row /= total
     rows.setflags(write=False)
@@ -303,10 +303,7 @@ class TraceModel:
 
     __slots__ = ("rows", "prefix_hashes", "source", "_cursor")
 
-    def __init__(self, rows: np.ndarray, prefix_hashes: Sequence[int],
-                 source: str = "trace") -> None:
-        if len(prefix_hashes) != rows.shape[0]:
-            raise ValueError(f"{len(prefix_hashes)} prefix hashes for {rows.shape[0]} rows")
+    def __init__(self, rows: np.ndarray, prefix_hashes: Sequence[int], source: str) -> None:
         self.rows = rows
         self.prefix_hashes = [int(h) for h in prefix_hashes]
         self.source = source
@@ -314,11 +311,7 @@ class TraceModel:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TraceModel":
-        rows, hashes = read_trace(path)
-        if hashes is None:
-            raise TraceError(f"{path} is a version-1 trace: it records no prefixes, so a "
-                             f"replay of it cannot be checked; record it again")
-        return cls(rows, hashes, str(path))
+        return cls(*read_trace(path), str(path))
 
     @property
     def vocab_size(self) -> int:

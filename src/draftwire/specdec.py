@@ -124,7 +124,8 @@ def scored_prefixes(prefix: Prefix, draft: Sequence[int]) -> list[Prefix]:
 def acceptance_rate(p_bar: Distribution, q: Distribution) -> float:
     """Expected acceptance probability: sum over x of min(p_bar(x), q(x)).
 
-    Identically 1 - tv_distance(p_bar, q) for normalized inputs.
+    Identically 1 - l1_distance(p_bar, q) / 2, one minus the total
+    variation distance, for normalized inputs.
     """
     if p_bar.vocab_size != q.vocab_size:
         raise ValueError("distributions must share a vocabulary size")

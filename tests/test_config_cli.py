@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from draftwire import cli
+from draftwire import cli, models
 from draftwire.cli import main
 from draftwire.compression import Strategy
 from draftwire.config import (
@@ -537,8 +537,9 @@ class TestCliTrace:
             loaded.append(trace.rows)
             return trace
 
-        monkeypatch.setattr(cli, "read_trace", keep)
-        records = cli._load_trace_records(trace_dir, workers=2, gamma=2, vocab_size=16)
+        monkeypatch.setattr(models, "read_trace", keep)
+        cfg = config_from(trace_dir=trace_dir, vocab_size=16, gamma=2, k=4)
+        records = list(cli._load_trace_records(cfg))
         q_rows, *worker_rows = loaded
         assert not any(rows.flags.writeable for rows in loaded)
         for rec in records:
@@ -648,23 +649,92 @@ class TestCliTrace:
                             r"recorded for prefix hash 0x[0-9a-f]{16}, asked about 0x[0-9a-f]{16}\n",
                             err)
 
-    def test_version_1_recording_scores_offline_but_does_not_replay(self, tmp_path, capsys):
+    def test_version_1_recording_is_refused_by_replay_and_run(self, tmp_path, capsys):
+        # version 1 records no prefixes, so no replay of it could be checked
         trace_dir = tmp_path / "traces"
         assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
         capsys.readouterr()
-        assert main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), "--k", "4"]) == 0
-        want = capsys.readouterr().out
         for path in trace_dir.glob("*.trace"):  # rewrite each file as version 1
             buf = path.read_bytes()
             steps = int.from_bytes(buf[10:14], "little")
             path.write_bytes(buf[:4] + (1).to_bytes(2, "little") + buf[6:14]
                              + buf[14 + 8 * steps:])
-        assert main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), "--k", "4"]) == 0
-        assert capsys.readouterr().out == want
-        code = main(["run", "--config", str(trace_dir / "meta.cfg"), "--mode", "inprocess",
-                     "--k", "full"])
+        meta = str(trace_dir / "meta.cfg")
+        for argv in (["trace-replay", "--config", meta, "--k", "4"],
+                     ["run", "--config", meta, "--mode", "inprocess", "--k", "full"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"trace error: {trace_dir / 'draft.trace'}: unsupported trace version 1\n")
+
+    def record_64(self, trace_dir, capsys, seed=1):
+        """An 11-block recording at |V| = 64, gamma = 4."""
+        assert main(["trace-record", "--trace_dir", str(trace_dir), "--vocab_size", "64",
+                     "--max_tokens", "32", "--samples", "1", "--seed", str(seed)]) == 0
+        assert "recorded 11 blocks" in capsys.readouterr().out
+
+    def test_worker_trace_of_another_recording_is_refused(self, tmp_path, capsys):
+        # both recordings hold 11 blocks, so every row count fits; the first
+        # worker row after the shared prompt was recorded for another prefix
+        self.record_64(tmp_path / "a", capsys)
+        self.record_64(tmp_path / "b", capsys, seed=5)
+        path = tmp_path / "a" / "worker_0.trace"
+        path.write_bytes((tmp_path / "b" / "worker_0.trace").read_bytes())
+        code = main(["trace-replay", "--config", str(tmp_path / "a" / "meta.cfg"), "--k", "8"])
         assert code == 1
-        assert "version-1 trace" in capsys.readouterr().err
+        assert re.fullmatch(rf"trace error: {re.escape(str(path))} row 1: recorded for prefix "
+                            r"hash 0x[0-9a-f]{16}, asked about 0x[0-9a-f]{16}\n",
+                            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, line, at, message", [
+        # block 2's first draft token: draft row 2 x 4 + 1 asks about another prefix
+        ("drafts.txt", 2, 0, r"{dir}/draft\.trace row 9: recorded for prefix hash"),
+        # the last draft token is read only at the worker rows' bonus position
+        ("drafts.txt", 5, 3, r"{dir}/worker_0\.trace row 29: recorded for prefix hash"),
+        ("transcript.txt", 0, 10, r"{dir}/transcript\.txt: no run of 1 to 5 tokens continues "
+                                  r"block \d+ as recorded"),
+    ], ids=["draft-token", "last-draft-token", "transcript-token"])
+    def test_changed_token_is_refused_naming_file_and_row_or_block(
+            self, tmp_path, capsys, name, line, at, message):
+        trace_dir = tmp_path / "traces"
+        self.record_64(trace_dir, capsys)
+        path = trace_dir / name
+        lines = [text.split() for text in path.read_text().splitlines()]
+        lines[line][at] = str((int(lines[line][at]) + 1) % 64)
+        path.write_text("".join(" ".join(tokens) + "\n" for tokens in lines))
+        code = main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), "--k", "8"])
+        assert code == 1
+        assert re.match("trace error: " + message.format(dir=re.escape(str(trace_dir))),
+                        capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", ["draft.trace", "worker_1.trace", "drafts.txt",
+                                      "transcript.txt"])
+    def test_missing_file_is_a_trace_error_naming_it(self, tmp_path, capsys, name):
+        trace_dir = tmp_path / "traces"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        (trace_dir / name).unlink()
+        want = f"trace error: cannot read {trace_dir / name}: No such file or directory\n"
+        meta = str(trace_dir / "meta.cfg")
+        assert main(["trace-replay", "--config", meta, "--k", "4"]) == 1
+        assert capsys.readouterr().err == want
+        if name == "draft.trace":  # a run reads the draft trace first
+            assert main(["run", "--config", meta, "--mode", "inprocess", "--k", "full"]) == 1
+            assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("name, line", [("drafts.txt", 2), ("transcript.txt", 1)])
+    def test_non_integer_token_names_file_and_line(self, tmp_path, capsys, name, line):
+        trace_dir = tmp_path / "traces"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        path = trace_dir / name
+        lines = path.read_text().splitlines()
+        lines[line - 1] += " 7x"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["trace-replay", "--config", str(trace_dir / "meta.cfg"), "--k", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"trace error: {path} line {line}: invalid literal for int() with base 10: "
+            f"b'7x'\n")
 
     @pytest.mark.parametrize("vocab_size, k", [(128, 100), (32, 8)], ids=["wider", "narrower"])
     def test_replay_at_another_vocab_size_is_a_config_error(self, tmp_path, capsys,
@@ -681,6 +751,25 @@ class TestCliTrace:
         assert code == 2
         assert capsys.readouterr().err == (
             f"config error: {trace_dir / 'draft.trace'} holds rows of 64 tokens, "
+            f"but vocab_size is {vocab_size}\n")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("vocab_size", [128, 32], ids=["wider", "narrower"])
+    def test_sweep_at_another_vocab_size_is_a_config_error(self, tmp_path, capsys,
+                                                           vocab_size):
+        # the reference path reads the worker traces directly, not through
+        # a worker core: the width check must hold there too
+        trace_dir = tmp_path / "traces"
+        assert main(["trace-record", "--trace_dir", str(trace_dir), "--vocab_size", "64",
+                     "--samples", "1", "--max_tokens", "12"]) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", str(trace_dir / "meta.cfg"),
+                     "--vocab_size", str(vocab_size), "--k", "8", "--sweep_ks", "4,8",
+                     "--sweep_temperatures", "1.0", "--csv", str(csv_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {trace_dir / 'worker_0.trace'} holds rows of 64 tokens, "
             f"but vocab_size is {vocab_size}\n")
         assert not csv_path.exists()
 

@@ -337,7 +337,8 @@ HASHES = [stable_prefix_hash(range(n)) for n in range(1, 6)]
 
 
 def v1_header(vocab_size, steps):
-    """A version-1 header: no prefix hashes follow it."""
+    """A version-1 header: no prefix hashes follow it. No reader accepts
+    the format."""
     return (b"SFTR" + (1).to_bytes(2, "little")
             + vocab_size.to_bytes(4, "little") + steps.to_bytes(4, "little"))
 
@@ -377,13 +378,10 @@ class TestTraceFormat:
         with pytest.raises(ValueError):
             write_trace(tmp_path / "t.trace", self.rows(), HASHES[:4])
 
-    def test_version_1_reads_without_hashes(self, tmp_path):
+    def test_missing_file_is_a_trace_error_naming_it(self, tmp_path):
         path = tmp_path / "t.trace"
-        rows = self.rows()
-        path.write_bytes(v1_header(6, 5) + rows.astype("<f4").tobytes())
-        back, hashes = read_trace(path)
-        assert hashes is None
-        assert np.max(np.abs(back - rows)) < 1e-6
+        with pytest.raises(TraceError, match=rf"^cannot read {path}: No such file"):
+            read_trace(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "t.trace"
@@ -415,15 +413,15 @@ class TestTraceFormat:
         path = tmp_path / "t.trace"
         rows = self.rows()
         rows[2] *= 1.01  # 1% off: outside the f32 storage budget
-        path.write_bytes(v1_header(6, 5) + rows.astype("<f4").tobytes())
-        with pytest.raises(TraceError):
+        write_trace(path, rows, HASHES)
+        with pytest.raises(TraceError, match=rf"^{path} row 2 sums to"):
             read_trace(path)
 
     def test_small_drift_renormalized(self, tmp_path):
         path = tmp_path / "t.trace"
         rows = self.rows()
         rows[0] *= 1.0 + 5e-6  # within tolerance: load and repair
-        path.write_bytes(v1_header(6, 5) + rows.astype("<f4").tobytes())
+        write_trace(path, rows, HASHES)
         back = read_trace(path).rows
         assert abs(back[0].sum() - 1.0) < 1e-12
 
@@ -431,8 +429,8 @@ class TestTraceFormat:
         path = tmp_path / "t.trace"
         rows = self.rows()
         rows[1, 0] = -rows[1, 0]
-        path.write_bytes(v1_header(6, 5) + rows.astype("<f4").tobytes())
-        with pytest.raises(TraceError):
+        write_trace(path, rows, HASHES)
+        with pytest.raises(TraceError, match=rf"^{path} row 1 has invalid probabilities"):
             read_trace(path)
 
     def test_write_rejects_bad_shape(self, tmp_path):
@@ -482,5 +480,6 @@ class TestTraceModel:
         # a version-1 row records no prefix, so a replay could not be checked
         path = tmp_path / "t.trace"
         path.write_bytes(v1_header(2, 1) + np.array([0.5, 0.5], dtype="<f4").tobytes())
-        with pytest.raises(TraceError, match="version-1"):
-            TraceModel.from_file(path)
+        for read in (read_trace, TraceModel.from_file):
+            with pytest.raises(TraceError, match=rf"^{path}: unsupported trace version 1$"):
+                read(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 
 from conftest import distribution_pairs, random_distribution
-from draftwire.dist import Distribution, tv_distance
+from draftwire.dist import Distribution, l1_distance
 from draftwire.models import MarkovModel
 from draftwire.seeding import Prefix
 from draftwire.specdec import (
@@ -100,7 +100,7 @@ class TestAcceptanceRate:
         for _ in range(500):
             p = random_distribution(rng, 16, sparsity=0.4)
             q = random_distribution(rng, 16)
-            assert abs(acceptance_rate(p, q) - (1.0 - tv_distance(p, q))) < 1e-12
+            assert abs(acceptance_rate(p, q) - (1.0 - l1_distance(p, q) / 2.0)) < 1e-12
 
     def test_vocab_mismatch(self):
         with pytest.raises(ValueError):
