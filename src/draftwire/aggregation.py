@@ -77,12 +77,20 @@ class TopKProfile:
         return self.ks[i]
 
 
-def aggregate(dists: list[Distribution], w: WeightVector) -> Distribution:
-    """Weighted average of worker distributions.
+def weighted_sum(rows: np.ndarray | list[np.ndarray], w: WeightVector,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """sum_i w_i rows[i] in worker-index order: ``rows[0] * w[0]`` into
+    ``out`` (new when None), then each ``rows[i] * w[i]`` added in turn.
+    The one definition of the order of every dense aggregate, so no result
+    depends on which worker answered first."""
+    out = np.multiply(rows[0], w[0], out=out)
+    for i in range(1, len(w)):
+        out += rows[i] * w[i]
+    return out
 
-    Summation runs in worker-index order so the result does not depend on
-    which worker's response arrived first.
-    """
+
+def aggregate(dists: list[Distribution], w: WeightVector) -> Distribution:
+    """Weighted average of worker distributions, summed by ``weighted_sum``."""
     if len(dists) != len(w):
         raise ValueError(f"{len(dists)} distributions but {len(w)} weights")
     if not dists:
@@ -91,10 +99,7 @@ def aggregate(dists: list[Distribution], w: WeightVector) -> Distribution:
     for d in dists[1:]:
         if d.vocab_size != size:
             raise ValueError("distributions must share a vocabulary size")
-    out = np.zeros(size, dtype=np.float64)
-    for i, d in enumerate(dists):
-        out += w.weights[i] * d.probs
-    return Distribution.unchecked(out)
+    return Distribution.unchecked(weighted_sum([d.probs for d in dists], w))
 
 
 def aggregate_compressed(
@@ -105,10 +110,11 @@ def aggregate_compressed(
     ``compression.reconstructions`` gives each payload's values: ``kept``
     on its ids and ``other`` everywhere else. Each payload is scattered
     into one output array, in worker-index order, rather than rebuilt as a
-    dense vector first. Every entry gets the sum ``aggregate`` forms over
-    the ``reconstruct`` vectors, ``(0 + w_0 a_0) + w_1 a_1 + ...``, with
-    the same float operations: an ``other`` of 0 adds nothing off the ids
-    (``w * 0 == 0``), and any other adds ``w * other`` off them.
+    dense vector first. This is ``weighted_sum`` over the ``reconstruct``
+    vectors, entry by entry, with the same float operations on their
+    non-negative values: the first worker's term lands on zeros (``0 + x
+    == x``), an ``other`` of 0 adds nothing off the ids (``w * 0 == 0``),
+    and any other adds ``w * other`` off them.
     """
     if len(payloads) != len(w):
         raise ValueError(f"{len(payloads)} payloads but {len(w)} weights")

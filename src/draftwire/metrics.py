@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .aggregation import TopKProfile, WeightVector
+from .aggregation import TopKProfile, WeightVector, weighted_sum
 from .compression import Strategy, _payload_order, reconstructions, truncate_topk
 from .dist import Distribution
 
@@ -152,10 +152,7 @@ class ShadowBlock:
         # slots 0..M-1 are one contiguous block: rows go straight in
         np.concatenate([d.probs for dists in worker_dists for d in dists],
                        out=exact[:m].reshape(-1))
-        # weighted sums run in worker-index order, as in ``aggregate``
-        p_exact = np.multiply(exact[0], w[0], out=exact[m])
-        for i in range(1, m):
-            p_exact += exact[i] * w[i]
+        p_exact = weighted_sum(exact[:m], w, out=exact[m])
         self.q = np.array([q.probs for q in q_dists]).reshape(len(q_dists), size)
         self.alpha_exact = _acceptance(p_exact[:len(q_dists)], self.q)
         self.offsets = _scatter_offsets(m, positions, size)
@@ -236,8 +233,8 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     slice gives eps and every strategy's values. Per strategy, the group's
     slots of one (strategies, M + 1, positions, |V|) array are filled with
     the value of every token not kept, and the kept values are scattered
-    in through flat offsets. Slot M gets the compressed aggregate, a
-    weighted sum over the worker slots. Subtracting ``exact`` turns every
+    in through flat offsets. Slot M gets the compressed aggregate,
+    ``weighted_sum`` over the worker slots. Subtracting ``exact`` turns every
     slot into its gap to the exact row, so the L1 local errors (slots
     0..M-1) and biases (slot M) are one reduction along the contiguous
     vocabulary axis, as are the acceptance rates. Each value is
@@ -270,7 +267,7 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
         alpha_exact = block.alpha_exact.tolist()
         return BlockScores(
             epsilons=epsilons.tolist(),
-            weighted_epsilons=_weighted_sum(epsilons, w).tolist(),
+            weighted_epsilons=weighted_sum(epsilons.T, w).tolist(),
             local_errors=[[[0.0] * m for _ in _LAYERS] for _ in range(positions)],
             biases=[[0.0] * len(_LAYERS) for _ in range(positions)],
             alpha_exact=alpha_exact,
@@ -291,9 +288,7 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
             recon[layer, group] = np.asarray(other).T[..., None]  # per payload, or a scalar
             flat[block.offsets[layer][:, group] + group_ids] = kept
     _check_range(epsilons, _EPSILON)
-    p_comp = np.multiply(recon[:, 0], w[0], out=recon[:, m])
-    for i in range(1, m):
-        p_comp += recon[:, i] * w[i]
+    p_comp = weighted_sum(recon[:, :m].swapaxes(0, 1), w, out=recon[:, m])
     alphas = _acceptance(p_comp[:, :len(block.q)], block.q)
     recon -= exact  # every slot becomes its gap to the exact row
     l1 = np.abs(recon, out=recon).sum(axis=-1)
@@ -302,20 +297,12 @@ def score_block(block: ShadowBlock, k_profile: TopKProfile) -> BlockScores:
     _check_range(block.alpha_exact, _RATE)
     return BlockScores(
         epsilons=epsilons.tolist(),
-        weighted_epsilons=_weighted_sum(epsilons, w).tolist(),
+        weighted_epsilons=weighted_sum(epsilons.T, w).tolist(),
         local_errors=l1[:, :m].transpose(2, 0, 1).tolist(),
         biases=l1[:, m].T.tolist(),
         alpha_exact=block.alpha_exact.tolist(),
         alphas=alphas.T.tolist(),
     )
-
-
-def _weighted_sum(epsilons: np.ndarray, w: WeightVector) -> np.ndarray:
-    """sum_i w_i eps_i per position, in worker-index order."""
-    weighted = epsilons[:, 0] * w[0]
-    for i in range(1, len(w)):
-        weighted += epsilons[:, i] * w[i]
-    return weighted
 
 
 def instrument_position(scores: BlockScores, t: int) -> StepMetrics:

@@ -321,8 +321,7 @@ class TraceModel:
         row = self._cursor
         if row >= self.rows.shape[0]:
             raise TraceExhaustedError(
-                f"trace exhausted after {self.rows.shape[0]} steps"
-            )
+                f"{self.source}: trace exhausted after {self.rows.shape[0]} steps")
         asked = prefix.hash
         if asked != self.prefix_hashes[row]:
             raise TraceMismatchError(

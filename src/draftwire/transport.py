@@ -43,12 +43,13 @@ import enum
 import struct
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from .compression import TopKPayload, decode_payload, encode_payload, truncate_topk
 from .dist import Distribution
+from .models import TraceError
 from .seeding import Prefix
 from .seeding import stable_prefix_hash  # noqa: F401  perfbench/tracing.py wraps it here
 from .specdec import ModelProvider, scored_prefixes
@@ -500,17 +501,18 @@ class InProcessPool(WorkerPool):
 
     def _configure(self, configs: Sequence[WorkerConfig]) -> None:
         for i, (core, cfg) in enumerate(zip(self._cores, configs)):
-            try:
-                core.configure(cfg)
-            except (ProtocolError, ValueError) as exc:
-                raise WorkerFailureError(f"worker {i}: {exc}") from exc
+            self._call(i, core.configure, cfg)
 
-    def _score(
-        self, i: int, delta: Sequence[int], draft: Sequence[int]
-    ) -> tuple[bytes, list[Distribution] | None]:
+    @staticmethod
+    def _call(i: int, method: Callable[..., Any], *args: object) -> Any:
+        """``method(*args)`` of worker i's core. A ValueError becomes a
+        ``WorkerFailureError`` naming the worker; a ``TraceError`` names its
+        file already and passes through, as the draft model's does."""
         try:
-            return self._cores[i].handle_draft(delta, draft)
-        except (ProtocolError, ValueError) as exc:
+            return method(*args)
+        except TraceError:
+            raise
+        except ValueError as exc:
             raise WorkerFailureError(f"worker {i}: {exc}") from exc
 
     def _exchange(self, delta: Sequence[int], draft: Sequence[int]) -> Replies:
@@ -523,10 +525,11 @@ class InProcessPool(WorkerPool):
             # would let one idle helper take two workers' jobs in turn
             self._helpers = [ThreadPoolExecutor(1, thread_name_prefix=f"draftwire-worker-{i}")
                              for i in range(1, len(self._cores))]
-        futures = [helper.submit(self._score, i, delta, draft)
+        score = [core.handle_draft for core in self._cores]
+        futures = [helper.submit(self._call, i, score[i], delta, draft)
                    for i, helper in enumerate(self._helpers, start=1)]
         try:
-            replies = [self._score(0, delta, draft)]
+            replies = [self._call(0, score[0], delta, draft)]
         finally:
             wait(futures)
         replies += [f.result() for f in futures]

@@ -9,6 +9,7 @@ from draftwire.aggregation import (
     WeightVector,
     aggregate,
     aggregate_compressed,
+    weighted_sum,
 )
 from draftwire.compression import (
     Strategy,
@@ -20,6 +21,7 @@ from draftwire.compression import (
     truncate_topk,
 )
 from draftwire.dist import Distribution
+from draftwire.metrics import ShadowBlock
 
 P1 = Distribution([0.5, 0.3, 0.15, 0.05])
 P2 = Distribution([0.1, 0.2, 0.3, 0.4])
@@ -269,3 +271,103 @@ class TestScatterMatchesDenseOracle:
             aggregate_compressed([truncate_topk(P1, 2)], WeightVector([1.0]), 3)
         with pytest.raises(ValueError):
             aggregate_compressed([], WeightVector([1.0]), Strategy.RENORMALIZED)
+
+
+# The four dense sums that ``weighted_sum`` replaced, kept verbatim as
+# oracles: each must give its floats bit for bit.
+
+
+def old_aggregate(dists, w):
+    """``aggregation.aggregate``'s sum."""
+    size = dists[0].vocab_size
+    out = np.zeros(size, dtype=np.float64)
+    for i, d in enumerate(dists):
+        out += w.weights[i] * d.probs
+    return out
+
+
+def old_shadow_block(exact, w):
+    """``metrics.ShadowBlock.__init__``'s exact slot M."""
+    m = len(w)
+    p_exact = np.multiply(exact[0], w[0], out=exact[m])
+    for i in range(1, m):
+        p_exact += exact[i] * w[i]
+    return p_exact
+
+
+def old_score_block(recon, w):
+    """``metrics.score_block``'s compressed slot M."""
+    m = len(w)
+    p_comp = np.multiply(recon[:, 0], w[0], out=recon[:, m])
+    for i in range(1, m):
+        p_comp += recon[:, i] * w[i]
+    return p_comp
+
+
+def old_weighted_epsilons(epsilons, w):
+    """``metrics._weighted_sum``: sum_i w_i eps_i per position."""
+    weighted = epsilons[:, 0] * w[0]
+    for i in range(1, len(w)):
+        weighted += epsilons[:, i] * w[i]
+    return weighted
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# non-negative values with zeros, ties and tiny values among them
+VALUES = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.5, 0.25]),
+                   st.floats(0.0, 1.0))
+
+
+@st.composite
+def worker_rows(draw):
+    """(rows, w): rows of shape (strategies, M, positions, |V|) and weights,
+    some of them zero."""
+    m = draw(st.integers(1, 5))
+    shape = (2, m, draw(st.integers(1, 2)), draw(st.integers(2, 6)))
+    values = draw(st.lists(VALUES, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    raw = draw(st.lists(st.one_of(st.just(0), st.integers(1, 9)), min_size=m, max_size=m)
+               .filter(any))
+    return np.array(values).reshape(shape), WeightVector([r / sum(raw) for r in raw])
+
+
+class TestWeightedSum:
+    """``weighted_sum`` against each sum it replaced, at the call each
+    caller makes, compared as uint64 views."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(worker_rows())
+    def test_bit_identical_to_every_replaced_sum(self, case):
+        rows, w = case
+        _, m, positions, size = rows.shape
+
+        dists = [Distribution.unchecked(row) for row in rows[0, :, 0]]
+        want = bits(old_aggregate(dists, w))
+        assert np.array_equal(bits(weighted_sum([d.probs for d in dists], w)), want)
+        assert np.array_equal(bits(aggregate(dists, w).probs), want)
+
+        exact = np.empty((m + 1, positions, size))
+        exact[:m] = rows[0]
+        want = bits(old_shadow_block(exact.copy(), w))
+        assert np.array_equal(bits(weighted_sum(exact[:m], w, out=exact[m])), want)
+        block = ShadowBlock([[Distribution.unchecked(r) for r in worker] for worker in rows[0]],
+                            [], w)
+        assert np.array_equal(bits(block.exact[m]), want)
+
+        recon = np.empty((2, m + 1, positions, size))
+        recon[:, :m] = rows
+        want = bits(old_score_block(recon.copy(), w))
+        got = weighted_sum(recon[:, :m].swapaxes(0, 1), w, out=recon[:, m])
+        assert np.array_equal(bits(got), want)
+
+        epsilons = np.ascontiguousarray(rows[0, :, :, 0].T)  # (positions, M)
+        want = bits(old_weighted_epsilons(epsilons, w))
+        assert np.array_equal(bits(weighted_sum(epsilons.T, w)), want)
+
+    def test_writes_into_out_and_returns_it(self):
+        rows = np.array([[0.5, 0.5], [0.25, 0.75]])
+        out = np.empty(2)
+        assert weighted_sum(rows, WeightVector([0.5, 0.5]), out=out) is out
+        assert out.tolist() == [0.375, 0.625]

@@ -632,7 +632,8 @@ class TestCliTrace:
                      "--k", "full", "--max_tokens", "32"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.splitlines() == ["trace error: trace exhausted after 8 steps"]
+        assert err.splitlines() == [
+            f"trace error: {trace_dir / 'draft.trace'}: trace exhausted after 8 steps"]
 
     def test_replay_that_departs_from_the_recording_exits_1(self, tmp_path, capsys):
         # at k = 4 the replay's transcript departs from the lossless recording;
@@ -720,6 +721,32 @@ class TestCliTrace:
         if name == "draft.trace":  # a run reads the draft trace first
             assert main(["run", "--config", meta, "--mode", "inprocess", "--k", "full"]) == 1
             assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("mode", ["inprocess", "instrumented"])
+    @pytest.mark.parametrize("fault", ["missing", "version-1", "other-recording"])
+    def test_worker_trace_fault_is_a_trace_error_in_process(self, tmp_path, capsys,
+                                                           fault, mode):
+        # the in-process pool passes a worker's trace fault through as the
+        # draft model's would: labelled a trace error, naming the file
+        self.record_64(tmp_path / "a", capsys)
+        path = tmp_path / "a" / "worker_1.trace"
+        if fault == "missing":
+            path.unlink()
+            want = rf"cannot read {re.escape(str(path))}: No such file or directory"
+        elif fault == "version-1":
+            buf = path.read_bytes()
+            path.write_bytes(buf[:4] + (1).to_bytes(2, "little") + buf[6:])
+            want = rf"{re.escape(str(path))}: unsupported trace version 1"
+        else:
+            # the first row after the shared prompt answers another prefix
+            self.record_64(tmp_path / "b", capsys, seed=5)
+            path.write_bytes((tmp_path / "b" / "worker_1.trace").read_bytes())
+            want = (rf"{re.escape(str(path))} row 1: recorded for prefix hash "
+                    r"0x[0-9a-f]{16}, asked about 0x[0-9a-f]{16}")
+        code = main(["run", "--config", str(tmp_path / "a" / "meta.cfg"), "--mode", mode,
+                     "--k", "full"])
+        assert code == 1
+        assert re.fullmatch(rf"trace error: {want}\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("name, line", [("drafts.txt", 2), ("transcript.txt", 1)])
     def test_non_integer_token_names_file_and_line(self, tmp_path, capsys, name, line):

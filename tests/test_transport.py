@@ -2,6 +2,7 @@ import gc
 import io
 import queue
 import random
+import re
 import socket
 import struct
 import threading
@@ -18,7 +19,7 @@ from draftwire.compression import Strategy, decode_payload
 from draftwire.config import RunConfig, merge_config, synthetic_worker_factory
 from draftwire.dist import Distribution
 from draftwire.engine import SessionSettings, run_sample, sample_seed_for
-from draftwire.models import SyntheticModel
+from draftwire.models import SyntheticModel, TraceError, TraceMismatchError, write_trace
 from draftwire.seeding import ROLE_DRAFT_MODEL, derive_seed, stable_prefix_hash
 from draftwire.transport import (
     CONFIGURE_BODY,
@@ -1286,3 +1287,55 @@ class TestCrossModeDeterminism:
             assert remote.blocks == local.blocks
             assert remote.accepted == local.accepted
             assert remote.uplink_bytes == local.uplink_bytes
+
+
+def write_worker_trace(path, prefixes):
+    """A trace of uniform rows over 8 tokens, one recorded for each prefix."""
+    write_trace(path, [np.full(8, 1 / 8)] * len(prefixes),
+                [stable_prefix_hash(p) for p in prefixes])
+
+
+class TestWorkerTraceFaults:
+    """A worker's trace fault names its file. An in-process pool raises the
+    ``TraceError`` itself, as the draft model's trace would; over TCP the
+    worker's ERROR reply carries the message, and the pool reports it as a
+    ``WorkerFailureError`` naming the worker."""
+
+    SCORED = [(0,), (0, 1), (0, 1, 2)]  # one block: prompt 0, draft (1, 2)
+
+    def trace_factory(self, trace_dir):
+        cfg = RunConfig.from_mapping(merge_config(
+            {"model": "trace", "trace_dir": str(trace_dir), "vocab_size": "8", "k": "3"}))
+        return cfg.worker_factory()
+
+    def test_in_process_pool_raises_the_trace_error(self, tmp_path):
+        write_worker_trace(tmp_path / "worker_0.trace", self.SCORED)
+        path = tmp_path / "worker_1.trace"
+        pool = InProcessPool(2, self.trace_factory(tmp_path))
+        with pytest.raises(TraceError, match=f"^cannot read {re.escape(str(path))}: "):
+            pool.configure(worker_configs(2))
+        write_worker_trace(path, [(5,)] * len(self.SCORED))  # another prefix's rows
+        pool.configure(worker_configs(2))
+        pool.commit((0,))
+        try:
+            with pytest.raises(TraceMismatchError, match=f"^{re.escape(str(path))} row 0: "):
+                pool.score_block(stable_prefix_hash((0,)), (1, 2))
+        finally:
+            pool.close()
+
+    def test_tcp_pool_reports_the_worker_and_the_file(self, tmp_path):
+        write_worker_trace(tmp_path / "worker_0.trace", self.SCORED)
+        factory = self.trace_factory(tmp_path)
+        workers = [start_worker(factory, index=i) for i in range(2)]
+        try:
+            pool = TcpPool([("127.0.0.1", port) for _, port in workers])
+            try:
+                with pytest.raises(WorkerFailureError) as failure:
+                    pool.configure(worker_configs(2))
+            finally:
+                pool.close()
+        finally:
+            for thread, port in workers:
+                shutdown_worker(thread, port)
+        assert str(failure.value) == (f"worker 1: remote error: cannot read "
+                                      f"{tmp_path / 'worker_1.trace'}: No such file or directory")
