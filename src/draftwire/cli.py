@@ -37,7 +37,6 @@ from .config import (
     ConfigError,
     RunConfig,
     load_config_file,
-    load_trace,
     merge_config,
 )
 from .engine import (
@@ -48,12 +47,11 @@ from .engine import (
     run_sample,
     sample_seed_for,
 )
-from .dist import Distribution
 from .metrics import SweepTally, write_sweep_csv
 from .metrics import sweep_aggregate  # noqa: F401  perfbench/tracing.py wraps it here
-from .models import TraceError, TraceMismatchError, write_trace
+from .models import TraceError, TraceMismatchError, TraceModel, write_trace
 from .seeding import Prefix
-from .specdec import ModelProvider, scored_prefixes
+from .specdec import scored_prefixes
 from .transport import (
     InProcessPool,
     TcpPool,
@@ -309,19 +307,6 @@ def cmd_launch_demo(cfg: RunConfig) -> int:
                 proc.kill()
 
 
-class _PrefixLog:
-    """A model that logs the hash of every prefix it is asked about, so each
-    recorded row can carry the prefix it answers."""
-
-    def __init__(self, model: ModelProvider) -> None:
-        self.model = model
-        self.hashes: list[int] = []
-
-    def distribution(self, prefix: Prefix) -> Distribution:
-        self.hashes.append(prefix.hash)
-        return self.model.distribution(prefix)
-
-
 def cmd_trace_record(cfg: RunConfig) -> int:
     if not cfg.trace_dir:
         raise ConfigError("trace-record requires --trace_dir")
@@ -332,18 +317,20 @@ def cmd_trace_record(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     settings = cfg.settings()
     ss = sample_seed_for(cfg.seed, 0)
-    draft = _PrefixLog(cfg.draft_model(ss))
-    workers = [_PrefixLog(model) for model in cfg.worker_models(ss)]
-    res = run_reference_sample(draft, workers, settings, ss)
+    res = run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss), settings, ss)
 
-    # each model was queried once per recorded row, in row order; the
-    # rows are written from the records, not copied into one array first
+    # a block's rows answer its scored prefixes: the draft model's the
+    # first gamma, each worker's all gamma + 1. The rows are written from
+    # the records, not copied into one array first.
+    scored = [scored_prefixes(rec.prefix, rec.draft_tokens) for rec in res.records]
     q_rows = [d.probs for rec in res.records for d in rec.q_dists]
-    write_trace(out / "draft.trace", q_rows, draft.hashes)
-    for i, worker in enumerate(workers):
+    write_trace(out / "draft.trace", q_rows,
+                [p.hash for prefixes in scored for p in prefixes[:-1]])
+    worker_hashes = [p.hash for prefixes in scored for p in prefixes]
+    for i in range(cfg.workers):
         write_trace(out / f"worker_{i}.trace",
                     [d.probs for rec in res.records for d in rec.worker_dists[i]],
-                    worker.hashes)
+                    worker_hashes)
     (out / "drafts.txt").write_text(
         "\n".join(" ".join(str(t) for t in rec.draft_tokens) for rec in res.records) + "\n"
     )
@@ -359,7 +346,7 @@ def cmd_trace_record(cfg: RunConfig) -> int:
         "eos": -1 if cfg.eos is None else cfg.eos,
         "weights": ",".join(repr(w) for w in cfg.weights.weights.tolist()),
         "model": "trace",
-        "trace_dir": str(out.resolve()),  # so meta.cfg runs from any directory
+        "trace_dir": ".",  # the files beside meta.cfg, wherever it is copied
     }
     (out / "meta.cfg").write_text(
         "".join(f"{k} = {v}\n" for k, v in meta.items())
@@ -390,7 +377,7 @@ def _load_trace_records(cfg: RunConfig) -> Iterator[BlockRecord]:
     trace_dir, gamma = Path(cfg.trace_dir), cfg.gamma
     paths = [trace_dir / "draft.trace",
              *(trace_dir / f"worker_{i}.trace" for i in range(cfg.workers))]
-    draft_model, *workers = [load_trace(path, cfg.vocab_size) for path in paths]
+    draft_model, *workers = [TraceModel.from_file(path, cfg.vocab_size) for path in paths]
     drafts_path = trace_dir / "drafts.txt"
     draft_lines = _read_token_lines(drafts_path)
     q_rows = len(draft_model.prefix_hashes)
@@ -422,8 +409,8 @@ def _load_trace_records(cfg: RunConfig) -> Iterator[BlockRecord]:
         if not n:
             raise TraceMismatchError(f"{trace_dir / 'transcript.txt'}: no run of 1 to {gamma + 1} "
                                      f"tokens continues block {b} as recorded")
+        yield BlockRecord(prefix=prefix, draft_tokens=tuple(draft), q_dists=q, worker_dists=dists)
         prefix, pos = prefix.extend(run[:n]), pos + n
-        yield BlockRecord(draft_tokens=tuple(draft), q_dists=q, worker_dists=dists)
 
 
 def cmd_trace_replay(cfg: RunConfig) -> int:

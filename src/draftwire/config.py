@@ -86,11 +86,17 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
+    """The file's keys; a relative ``trace_dir`` is taken from the file's
+    own directory, so a recording's ``meta.cfg`` reads the files beside it
+    wherever the recording is copied or moved."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+    values = parse_config_text(text)
+    if values.get("trace_dir"):
+        values["trace_dir"] = str(Path(path).parent / values["trace_dir"])
+    return values
 
 
 def merge_config(*layers: Mapping[str, str]) -> dict[str, str]:
@@ -135,15 +141,6 @@ def _config_error(source: str) -> Iterator[None]:
         yield
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-
-
-def load_trace(path: Path, vocab_size: int) -> TraceModel:
-    """The recorded model in ``path``; its rows must be ``vocab_size`` wide."""
-    model = TraceModel.from_file(path)
-    if model.vocab_size != vocab_size:
-        raise ConfigError(f"{path} holds rows of {model.vocab_size} tokens, "
-                          f"but vocab_size is {vocab_size}")
-    return model
 
 
 class _SharedModelState:
@@ -365,7 +362,7 @@ class RunConfig:
             )
         if self.model == "markov":
             return self._markov()
-        return TraceModel.from_file(Path(self.trace_dir) / "draft.trace")
+        return TraceModel.from_file(Path(self.trace_dir) / "draft.trace", self.vocab_size)
 
     def worker_factory(self) -> ModelFactory:
         if self.model == "synthetic":
@@ -390,7 +387,7 @@ class RunConfig:
         trace_dir = Path(self.trace_dir)
 
         def trace_factory(vocab_size: int, seed_material: int, index: int) -> ModelProvider:
-            return load_trace(trace_dir / f"worker_{index}.trace", vocab_size)
+            return TraceModel.from_file(trace_dir / f"worker_{index}.trace", vocab_size)
 
         return trace_factory
 

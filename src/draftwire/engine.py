@@ -95,11 +95,14 @@ class SessionSettings:
 class BlockRecord:
     """Instrumented shadow data for one draft block.
 
-    ``worker_dists[i][t]`` is worker i's exact float64 distribution at
-    scored position t (t = gamma is the bonus position), captured before
-    truncation and the 32-bit wire.
+    ``prefix`` is the committed prefix the block was drafted and scored
+    after, so ``scored_prefixes(prefix, draft_tokens)`` are the prefixes
+    its distributions answer. ``worker_dists[i][t]`` is worker i's exact
+    float64 distribution at scored position t (t = gamma is the bonus
+    position), captured before truncation and the 32-bit wire.
     """
 
+    prefix: Prefix
     draft_tokens: tuple[int, ...]
     q_dists: tuple[Distribution, ...]
     worker_dists: tuple[tuple[Distribution, ...], ...]
@@ -176,6 +179,7 @@ def _decode(
         if worker_dists is not None:
             records.append(
                 BlockRecord(
+                    prefix=prefix,
                     draft_tokens=draft.tokens,
                     q_dists=draft.draft_dists,
                     worker_dists=tuple(tuple(d) for d in worker_dists),

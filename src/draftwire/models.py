@@ -276,8 +276,10 @@ def read_trace(path: str | Path) -> Trace:
         raise TraceError(f"{path} declares {expected} bytes but has {len(buf)}")
     # copied: a view would keep the whole file's bytes alive
     hashes = np.frombuffer(buf, dtype="<u8", count=steps, offset=_TRACE_HEADER_BYTES).copy()
-    # widened once; each row is renormalized in place
-    rows = np.frombuffer(buf, dtype="<f4", offset=offset).astype(np.float64)
+    # widened once; each row is renormalized in place. A signalling NaN
+    # widens to a quiet one, which the row check refuses.
+    with np.errstate(invalid="ignore"):
+        rows = np.frombuffer(buf, dtype="<f4", offset=offset).astype(np.float64)
     rows = rows.reshape(steps, vocab_size)
     for i, row in enumerate(rows):
         if np.any(row < 0.0) or not np.all(np.isfinite(row)):
@@ -310,12 +312,13 @@ class TraceModel:
         self._cursor = 0
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "TraceModel":
-        return cls(*read_trace(path), str(path))
-
-    @property
-    def vocab_size(self) -> int:
-        return int(self.rows.shape[1])
+    def from_file(cls, path: str | Path, vocab_size: int) -> "TraceModel":
+        """The recorded model in ``path``; its rows must be ``vocab_size`` wide."""
+        rows, prefix_hashes = read_trace(path)
+        if rows.shape[1] != vocab_size:
+            raise TraceError(f"{path} holds rows of {rows.shape[1]} tokens, "
+                             f"but vocab_size is {vocab_size}")
+        return cls(rows, prefix_hashes, str(path))
 
     def distribution(self, prefix: Prefix) -> Distribution:
         row = self._cursor

@@ -7,11 +7,16 @@ vectors from raw float lists.
 
 from __future__ import annotations
 
+import queue
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import strategies as st
 
 from draftwire.dist import Distribution
 from draftwire.metrics import ShadowBlock, instrument_position, score_block
+from draftwire.transport import TcpPool, worker_serve
 
 
 def random_distribution(rng: np.random.Generator, size: int, *, sparsity: float = 0.0) -> Distribution:
@@ -56,3 +61,28 @@ def distribution_pairs(draw, min_size: int = 2, max_size: int = 12):
     a = draw(distributions(min_size=size, max_size=size))
     b = draw(distributions(min_size=size, max_size=size))
     return a, b
+
+
+@contextmanager
+def tcp_workers(factory, m: int):
+    """``m`` ``worker_serve`` workers, each on a thread of this process and
+    a port of its own; yields their endpoints. Every pool on them must be
+    closed by then: on exit a ``TcpPool`` asks each worker to exit, and the
+    threads are joined."""
+    threads, endpoints = [], []
+    try:
+        for i in range(m):
+            ready: queue.Queue[int] = queue.Queue()
+            thread = threading.Thread(target=worker_serve, args=("127.0.0.1", 0, factory),
+                                      kwargs={"worker_index": i, "ready": ready.put},
+                                      daemon=True)
+            thread.start()
+            threads.append(thread)
+            endpoints.append(("127.0.0.1", ready.get(timeout=5)))
+        yield endpoints
+    finally:
+        if endpoints:
+            TcpPool(endpoints, timeout=5).shutdown()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()

@@ -1,11 +1,14 @@
 import hashlib
 import re
+import shutil
 import socket
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import tcp_workers
 from draftwire import cli, models
 from draftwire.cli import main
 from draftwire.compression import Strategy
@@ -14,6 +17,7 @@ from draftwire.config import (
     MAX_WORKERS,
     ConfigError,
     RunConfig,
+    load_config_file,
     merge_config,
     parse_config_text,
 )
@@ -547,6 +551,21 @@ class TestCliTrace:
             for rows, dists in zip(worker_rows, rec.worker_dists, strict=True):
                 assert all(np.shares_memory(d.probs, rows) for d in dists)
 
+    def test_replayed_records_carry_the_recorded_prefixes(self, tmp_path, capsys):
+        # each block is read back after the prefix it was recorded after
+        trace_dir = tmp_path / "traces"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir), "--gamma", "3",
+                     "--max_tokens", "20"]) == 0
+        capsys.readouterr()
+        cfg = config_from(vocab_size=16, gamma=3, k=4, max_tokens=20, samples=1)
+        ss = cli.sample_seed_for(cfg.seed, 0)
+        recorded = cli.run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss),
+                                            cfg.settings(), ss).records
+        replayed = list(cli._load_trace_records(replace(cfg, trace_dir=str(trace_dir))))
+        assert len(recorded) > 2
+        assert [(rec.prefix.hash, rec.draft_tokens) for rec in replayed] == \
+            [(rec.prefix.hash, rec.draft_tokens) for rec in recorded]
+
     # sha256 of each file a recording writes, pinned: every row and its
     # prefix hash must stay byte for byte what earlier versions wrote
     RECORD_DIGESTS = {
@@ -764,8 +783,8 @@ class TestCliTrace:
             f"b'7x'\n")
 
     @pytest.mark.parametrize("vocab_size, k", [(128, 100), (32, 8)], ids=["wider", "narrower"])
-    def test_replay_at_another_vocab_size_is_a_config_error(self, tmp_path, capsys,
-                                                            vocab_size, k):
+    def test_replay_at_another_vocab_size_is_a_trace_error(self, tmp_path, capsys,
+                                                           vocab_size, k):
         # a wider vocabulary once failed inside truncate_topk; a narrower one
         # scored the 64-token rows and labelled them with the wrong K_pct
         trace_dir = tmp_path / "traces"
@@ -775,17 +794,15 @@ class TestCliTrace:
         csv_path = tmp_path / "replay.csv"
         code = main(["trace-replay", "--config", str(trace_dir / "meta.cfg"),
                      "--vocab_size", str(vocab_size), "--k", str(k), "--csv", str(csv_path)])
-        assert code == 2
+        assert code == 1
         assert capsys.readouterr().err == (
-            f"config error: {trace_dir / 'draft.trace'} holds rows of 64 tokens, "
+            f"trace error: {trace_dir / 'draft.trace'} holds rows of 64 tokens, "
             f"but vocab_size is {vocab_size}\n")
         assert not csv_path.exists()
 
     @pytest.mark.parametrize("vocab_size", [128, 32], ids=["wider", "narrower"])
-    def test_sweep_at_another_vocab_size_is_a_config_error(self, tmp_path, capsys,
-                                                           vocab_size):
-        # the reference path reads the worker traces directly, not through
-        # a worker core: the width check must hold there too
+    def test_sweep_at_another_vocab_size_is_a_trace_error(self, tmp_path, capsys,
+                                                          vocab_size):
         trace_dir = tmp_path / "traces"
         assert main(["trace-record", "--trace_dir", str(trace_dir), "--vocab_size", "64",
                      "--samples", "1", "--max_tokens", "12"]) == 0
@@ -794,11 +811,103 @@ class TestCliTrace:
         code = main(["sweep", "--config", str(trace_dir / "meta.cfg"),
                      "--vocab_size", str(vocab_size), "--k", "8", "--sweep_ks", "4,8",
                      "--sweep_temperatures", "1.0", "--csv", str(csv_path)])
-        assert code == 2
+        assert code == 1
         assert capsys.readouterr().err == (
-            f"config error: {trace_dir / 'worker_0.trace'} holds rows of 64 tokens, "
+            f"trace error: {trace_dir / 'draft.trace'} holds rows of 64 tokens, "
             f"but vocab_size is {vocab_size}\n")
         assert not csv_path.exists()
+
+    def swap_in_wider(self, tmp_path, capsys, name):
+        """A 16-token recording in ``tmp_path / "a"`` whose file ``name`` is
+        taken from the same recording at 32 tokens; returns its path."""
+        for vocab_size, trace_dir in ((16, tmp_path / "a"), (32, tmp_path / "b")):
+            assert main([*self.RECORD, "--vocab_size", str(vocab_size),
+                         "--trace_dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "a" / name
+        path.write_bytes((tmp_path / "b" / name).read_bytes())
+        return path
+
+    # every command that reads a recording, each with the flags that let it
+    # read this one through
+    READERS = {
+        "run-inprocess": ["run", "--mode", "inprocess", "--k", "full"],
+        "run-instrumented": ["run", "--mode", "instrumented", "--k", "full"],
+        "trace-replay": ["trace-replay", "--k", "4"],
+        "sweep": ["sweep", "--k", "4", "--sweep_ks", "4,16", "--sweep_temperatures", "1.0"],
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("name", ["draft.trace", "worker_1.trace"])
+    def test_file_of_another_width_is_a_trace_error(self, tmp_path, capsys, name, reader):
+        # every reader names the file and its width, however it opens it
+        path = self.swap_in_wider(tmp_path, capsys, name)
+        csv_path = tmp_path / "out.csv"
+        code = main([*self.READERS[reader], "--config", str(tmp_path / "a" / "meta.cfg"),
+                     "--csv", str(csv_path)])
+        assert (code, capsys.readouterr().err) == (
+            1, f"trace error: {path} holds rows of 32 tokens, but vocab_size is 16\n")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("name, want", [
+        ("draft.trace", "trace error: {path} holds rows of 32 tokens, but vocab_size is 16"),
+        ("worker_1.trace", "worker failure: worker 1: remote error: {path} holds rows of "
+                           "32 tokens, but vocab_size is 16"),
+    ], ids=["draft", "worker"])
+    def test_file_of_another_width_over_tcp(self, tmp_path, capsys, name, want):
+        # over TCP a worker's file is opened in the worker: its ERROR reply
+        # carries the message, and the run reports a worker failure
+        path = self.swap_in_wider(tmp_path, capsys, name)
+        meta = str(tmp_path / "a" / "meta.cfg")
+        factory = RunConfig.from_mapping(
+            merge_config(load_config_file(meta), {"k": "full"})).worker_factory()
+        with tcp_workers(factory, 2) as endpoints:
+            code = main(["run", "--config", meta, "--mode", "networked", "--k", "full",
+                         "--endpoints", ",".join(f"{host}:{port}" for host, port in endpoints)])
+        assert (code, capsys.readouterr().err) == (1, want.format(path=path) + "\n")
+
+    def test_copied_recording_reads_the_copy(self, tmp_path, capsys):
+        # meta.cfg's trace_dir is ".": a copy reads its own files, so a file
+        # deleted from the copy is missed even though the original holds it
+        trace_dir, copy = tmp_path / "traces", tmp_path / "copy"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        shutil.copytree(trace_dir, copy)
+        (copy / "worker_1.trace").unlink()
+        want = (f"trace error: cannot read {copy / 'worker_1.trace'}: "
+                f"No such file or directory\n")
+        meta = str(copy / "meta.cfg")
+        for argv in (["run", "--config", meta, "--k", "full", "--samples", "1",
+                      "--mode", "inprocess"],
+                     ["trace-replay", "--config", meta, "--k", "4"]):
+            assert (main(argv), capsys.readouterr().err) == (1, want)
+
+    def test_moved_recording_runs_from_its_new_directory(self, tmp_path, capsys):
+        trace_dir, moved = tmp_path / "traces", tmp_path / "moved"
+        assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
+        capsys.readouterr()
+        transcript = (trace_dir / "transcript.txt").read_text().split()
+        trace_dir.rename(moved)
+        meta = str(moved / "meta.cfg")
+        assert main(["run", "--config", meta, "--mode", "inprocess", "--k", "full"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("sample 0:"))
+        assert line.split()[2:] == transcript
+        assert main(["trace-replay", "--config", meta, "--k", "4"]) == 0
+
+    def test_trace_dir_flag_is_taken_from_the_working_directory(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # only a config file's relative trace_dir is read from the file's directory
+        assert main([*self.RECORD, "--trace_dir", str(tmp_path / "traces")]) == 0
+        capsys.readouterr()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path)
+        meta = str(tmp_path / "traces" / "meta.cfg")
+        assert main(["trace-replay", "--config", meta, "--trace_dir", "traces", "--k", "4"]) == 0
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["trace-replay", "--config", meta, "--trace_dir", "traces", "--k", "4"]) == 1
+        assert capsys.readouterr().err == (
+            "trace error: cannot read traces/draft.trace: No such file or directory\n")
 
     @pytest.mark.parametrize("gamma, message", [
         (3, "{dir}/draft.trace holds 20 rows, not a whole number of blocks of gamma = 3 rows"),
@@ -842,8 +951,11 @@ class TestCliTrace:
         trace_dir = tmp_path / "traces"
         assert main([*self.RECORD, "--trace_dir", str(trace_dir)]) == 0
         capsys.readouterr()
-        code = main(["run", "--model", "trace", "--trace_dir", str(trace_dir),
-                     "--vocab_size", "32", "--gamma", "2", "--k", "4",
-                     "--samples", "1", "--max_tokens", "8", "--mode", "inprocess"])
-        assert code == 1
-        assert "worker failure" in capsys.readouterr().err
+        # the draft model's file is opened first, with the same width check
+        for mode in ("inprocess", "instrumented"):
+            code = main(["run", "--model", "trace", "--trace_dir", str(trace_dir),
+                         "--vocab_size", "32", "--gamma", "2", "--k", "4",
+                         "--samples", "1", "--max_tokens", "8", "--mode", mode])
+            assert (code, capsys.readouterr().err) == (
+                1, f"trace error: {trace_dir / 'draft.trace'} holds rows of 16 tokens, "
+                   f"but vocab_size is 32\n")

@@ -13,18 +13,28 @@ cut.
 Over drawn settings it must reproduce ``run_sample`` on an
 ``InProcessPool`` (tokens, counters, per-worker uplink bytes and, when
 instrumented, every recorded array bit for bit) and, at a lossless k,
-``run_reference_sample``.
+``run_reference_sample``. A few settings also run over a ``TcpPool``
+against workers on threads of this process. And a recording made at drawn
+settings, replayed at k = |V| through ``run_sample`` with its
+``TraceModel``s, must give back its transcript and its blocks, as the
+decoder does with the same files.
 """
 
+import contextlib
+import io
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tcp_workers
 from draftwire import InProcessPool, run_reference_sample, run_sample, sample_seed_for
 from draftwire.aggregation import TopKProfile
+from draftwire.cli import cmd_trace_record
 from draftwire.compression import (
     Strategy,
     decode_payload,
@@ -32,7 +42,7 @@ from draftwire.compression import (
     reconstruct,
     truncate_topk,
 )
-from draftwire.config import RunConfig, merge_config
+from draftwire.config import RunConfig, load_config_file, merge_config
 from draftwire.dist import Distribution, sample
 from draftwire.models import MarkovModel, SyntheticModel
 from draftwire.seeding import (
@@ -45,7 +55,7 @@ from draftwire.seeding import (
     stream,
 )
 from draftwire.specdec import DraftBlock, verify_block
-from draftwire.transport import FRAME_HEADER, pack_scores
+from draftwire.transport import FRAME_HEADER, TcpPool, pack_scores
 
 SAMPLES = 2
 
@@ -191,6 +201,21 @@ def corpus_path(tmp_path_factory):
     return tmp_path_factory.mktemp("oracle") / "corpus.txt"
 
 
+def assert_sample_matches(cfg, pool, models, sample_seed, instrumented):
+    """One sample through ``pool`` against the decoder on ``models``, built
+    for ``sample_seed``; return the pool's result and the decoder's
+    per-worker uplink bytes."""
+    s = cfg.settings()
+    got = run_sample(cfg.draft_model(sample_seed), pool, s, sample_seed,
+                     instrumented=instrumented)
+    tokens, blocks, accepted, uplink, records = decode(*models, s, sample_seed)
+    assert (got.tokens, got.blocks, got.accepted) == (tokens, blocks, accepted)
+    assert got.uplink_bytes == sum(uplink)
+    if instrumented:
+        assert_same_records(got.records, records)
+    return got, uplink
+
+
 @settings(max_examples=30, deadline=None)
 @given(cases())
 def test_engine_matches_straight_line_decoder(corpus_path, case):
@@ -202,14 +227,8 @@ def test_engine_matches_straight_line_decoder(corpus_path, case):
     try:
         for index in range(SAMPLES):
             ss = sample_seed_for(cfg.seed, index)
-            got = run_sample(cfg.draft_model(ss), pool, s, ss,
-                             instrumented=case["instrumented"])
-            tokens, blocks, accepted, sample_uplink, records = decode(
-                *oracle_models(case, ss), s, ss)
-            assert (got.tokens, got.blocks, got.accepted) == (tokens, blocks, accepted)
-            assert got.uplink_bytes == sum(sample_uplink)
-            if case["instrumented"]:
-                assert_same_records(got.records, records)
+            _, sample_uplink = assert_sample_matches(cfg, pool, oracle_models(case, ss), ss,
+                                                     case["instrumented"])
             uplink = [a + b for a, b in zip(uplink, sample_uplink)]
 
             ref = run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss), s, ss)
@@ -220,3 +239,45 @@ def test_engine_matches_straight_line_decoder(corpus_path, case):
     finally:
         pool.close()
     assert pool.uplink_totals == uplink
+
+
+@settings(max_examples=3, deadline=None)
+@given(cases())
+def test_tcp_pool_matches_straight_line_decoder(corpus_path, case):
+    # a TCP worker exposes no shadows, so no run over it is instrumented
+    cfg = run_config(case, corpus_path)
+    uplink = [0] * cfg.workers
+    with tcp_workers(cfg.worker_factory(), cfg.workers) as endpoints:
+        pool = TcpPool(endpoints, timeout=10)
+        try:
+            for index in range(SAMPLES):
+                ss = sample_seed_for(cfg.seed, index)
+                _, sample_uplink = assert_sample_matches(cfg, pool, oracle_models(case, ss),
+                                                         ss, instrumented=False)
+                uplink = [a + b for a, b in zip(uplink, sample_uplink)]
+        finally:
+            pool.close()
+    assert pool.uplink_totals == uplink
+
+
+@settings(max_examples=10, deadline=None)
+@given(cases())
+def test_replayed_recording_matches_it_and_the_decoder(corpus_path, case):
+    with tempfile.TemporaryDirectory(dir=corpus_path.parent) as trace_dir:
+        trace_dir = Path(trace_dir)
+        cfg = replace(run_config(case, corpus_path), samples=1, trace_dir=str(trace_dir))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cmd_trace_record(cfg) == 0
+        replay = RunConfig.from_mapping(merge_config(
+            load_config_file(trace_dir / "meta.cfg"), {"k": "full"}))
+        ss = sample_seed_for(replay.seed, 0)
+        pool = InProcessPool(replay.workers, replay.worker_factory(),
+                             instrumented=case["instrumented"])
+        try:
+            models = replay.draft_model(ss), replay.worker_models(ss)
+            got, _ = assert_sample_matches(replay, pool, models, ss, case["instrumented"])
+        finally:
+            pool.close()
+        assert " ".join(str(t) for t in got.tokens) + "\n" == \
+            (trace_dir / "transcript.txt").read_text()
+        assert got.blocks == len((trace_dir / "drafts.txt").read_text().splitlines())

@@ -24,6 +24,7 @@ from draftwire.metrics import (
     sweep_aggregate,
     write_sweep_csv,
 )
+from draftwire.seeding import Prefix
 from draftwire.specdec import acceptance_rate
 
 # Two-worker reference point used throughout: uniform weights, k=2 each.
@@ -420,6 +421,7 @@ def scored_blocks(draw):
         return random_distribution(rng, size, sparsity=0.6 if kind == "sparse" else 0.0)
 
     record = BlockRecord(
+        prefix=Prefix.of((0,)),
         draft_tokens=tuple(int(t) for t in rng.integers(0, size, gamma)),
         q_dists=tuple(row() for _ in range(gamma)),
         worker_dists=tuple(tuple(row() for _ in range(gamma + 1)) for _ in range(m)))
@@ -532,7 +534,7 @@ class TestBlockScorerPaths:
         qs = [Distribution(tie_heavy(rng, size)), random_distribution(rng, size)]
         w = WeightVector(rng.dirichlet(np.ones(m)))
         assert_block_matches_oracle(dists, qs, w, TopKProfile(ks, size))
-        record = BlockRecord(draft_tokens=(0, 1), q_dists=tuple(qs),
+        record = BlockRecord(prefix=Prefix.of((0,)), draft_tokens=(0, 1), q_dists=tuple(qs),
                              worker_dists=tuple(tuple(rows) for rows in dists))
         cache = RecordCache()
         for profile in (TopKProfile.homogeneous(size, m, size), TopKProfile(ks, size)):

@@ -433,6 +433,19 @@ class TestTraceFormat:
         with pytest.raises(TraceError, match=rf"^{path} row 1 has invalid probabilities"):
             read_trace(path)
 
+    @pytest.mark.parametrize("bits", [0x7F800001, 0xFFBFFFFF, 0x7FC00000],
+                             ids=["signalling", "signalling-negative", "quiet"])
+    def test_nan_entry_rejected_without_a_warning(self, tmp_path, bits):
+        # widening a signalling NaN to float64 sets numpy's invalid flag;
+        # the file is refused as corrupt, not with a RuntimeWarning
+        path = tmp_path / "t.trace"
+        write_trace(path, self.rows(), HASHES)
+        buf = bytearray(path.read_bytes())
+        buf[-4:] = bits.to_bytes(4, "little")  # the last row's last entry
+        path.write_bytes(bytes(buf))
+        with pytest.raises(TraceError, match=rf"^{path} row {len(HASHES) - 1} has invalid "):
+            read_trace(path)
+
     def test_write_rejects_bad_shape(self, tmp_path):
         with pytest.raises(ValueError):
             write_trace(tmp_path / "t.trace", np.ones(6), [0])
@@ -443,15 +456,15 @@ class TestTraceModel:
         path = tmp_path / "t.trace"
         rows = np.array([[0.75, 0.25], [0.25, 0.75], [0.5, 0.5]])
         write_trace(path, rows, [stable_prefix_hash(p) for p in ((), (1, 2), (1, 2, 0))])
-        m = TraceModel.from_file(path)
-        assert m.vocab_size == 2
+        m = TraceModel.from_file(path, 2)
+        assert m.rows.shape == (3, 2)
         assert m.distribution(Prefix.of(())).probs[0] == pytest.approx(0.75, abs=1e-7)
         assert m.distribution(Prefix.of((1, 2))).probs[0] == pytest.approx(0.25, abs=1e-7)
 
     def test_exhaustion(self, tmp_path):
         path = tmp_path / "t.trace"
         write_trace(path, np.array([[0.5, 0.5]]), [stable_prefix_hash(())])
-        m = TraceModel.from_file(path)
+        m = TraceModel.from_file(path, 2)
         m.distribution(Prefix.of(()))
         with pytest.raises(TraceExhaustedError):
             m.distribution(Prefix.of(()))
@@ -460,7 +473,7 @@ class TestTraceModel:
         path = tmp_path / "t.trace"
         write_trace(path, np.array([[0.75, 0.25], [0.25, 0.75]]),
                     [stable_prefix_hash(p) for p in ((0,), (0, 1))])
-        m = TraceModel.from_file(path)
+        m = TraceModel.from_file(path, 2)
         m.distribution(Prefix.of((0,)))
         with pytest.raises(TraceMismatchError, match=rf"^{path} row 1: recorded for prefix"):
             m.distribution(Prefix.of((0, 0)))
@@ -471,7 +484,7 @@ class TestTraceModel:
         prefixes = ((0,), (0, 1))
         write_trace(path, np.array([[0.75, 0.25], [0.25, 0.75]]),
                     [stable_prefix_hash(p) for p in prefixes])
-        m = TraceModel.from_file(path)
+        m = TraceModel.from_file(path, 2)
         assert not m.rows.flags.writeable
         for prefix in prefixes:
             assert np.shares_memory(m.distribution(Prefix.of(prefix)).probs, m.rows)
@@ -480,6 +493,15 @@ class TestTraceModel:
         # a version-1 row records no prefix, so a replay could not be checked
         path = tmp_path / "t.trace"
         path.write_bytes(v1_header(2, 1) + np.array([0.5, 0.5], dtype="<f4").tobytes())
-        for read in (read_trace, TraceModel.from_file):
+        for read in (read_trace, lambda path: TraceModel.from_file(path, 2)):
             with pytest.raises(TraceError, match=rf"^{path}: unsupported trace version 1$"):
                 read(path)
+
+    @pytest.mark.parametrize("vocab_size", [2, 4])
+    def test_rows_of_another_width_are_refused_naming_the_file(self, tmp_path, vocab_size):
+        path = tmp_path / "t.trace"
+        write_trace(path, np.full((1, 3), 1 / 3), [stable_prefix_hash(())])
+        with pytest.raises(TraceError, match=rf"^{path} holds rows of 3 tokens, "
+                                             rf"but vocab_size is {vocab_size}$"):
+            TraceModel.from_file(path, vocab_size)
+        assert TraceModel.from_file(path, 3).rows.shape == (1, 3)

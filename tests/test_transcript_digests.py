@@ -243,10 +243,12 @@ def test_instrumented_run_output_digest_is_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode() + out.read_bytes()).hexdigest() == RUN_DIGESTS[name]
 
 
-# ``draftwire trace-record``: every file of a recording, byte for byte, with
-# meta.cfg's absolute trace_dir replaced by a placeholder. Three weighted
-# workers and an EOS exercise the row order and the stop rule. Recorded
-# when the rows were still stacked into one array before writing.
+# ``draftwire trace-record``: every file of a recording, byte for byte.
+# meta.cfg names no path (``trace_dir = .``), so nothing is replaced. Three
+# weighted workers and an EOS exercise the row order and the stop rule.
+# Recorded when the rows were still stacked into one array before writing;
+# the digests changed once since, when meta.cfg's absolute trace_dir
+# became ``.`` and every other file stayed byte for byte the same.
 TRACE_RECORD_CASES = {
     "v64-two-workers": ["--vocab_size", "64", "--max_tokens", "24"],
     "v256-three-workers-eos-weighted": ["--vocab_size", "256", "--workers", "3",
@@ -257,9 +259,9 @@ TRACE_RECORD_CASES = {
 
 TRACE_RECORD_DIGESTS = {
     "v64-two-workers":
-        "443761c6f2f3aafd8116c678e72bdd8ccbed03925df2cf79fb05e6dc4caa383d",
+        "3bcde35a9752039b919afa187475b15cedf77c26d712f85a7ae75d3eced4ecb1",
     "v256-three-workers-eos-weighted":
-        "5a35294177160fdf11965a34e8dc73f8a8eda12385213e5285f2a06380270918",
+        "8cf2bc15b6f7a00c0f6895ad4a81c7a55e895b6aaf77e19e30e41238ec277fb7",
 }
 
 
@@ -275,7 +277,7 @@ def test_trace_record_files_digest_is_pinned(name, tmp_path, capsys):
     h = hashlib.sha256()
     for path in sorted(out.iterdir()):
         h.update(path.name.encode() + b"\0")
-        h.update(path.read_bytes().replace(str(out.resolve()).encode(), b"TRACE_DIR"))
+        h.update(path.read_bytes())
     assert h.hexdigest() == TRACE_RECORD_DIGESTS[name]
 
 
