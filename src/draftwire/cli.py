@@ -77,12 +77,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                             help=f"override {key} (default {DEFAULTS[key] or 'empty'})")
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port {port} out of range [0, 65535]")
+    return port
+
+
+def _resolve(args: argparse.Namespace) -> dict[str, str]:
+    """Defaults, then ``--config``, then flags, merged as text."""
     layers = []
     if args.config:
         layers.append(load_config_file(args.config))
     layers.append({key: getattr(args, key) for key in KNOWN_KEYS})
-    return RunConfig.from_mapping(merge_config(*layers))
+    return merge_config(*layers)
 
 
 def _make_pool(cfg: RunConfig) -> WorkerPool:
@@ -92,25 +100,14 @@ def _make_pool(cfg: RunConfig) -> WorkerPool:
                          instrumented=cfg.mode == "instrumented")
 
 
-def _homogeneous_k(cfg: RunConfig) -> int:
-    # The CSV schema reports a scalar K; metric rows need k_1 = ... = k_M.
-    if len(set(cfg.ks)) != 1:
-        raise ConfigError("metric reporting requires a homogeneous k profile")
-    return cfg.ks[0]
-
-
-def _print_record(rec: SweepTally) -> None:
-    print(
-        f"strategy={rec.strategy.name.lower()} K={rec.k} T={rec.temperature} "
-        f"steps={rec.steps} delta_bar={rec.delta_bar:.6g} eps_bar={rec.eps_bar:.6g} "
-        f"delta_alpha_bar={rec.delta_alpha_bar:.6g} violations={rec.violations}"
-    )
-
-
 def _report_point(cfg: RunConfig, row: SweepTally) -> int:
     """Print one config point's metrics row, write it to ``cfg.csv`` if set,
     and return the exit code."""
-    _print_record(row)
+    print(
+        f"strategy={row.strategy.name.lower()} K={row.k} T={row.temperature} "
+        f"steps={row.steps} delta_bar={row.delta_bar:.6g} eps_bar={row.eps_bar:.6g} "
+        f"delta_alpha_bar={row.delta_alpha_bar:.6g} violations={row.violations}"
+    )
     if cfg.csv:
         write_sweep_csv([row], cfg.csv)
         print(f"wrote {cfg.csv}")
@@ -122,8 +119,11 @@ def _report_point(cfg: RunConfig, row: SweepTally) -> int:
 
 def _row(cfg: RunConfig, samples: int) -> SweepTally:
     """An empty metrics row at ``cfg``'s point."""
+    # The CSV schema reports a scalar K; metric rows need k_1 = ... = k_M.
+    if len(set(cfg.ks)) != 1:
+        raise ConfigError("metric reporting requires a homogeneous k profile")
     return SweepTally(cfg.strategy, m=cfg.workers, gamma=cfg.gamma,
-                      vocab_size=cfg.vocab_size, k=_homogeneous_k(cfg),
+                      vocab_size=cfg.vocab_size, k=cfg.ks[0],
                       temperature=cfg.temperature, seed=cfg.seed, samples=samples)
 
 
@@ -221,24 +221,14 @@ def cmd_serve_worker(cfg: RunConfig, host: str, port: int, worker_index: int) ->
     return EXIT_OK
 
 
-def _spawn_worker(cfg: RunConfig, index: int) -> tuple[subprocess.Popen, int]:
+def _spawn_worker(raw: dict[str, str], index: int) -> tuple[subprocess.Popen, int]:
     import subprocess  # only launch-demo starts processes
 
-    cmd = [
-        sys.executable, "-m", "draftwire", "serve-worker",
-        "--host", "127.0.0.1", "--port", "0", "--worker_index", str(index),
-        "--vocab_size", str(cfg.vocab_size),
-        "--model", cfg.model,
-        "--temperature", repr(cfg.temperature),
-        "--concentration", repr(cfg.concentration),
-        "--correlation", repr(cfg.correlation),
-    ]
-    if cfg.model == "markov":
-        cmd += ["--corpus", cfg.corpus,
-                "--markov_order", str(cfg.markov_order),
-                "--markov_smoothing", repr(cfg.markov_smoothing)]
-    if cfg.model == "trace":
-        cmd += ["--trace_dir", cfg.trace_dir]
+    # every key as the parent resolved it, so the worker accepts what the
+    # parent accepted; the = form keeps a value such as -1 a value
+    cmd = [sys.executable, "-m", "draftwire", "serve-worker",
+           "--host", "127.0.0.1", "--port", "0", "--worker_index", str(index),
+           *(f"--{key}={value}" for key, value in raw.items())]
     # the workers import this same package, also where it is not installed
     # and only the parent's sys.path finds it
     env = dict(os.environ)
@@ -252,7 +242,7 @@ def _spawn_worker(cfg: RunConfig, index: int) -> tuple[subprocess.Popen, int]:
     return proc, int(line.split()[1])
 
 
-def cmd_launch_demo(cfg: RunConfig) -> int:
+def cmd_launch_demo(cfg: RunConfig, raw: dict[str, str]) -> int:
     import subprocess
 
     settings = cfg.settings()
@@ -260,7 +250,7 @@ def cmd_launch_demo(cfg: RunConfig) -> int:
     try:
         endpoints = []
         for i in range(cfg.workers):
-            proc, port = _spawn_worker(cfg, i)
+            proc, port = _spawn_worker(raw, i)
             procs.append(proc)
             endpoints.append(("127.0.0.1", port))
         print(f"workers listening on {[p for _, p in endpoints]}")
@@ -440,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_config_flags(p)
         if name == "serve-worker":
             p.add_argument("--host", default="127.0.0.1")
-            p.add_argument("--port", type=int, default=0)
+            p.add_argument("--port", type=_port, default=0)
             p.add_argument("--worker_index", type=int, default=0)
     return parser
 
@@ -448,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
+        raw = _resolve(args)
+        cfg = RunConfig.from_mapping(raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -460,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "serve-worker":
             return cmd_serve_worker(cfg, args.host, args.port, args.worker_index)
         if args.command == "launch-demo":
-            return cmd_launch_demo(cfg)
+            return cmd_launch_demo(cfg, raw)
         if args.command == "trace-record":
             return cmd_trace_record(cfg)
         if args.command == "trace-replay":

@@ -1,9 +1,10 @@
 """Run configuration: flat `key = value` files, flag overrides, validation.
 
-Every key can be overridden by a command-line flag of the same name. Values
-are strings until ``RunConfig.from_mapping`` types and validates them, so a
-config file, flag overrides, and defaults merge as plain dicts. Lines
-starting with # (or blank) are ignored; arrays are comma-separated.
+Every key is declared once, in ``KEYS``, and can be overridden by a
+command-line flag of the same name. Values are strings until
+``RunConfig.from_mapping`` types and validates them, so a config file, flag
+overrides, and defaults merge as plain dicts. Lines starting with # (or
+blank) are ignored; arrays are comma-separated.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
@@ -27,37 +28,85 @@ class ConfigError(ValueError):
     """Invalid configuration: bad key, bad value, or failed validation."""
 
 
-DEFAULTS: dict[str, str] = {
-    "vocab_size": "512",
-    "workers": "2",
-    "gamma": "4",
-    "k": "64",
-    "strategy": "renormalized",
-    "temperature": "1.0",
-    "draft_temperature": "1.0",
-    "concentration": "4.0",
-    "draft_concentration": "4.0",
-    "correlation": "0.98",
-    "model": "synthetic",
-    "corpus": "",
-    "markov_order": "1",
-    "markov_smoothing": "0.05",
-    "trace_dir": "",
-    "weights": "uniform",
-    "prompt": "0",
-    "eos": "-1",
-    "seed": "42",
-    "samples": "20",
-    "max_tokens": "64",
-    "mode": "instrumented",
-    "endpoints": "",
-    "timeout": str(DEFAULT_TIMEOUT),
-    "csv": "",
-    "sweep_ks": "1,8,64,512",
-    "sweep_temperatures": "0.8,1.0,1.2",
+def _int(raw: str, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+
+
+def _float(raw: str, key: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+
+
+def _int_list(raw: str, key: str) -> tuple[int, ...]:
+    return tuple(_int(part.strip(), key) for part in raw.split(",") if part.strip())
+
+
+def _float_list(raw: str, key: str) -> tuple[float, ...]:
+    return tuple(_float(part.strip(), key) for part in raw.split(",") if part.strip())
+
+
+def _text(raw: str, key: str) -> str:
+    return raw.strip()
+
+
+def _endpoints(raw: str, key: str) -> tuple[tuple[str, int], ...]:
+    endpoints: list[tuple[str, int]] = []
+    for part in raw.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        host, _, port_text = part.rpartition(":")
+        if not host:
+            raise ConfigError(f"endpoint {part!r} is not host:port")
+        port = _int(port_text, key)
+        if not 1 <= port <= 65535:
+            raise ConfigError(f"endpoint {part!r}: port {port} out of range [1, 65535]")
+        endpoints.append((host, port))
+    return tuple(endpoints)
+
+
+# Each key's default, as the text a config file would hold, and the parser
+# that types it. Keys checked against another key (k and weights against
+# workers) or against a set of names (strategy, mode, model) are typed as
+# text here and finished by RunConfig.from_mapping.
+KEYS: dict[str, tuple[str, Callable[[str, str], object]]] = {
+    "vocab_size": ("512", _int),
+    "workers": ("2", _int),
+    "gamma": ("4", _int),
+    "k": ("64", _text),
+    "strategy": ("renormalized", _text),
+    "temperature": ("1.0", _float),
+    "draft_temperature": ("1.0", _float),
+    "concentration": ("4.0", _float),
+    "draft_concentration": ("4.0", _float),
+    "correlation": ("0.98", _float),
+    "model": ("synthetic", _text),
+    "corpus": ("", _text),
+    "markov_order": ("1", _int),
+    "markov_smoothing": ("0.05", _float),
+    "trace_dir": ("", _text),
+    "weights": ("uniform", _text),
+    "prompt": ("0", _int_list),
+    "eos": ("-1", _int),
+    "seed": ("42", _int),
+    "samples": ("20", _int),
+    "max_tokens": ("64", _int),
+    "mode": ("instrumented", _text),
+    "endpoints": ("", _endpoints),
+    "timeout": (str(DEFAULT_TIMEOUT), _float),
+    "csv": ("", _text),
+    "sweep_ks": ("1,8,64,512", _int_list),
+    "sweep_temperatures": ("0.8,1.0,1.2", _float_list),
 }
 
-KNOWN_KEYS = frozenset(DEFAULTS)
+DEFAULTS: dict[str, str] = {key: default for key, (default, _) in KEYS.items()}
+
+KNOWN_KEYS = frozenset(KEYS)
 
 _STRATEGIES = {s.name.lower(): s for s in Strategy}
 
@@ -86,16 +135,18 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """The file's keys; a relative ``trace_dir`` is taken from the file's
-    own directory, so a recording's ``meta.cfg`` reads the files beside it
-    wherever the recording is copied or moved."""
+    """The file's keys; a relative input path (``corpus``, ``trace_dir``) is
+    taken from the file's own directory, so a config reads the files beside
+    it, and a recording's ``meta.cfg`` wherever the recording is copied or
+    moved. ``csv`` is an output and stays relative to the working directory."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = parse_config_text(text)
-    if values.get("trace_dir"):
-        values["trace_dir"] = str(Path(path).parent / values["trace_dir"])
+    for key in ("corpus", "trace_dir"):
+        if values.get(key):
+            values[key] = str(Path(path).parent / values[key])
     return values
 
 
@@ -110,28 +161,6 @@ def merge_config(*layers: Mapping[str, str]) -> dict[str, str]:
                 raise ConfigError(f"unknown key {key!r}")
             merged[key] = str(value)
     return merged
-
-
-def _int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-
-
-def _float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-
-
-def _int_list(raw: str, key: str) -> tuple[int, ...]:
-    return tuple(_int(part.strip(), key) for part in raw.split(",") if part.strip())
-
-
-def _float_list(raw: str, key: str) -> tuple[float, ...]:
-    return tuple(_float(part.strip(), key) for part in raw.split(",") if part.strip())
 
 
 @contextmanager
@@ -187,14 +216,15 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: Mapping[str, str]) -> "RunConfig":
-        vocab_size = _int(raw["vocab_size"], "vocab_size")
-        workers = _int(raw["workers"], "workers")
+        """Type each key through ``KEYS``, then apply the cross-key rules."""
+        values = {key: parse(raw[key], key) for key, (_, parse) in KEYS.items()}
+        vocab_size, workers = values["vocab_size"], values["workers"]
         if vocab_size < 2:
             raise ConfigError("vocab_size must be >= 2")
         if not 1 <= workers <= MAX_WORKERS:
             raise ConfigError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
 
-        k_raw = raw["k"].strip()
+        k_raw = values.pop("k")
         if k_raw == "full":
             ks = (vocab_size,) * workers
         elif "," in k_raw:
@@ -203,76 +233,39 @@ class RunConfig:
             ks = (_int(k_raw, "k"),) * workers
         if len(ks) != workers:
             raise ConfigError(f"k lists {len(ks)} entries for {workers} workers")
+        values["ks"] = ks
 
-        strategy_raw = raw["strategy"].strip()
-        if strategy_raw not in _STRATEGIES:
+        if values["strategy"] not in _STRATEGIES:
             raise ConfigError(f"strategy must be one of {sorted(_STRATEGIES)}")
+        values["strategy"] = _STRATEGIES[values["strategy"]]
 
-        weights_raw = raw["weights"].strip()
         try:
-            if weights_raw == "uniform":
+            if values["weights"] == "uniform":
                 weights = WeightVector.uniform(workers)
             else:
-                weights = WeightVector(_float_list(weights_raw, "weights"))
+                weights = WeightVector(_float_list(values["weights"], "weights"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if len(weights) != workers:
             raise ConfigError(f"weights list {len(weights)} entries for {workers} workers")
+        values["weights"] = weights
 
-        mode = raw["mode"].strip()
-        if mode not in _MODES:
+        if values["mode"] not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}")
-
-        endpoints: list[tuple[str, int]] = []
-        for part in raw["endpoints"].split(","):
-            part = part.strip()
-            if not part:
-                continue
-            host, _, port = part.rpartition(":")
-            if not host:
-                raise ConfigError(f"endpoint {part!r} is not host:port")
-            endpoints.append((host, _int(port, "endpoints")))
-        if mode == "networked" and len(endpoints) != workers:
+        if values["mode"] == "networked" and len(values["endpoints"]) != workers:
             raise ConfigError("networked mode needs one endpoint per worker")
 
-        model = raw["model"].strip()
+        model = values["model"]
         if model not in ("synthetic", "markov", "trace"):
             raise ConfigError("model must be synthetic, markov, or trace")
-        if model == "markov" and not raw["corpus"].strip():
+        if model == "markov" and not values["corpus"]:
             raise ConfigError("markov model requires a corpus path")
-        if model == "trace" and not raw["trace_dir"].strip():
+        if model == "trace" and not values["trace_dir"]:
             raise ConfigError("trace model requires trace_dir")
 
-        eos = _int(raw["eos"], "eos")
-        cfg = cls(
-            vocab_size=vocab_size,
-            workers=workers,
-            gamma=_int(raw["gamma"], "gamma"),
-            ks=ks,
-            strategy=_STRATEGIES[strategy_raw],
-            temperature=_float(raw["temperature"], "temperature"),
-            draft_temperature=_float(raw["draft_temperature"], "draft_temperature"),
-            concentration=_float(raw["concentration"], "concentration"),
-            draft_concentration=_float(raw["draft_concentration"], "draft_concentration"),
-            correlation=_float(raw["correlation"], "correlation"),
-            model=model,
-            corpus=raw["corpus"].strip(),
-            markov_order=_int(raw["markov_order"], "markov_order"),
-            markov_smoothing=_float(raw["markov_smoothing"], "markov_smoothing"),
-            trace_dir=raw["trace_dir"].strip(),
-            weights=weights,
-            prompt=_int_list(raw["prompt"], "prompt"),
-            eos=None if eos < 0 else eos,
-            seed=_int(raw["seed"], "seed"),
-            samples=_int(raw["samples"], "samples"),
-            max_tokens=_int(raw["max_tokens"], "max_tokens"),
-            mode=mode,
-            endpoints=tuple(endpoints),
-            timeout=_float(raw["timeout"], "timeout"),
-            csv=raw["csv"].strip(),
-            sweep_ks=_int_list(raw["sweep_ks"], "sweep_ks"),
-            sweep_temperatures=_float_list(raw["sweep_temperatures"], "sweep_temperatures"),
-        )
+        if values["eos"] < 0:
+            values["eos"] = None
+        cfg = cls(**values)
         cfg._validate()
         return cfg
 

@@ -6,7 +6,9 @@ to drawn values: 0, negatives, inf, nan, 1e-320, 2^64 and beyond, lists
 with repeats, and random text. Keys that size the work (|V|, workers, gamma,
 samples, max_tokens) draw only small or invalid values, so that no example
 is expensive; workers also draws values above its cap. Keys that name
-files or endpoints are left out: their runtime failures rightly exit 1.
+files are left out: their runtime failures rightly exit 1. For the same
+reason endpoints draws only ports outside [1, 65535], which no run may
+connect to.
 
 Every outcome is exit 0 with its output lines, or exit 2 with a
 ``config error:`` line and no ``sample 0:`` line. No exception leaves
@@ -77,6 +79,7 @@ KEYS = {
     "seed": NUMBER,
     "mode": choices("instrumented", "inprocess", "networked"),
     "timeout": NUMBER,
+    "endpoints": lists(st.sampled_from([0, -1, 65536, 70000]).map(lambda p: f"127.0.0.1:{p}")),
     "sweep_ks": lists(NUMBER),
     "sweep_temperatures": lists(NUMBER),
 }

@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
+import io
 import re
 import shutil
 import socket
+import subprocess
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,6 +116,10 @@ class TestRunConfigTyping:
     def test_bad_endpoint(self):
         with pytest.raises(ConfigError):
             config_from(mode="networked", endpoints="9001,9002")
+
+    def test_endpoint_ports_at_the_ends_of_the_range(self):
+        cfg = config_from(mode="networked", endpoints="127.0.0.1:1,127.0.0.1:65535")
+        assert cfg.endpoints == (("127.0.0.1", 1), ("127.0.0.1", 65535))
 
     def test_markov_needs_corpus(self):
         with pytest.raises(ConfigError):
@@ -305,6 +312,126 @@ class TestCliRun:
                      "--timeout", "0.5"])
         assert code == 1
         assert "worker failure" in capsys.readouterr().err
+
+
+class TestPorts:
+    @pytest.mark.parametrize("port", [0, -1, 65536, 70000])
+    def test_endpoint_port_out_of_range_is_a_config_error(self, port, capsys):
+        # 70000 used to connect to 70000 - 65536 = 4464
+        endpoint = f"127.0.0.1:{port}"
+        code = main(["run", *RUN_ARGS, "--mode", "networked", "--workers", "1",
+                     "--endpoints", endpoint])
+        assert (code, capsys.readouterr().err) == (
+            2, f"config error: endpoint {endpoint!r}: port {port} out of range [1, 65535]\n")
+
+    @pytest.mark.parametrize("port", ["-1", "65536", "70000"])
+    def test_serve_worker_port_out_of_range_is_a_usage_error(self, port, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve-worker", "--port", port])
+        assert exit_.value.code == 2
+        assert f"argument --port: port {port} out of range [0, 65535]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", [0, 65535])
+    def test_serve_worker_port_in_range(self, port):
+        # 0 asks the system for a free port
+        assert cli.build_parser().parse_args(["serve-worker", "--port", str(port)]).port == port
+
+
+MARKOV_CFG = ("model = markov\ncorpus = c.txt\nvocab_size = 16\nk = 4\ngamma = 2\n"
+              "samples = 1\nmax_tokens = 8\n")
+
+
+def write_markov_config(directory: Path) -> Path:
+    """``m.cfg`` beside its corpus ``c.txt`` in ``directory``."""
+    directory.mkdir()
+    (directory / "c.txt").write_text(" ".join(str(t * 7 % 16) for t in range(200)))
+    (directory / "m.cfg").write_text(MARKOV_CFG)
+    return directory / "m.cfg"
+
+
+class TestConfigFilePaths:
+    """A config file's relative input paths are taken from its directory;
+    flags and the ``csv`` output from the working directory."""
+
+    def test_relative_corpus_runs_from_another_directory(self, tmp_path, monkeypatch,
+                                                         capsys):
+        write_markov_config(tmp_path / "cfgdir")
+        (tmp_path / "other").mkdir()
+        monkeypatch.chdir(tmp_path / "other")
+        assert main(["run", "--config", "../cfgdir/m.cfg", "--csv", "out.csv"]) == 0
+        assert "sample 0:" in capsys.readouterr().out
+        assert (tmp_path / "other" / "out.csv").is_file()
+        # a --corpus flag is taken from the working directory
+        assert main(["run", "--config", "../cfgdir/m.cfg", "--corpus", "c.txt"]) == 2
+        assert "config error: corpus c.txt: [Errno 2]" in capsys.readouterr().err
+
+    def test_load_config_file_resolves_inputs_not_the_csv_output(self, tmp_path):
+        cfg_file = tmp_path / "a.cfg"
+        cfg_file.write_text("corpus = c.txt\ntrace_dir = tr\ncsv = out.csv\n")
+        assert load_config_file(cfg_file) == {
+            "corpus": str(tmp_path / "c.txt"), "trace_dir": str(tmp_path / "tr"),
+            "csv": "out.csv"}
+        # an absolute path is kept
+        cfg_file.write_text("corpus = /data/c.txt\n")
+        assert load_config_file(cfg_file) == {"corpus": "/data/c.txt"}
+
+
+def typed_fields(cfg: RunConfig) -> dict:
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg) if f.init}
+    values["weights"] = cfg.weights.weights.tolist()
+    return values
+
+
+class TestLaunchDemoSpawn:
+    """Each spawned ``serve-worker`` resolves to the parent's own config.
+
+    ``subprocess.Popen`` is replaced, so no process starts: the fake
+    worker prints nothing, ``launch-demo`` exits 1, and the argv it built
+    for worker 0 is resolved as the worker would resolve it."""
+
+    def assert_same_config(self, argv, monkeypatch, capsys):
+        calls = []
+
+        class NeverStarted:
+            def __init__(self, cmd, **kwargs):
+                calls.append((cmd, kwargs))
+                self.stdout = io.StringIO("")
+
+            def kill(self):
+                pass
+
+        monkeypatch.setattr(subprocess, "Popen", NeverStarted)
+        assert main(["launch-demo", *argv]) == 1
+        assert "demo failed: worker 0 failed to start" in capsys.readouterr().err
+        ((cmd, kwargs),) = calls
+        assert cmd[1:4] == ["-m", "draftwire", "serve-worker"]
+        assert "cwd" not in kwargs  # a relative path means the same file to the worker
+        parser = cli.build_parser()
+        parent = cli._resolve(parser.parse_args(["launch-demo", *argv]))
+        worker_args = parser.parse_args(cmd[3:])
+        assert (worker_args.host, worker_args.port, worker_args.worker_index) == (
+            "127.0.0.1", 0, 0)
+        worker = cli._resolve(worker_args)
+        assert worker == parent
+        assert typed_fields(RunConfig.from_mapping(worker)) == typed_fields(
+            RunConfig.from_mapping(parent))
+
+    def test_small_vocabulary(self, monkeypatch, capsys):
+        # the workers once got --vocab_size 32 and the default k = 64
+        self.assert_same_config(["--vocab_size", "32", "--k", "4"], monkeypatch, capsys)
+
+    def test_markov_config_of_relative_corpus(self, tmp_path, monkeypatch, capsys):
+        write_markov_config(tmp_path / "cfgdir")
+        (tmp_path / "other").mkdir()
+        monkeypatch.chdir(tmp_path / "other")
+        self.assert_same_config(["--config", "../cfgdir/m.cfg", "--eos", "-1"], monkeypatch, capsys)
+
+    def test_recording_meta_cfg(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace-record", "--trace_dir", "rec", "--vocab_size", "16",
+                     "--samples", "1", "--max_tokens", "8", "--gamma", "2", "--k", "4"]) == 0
+        capsys.readouterr()
+        self.assert_same_config(["--config", "rec/meta.cfg", "--k", "4"], monkeypatch, capsys)
 
 
 # (command and flags, what the error names); {corpus} is a good corpus,
