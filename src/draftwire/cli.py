@@ -27,7 +27,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
@@ -127,17 +127,20 @@ def _row(cfg: RunConfig, samples: int) -> SweepTally:
                       temperature=cfg.temperature, seed=cfg.seed, samples=samples)
 
 
-def _tally_records(records: Iterable[BlockRecord], weights: WeightVector,
-                   scoring: Sequence[tuple[TopKProfile, Sequence[SweepTally]]]) -> None:
-    """Score every position of ``records``, block by block, at each k
-    profile of ``scoring`` into that profile's tallies. With the profiles
-    widest first each shadow is put in payload order once."""
-    for rec in records:
+def _tallier(weights: WeightVector, scoring: Sequence[tuple[TopKProfile, Sequence[SweepTally]]]
+             ) -> Callable[[BlockRecord], None]:
+    """A record consumer: it scores every position of a block at each k
+    profile of ``scoring`` into that profile's tallies, and keeps nothing
+    of the block. With the profiles widest first each shadow is put in
+    payload order once."""
+    def tally(rec: BlockRecord) -> None:
         cache = RecordCache()
         for k_profile, tallies in scoring:
             for step in block_step_metrics(rec, weights, k_profile, cache=cache):
-                for tally in tallies:
-                    tally.add(step)
+                for row in tallies:
+                    row.add(step)
+
+    return tally
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -145,24 +148,20 @@ def cmd_run(cfg: RunConfig) -> int:
     instrumented = cfg.mode == "instrumented"
     # a metrics row needs a homogeneous k: refuse before decoding anything
     row = _row(cfg, cfg.samples) if instrumented else None
+    # each instrumented block is scored as soon as it is verified
+    on_record = None if row is None else _tallier(cfg.weights, [(settings.k_profile, [row])])
     pool = _make_pool(cfg)
-    # An instrumented sample is scored as soon as it is decoded, so only one
-    # sample's records are held; steps are added in (sample, block,
-    # position) order.
     drafted = accepted = uplink = blocks = 0
     try:
         for s in range(cfg.samples):
             ss = sample_seed_for(cfg.seed, s)
             res = run_sample(cfg.draft_model(ss), pool, settings, ss,
-                             instrumented=instrumented)
+                             instrumented=instrumented, on_record=on_record)
             print(f"sample {s}: {' '.join(str(t) for t in res.tokens)}")
-            if row is not None:
-                _tally_records(res.records, cfg.weights, [(settings.k_profile, [row])])
             drafted += res.drafted
             accepted += res.accepted
             uplink += res.uplink_bytes
             blocks += res.blocks
-            del res  # scored: not held while the next sample decodes
     finally:
         pool.close()
 
@@ -177,25 +176,23 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     cfg.validate_sweep()
     # One row per (strategy, T, K), in CSV order: strategy, T, ascending K.
-    # Each reference sample is scored at every K, widest first, as soon as
-    # it is decoded, and released before the next one decodes: only the
-    # rows outlive it. A row adds its steps in (sample, block, position)
-    # order.
+    # Each reference block is scored at every K, widest first, as soon as
+    # it is verified, and released before the next block drafts: only the
+    # rows outlive it.
     ks = sorted(cfg.sweep_ks)
     rows = [SweepTally(strategy, m=cfg.workers, gamma=cfg.gamma, vocab_size=cfg.vocab_size,
                        k=k, temperature=temp, seed=cfg.seed, samples=cfg.samples)
             for strategy in Strategy for temp in cfg.sweep_temperatures for k in ks]
     for temp in cfg.sweep_temperatures:
         cfg_t = cfg.with_temperature(temp)
-        scoring = [(TopKProfile.homogeneous(k, cfg.workers, cfg.vocab_size),
-                    [row for row in rows if row.temperature == temp and row.k == k])
-                   for k in reversed(ks)]
+        tally = _tallier(cfg.weights, [
+            (TopKProfile.homogeneous(k, cfg.workers, cfg.vocab_size),
+             [row for row in rows if row.temperature == temp and row.k == k])
+            for k in reversed(ks)])
         for s in range(cfg.samples):
             ss = sample_seed_for(cfg.seed, s)
-            records = run_reference_sample(cfg_t.draft_model(ss), cfg_t.worker_models(ss),
-                                           cfg_t.settings(), ss).records
-            _tally_records(records, cfg.weights, scoring)
-            del records  # scored: not held while the next sample decodes
+            run_reference_sample(cfg_t.draft_model(ss), cfg_t.worker_models(ss),
+                                 cfg_t.settings(), ss, on_record=tally)
 
     out = cfg.csv or "sweep.csv"
     write_sweep_csv(rows, out)
@@ -407,8 +404,9 @@ def cmd_trace_replay(cfg: RunConfig) -> int:
     if not cfg.trace_dir:
         raise ConfigError("trace-replay requires --trace_dir")
     row = _row(cfg, 1)
-    k_profile = TopKProfile(cfg.ks, cfg.vocab_size)
-    _tally_records(_load_trace_records(cfg), cfg.weights, [(k_profile, [row])])
+    tally = _tallier(cfg.weights, [(TopKProfile(cfg.ks, cfg.vocab_size), [row])])
+    for rec in _load_trace_records(cfg):
+        tally(rec)
     return _report_point(cfg, row)
 
 

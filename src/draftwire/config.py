@@ -117,6 +117,13 @@ _MODES = ("instrumented", "inprocess", "networked")
 # many threads; every configuration in the tests and the README has M <= 5.
 MAX_WORKERS = 64
 
+# The most bytes one block's float64 rows may take: gamma draft rows and
+# M (gamma + 1) shadow rows of |V| floats. Checked before any array is
+# built, so a |V| or gamma too large for memory is a config error, not a
+# MemoryError or a draft that never ends. The configurations in the tests,
+# the README and the benchmark take at most 3.6 MB.
+MAX_BLOCK_BYTES = 256 * 2**20
+
 
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
@@ -223,6 +230,13 @@ class RunConfig:
             raise ConfigError("vocab_size must be >= 2")
         if not 1 <= workers <= MAX_WORKERS:
             raise ConfigError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
+        gamma = values["gamma"]
+        block_bytes = (gamma + workers * (gamma + 1)) * vocab_size * 8
+        if block_bytes > MAX_BLOCK_BYTES:
+            raise ConfigError(
+                f"one block's float64 rows, (gamma + workers x (gamma + 1)) x vocab_size x 8 B, "
+                f"take {block_bytes} B at vocab_size = {vocab_size}, workers = {workers}, "
+                f"gamma = {gamma}: more than the {MAX_BLOCK_BYTES} B budget")
 
         k_raw = values.pop("k")
         if k_raw == "full":

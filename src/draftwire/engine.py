@@ -4,7 +4,9 @@ One sample = one seeded generation. Per block the loop drafts gamma
 tokens, scores them, verifies the block, and commits the emitted tokens.
 The loop (``_decode``) owns the RNG streams, the prefix, the EOS and
 max_tokens stop rules, the block records and the counters; its two callers
-differ only in the scorer and the commit they pass it:
+differ only in the scorer and the commit they pass it. A block's record
+goes to the caller's ``on_record`` as soon as the block is verified, or,
+without one, into ``SampleResult.records``:
 
 * ``run_sample`` sends the draft and the hash of the committed prefix to a
   worker pool, which checks each worker's prefix-mirror checksum against
@@ -115,7 +117,7 @@ class SampleResult:
     drafted: int
     accepted: int
     uplink_bytes: int
-    records: tuple[BlockRecord, ...]
+    records: tuple[BlockRecord, ...]  # () when each went to an on_record
 
 
 def sample_seed_for(seed: int, sample_index: int) -> int:
@@ -152,13 +154,16 @@ def _decode(
     sample_seed: int,
     score: Callable[[Prefix, tuple[int, ...]], _BlockScores],
     commit: Callable[[tuple[int, ...]], None],
+    on_record: Callable[[BlockRecord], None] | None,
 ) -> SampleResult:
     """The speculative decode loop that both paths share.
 
     Per block: draft gamma tokens, ``score`` them against the committed
     prefix, verify, cut the emission at EOS / max_tokens, extend the prefix
     and hand the committed tokens to ``commit``. A block is recorded when
-    ``score`` returns the worker distributions behind its targets.
+    ``score`` returns the worker distributions behind its targets: the
+    record goes to ``on_record`` before the next block drafts, or into the
+    result's ``records`` when ``on_record`` is None.
     """
     draft_rng = stream(sample_seed, ROLE_DRAFT_SAMPLING)
     verify_rng = stream(sample_seed, ROLE_VERIFICATION)
@@ -166,25 +171,21 @@ def _decode(
     prefix = Prefix.of(settings.prompt)
     emitted: list[int] = []
     records: list[BlockRecord] = []
+    keep = records.append if on_record is None else on_record
     blocks = accepted = uplink = 0
 
     while True:
         draft = generate_draft(draft_model, prefix, settings.gamma, draft_rng)
         targets, worker_dists, block_uplink = score(prefix, draft.tokens)
         outcome = verify_block(draft, targets, verify_rng)
-        del targets  # not held while the next block drafts
         blocks += 1
         accepted += outcome.accepted_count
         uplink += block_uplink
         if worker_dists is not None:
-            records.append(
-                BlockRecord(
-                    prefix=prefix,
-                    draft_tokens=draft.tokens,
-                    q_dists=draft.draft_dists,
-                    worker_dists=tuple(tuple(d) for d in worker_dists),
-                )
-            )
+            keep(BlockRecord(prefix=prefix, draft_tokens=draft.tokens,
+                             q_dists=draft.draft_dists,
+                             worker_dists=tuple(tuple(d) for d in worker_dists)))
+        del targets, worker_dists  # not held while the next block drafts
 
         committed = list(outcome.emitted_tokens)
         done = False
@@ -216,8 +217,10 @@ def run_sample(
     sample_seed: int,
     *,
     instrumented: bool = False,
+    on_record: Callable[[BlockRecord], None] | None = None,
 ) -> SampleResult:
-    """One seeded generation through a worker pool."""
+    """One seeded generation through a worker pool; an instrumented one
+    records each block, to ``on_record`` as ``_decode`` says."""
     pool.configure(settings.worker_configs(sample_seed))
     pool.commit(settings.prompt)
 
@@ -235,7 +238,7 @@ def run_sample(
         return (_Targets(settings.gamma + 1, target),
                 result.shadows if instrumented else None, sum(result.uplink_bytes))
 
-    return _decode(draft_model, settings, sample_seed, score, pool.commit)
+    return _decode(draft_model, settings, sample_seed, score, pool.commit, on_record)
 
 
 def run_reference_sample(
@@ -243,12 +246,15 @@ def run_reference_sample(
     worker_models: Sequence[ModelProvider],
     settings: SessionSettings,
     sample_seed: int,
+    *,
+    on_record: Callable[[BlockRecord], None] | None = None,
 ) -> SampleResult:
     """Uncompressed baseline: dense f32 uplink, no top-K, no codec.
 
     Runs ``run_sample``'s loop with a dense scorer, so a lossless k profile
     must reproduce its transcript bitwise. The recorded shadows feed
-    offline sweeps and trace files.
+    offline sweeps and trace files, through ``on_record`` as ``_decode``
+    says.
     """
     if len(worker_models) != settings.m:
         raise ValueError("one worker model per weight required")
@@ -266,7 +272,8 @@ def run_reference_sample(
 
         return _Targets(settings.gamma + 1, target), worker_dists, 0
 
-    return _decode(draft_model, settings, sample_seed, score, lambda committed: None)
+    return _decode(draft_model, settings, sample_seed, score, lambda committed: None,
+                   on_record)
 
 
 class RecordCache:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import queue
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import strategies as st
 
+from draftwire import engine
 from draftwire.dist import Distribution
 from draftwire.metrics import ShadowBlock, instrument_position, score_block
 from draftwire.transport import TcpPool, worker_serve
@@ -86,3 +88,28 @@ def tcp_workers(factory, m: int):
         for thread in threads:
             thread.join(timeout=5)
             assert not thread.is_alive()
+
+
+def watch_records(monkeypatch):
+    """Watches the decode loop's drafts and the ``engine.BlockRecord``s it
+    builds. Returns (events, alive, held): "D" in ``events`` at each
+    ``engine.generate_draft`` call, a weak reference to each record in
+    ``alive``, and in ``held`` the count of records and of their shadow
+    rows still alive at each draft."""
+    events, alive, rows, held = [], [], [], []
+    draft, record = engine.generate_draft, engine.BlockRecord
+
+    def drafted(*args, **kwargs):
+        events.append("D")
+        held.append(sum(ref() is not None for ref in alive + rows))
+        return draft(*args, **kwargs)
+
+    def recorded(**fields):
+        rec = record(**fields)
+        alive.append(weakref.ref(rec))
+        rows.extend(weakref.ref(d.probs) for dists in rec.worker_dists for d in dists)
+        return rec
+
+    monkeypatch.setattr(engine, "generate_draft", drafted)
+    monkeypatch.setattr(engine, "BlockRecord", recorded)
+    return events, alive, held

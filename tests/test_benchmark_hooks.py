@@ -9,20 +9,28 @@ import ast
 import csv
 import importlib.util
 import threading
+import time
 import types
 from pathlib import Path
 
+from conftest import watch_records
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOAD = ROOT / "perfbench" / "workload.py"
 # The comment that marks an import kept in ``src/`` only for the benchmark.
 WRAPPED_IMPORT = "# noqa: F401  perfbench/tracing.py wraps it here"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_module("perfbench_tracing", TRACING)
 
 
 def test_every_traced_call_site_resolves():
@@ -90,15 +98,16 @@ def test_sweep_scores_each_position_through_engine_attribute(monkeypatch, tmp_pa
     assert calls["positions"] == positions == calls["blocks"] * (gamma + 1)
 
 
-def count_truncations(monkeypatch) -> list:
-    """Calls of ``metrics.truncate_topk``, the attribute the traced span wraps."""
+def count_truncations(monkeypatch, calls=None) -> list:
+    """Calls of ``metrics.truncate_topk``, the attribute the traced span
+    wraps, each a "t" appended to ``calls`` (a new list by default)."""
     from draftwire import metrics
 
-    calls = []
+    calls = [] if calls is None else calls
     truncate = metrics.truncate_topk
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append("t")
         return truncate(*args, **kwargs)
 
     monkeypatch.setattr(metrics, "truncate_topk", counted)
@@ -121,14 +130,16 @@ def count_row_sorts(monkeypatch) -> list:
     return rows
 
 
-def test_sweep_scores_each_record_once_per_k_after_decoding_it(monkeypatch, tmp_path):
+def test_sweep_scores_each_record_once_per_k_before_the_next_block_drafts(monkeypatch,
+                                                                          tmp_path):
     """The sweep workload times ``block_step_metrics`` calls and cuts reference
-    blocks inside ``run_reference_sample`` spans, and it raises unless there
-    is one scoring per (record, K). Scoring must not run inside a decode,
-    and with the Ks visited widest first each recorded shadow is put in
-    payload order exactly once: when the widest K is |V|, by one row sort
-    of all M (gamma + 1) shadows per record and no truncation; below |V|,
-    by one truncation per shadow and no row sort."""
+    blocks at ``generate_draft`` calls inside ``run_reference_sample`` spans,
+    and it raises unless there is one scoring per (record, K). Each record
+    is scored at every K before the next block drafts, and with the Ks
+    visited widest first each recorded shadow is put in payload order
+    exactly once: when the widest K is |V|, by one row sort of all
+    M (gamma + 1) shadows per record and no truncation; below |V|, by one
+    truncation per shadow and no row sort."""
     for widest in (16, 8):  # |V|, and below it
         with monkeypatch.context() as patch:
             check_sweep_orders_each_shadow_once(patch, tmp_path, (4, widest, 1))
@@ -138,22 +149,20 @@ def check_sweep_orders_each_shadow_once(monkeypatch, tmp_path, ks):
     from draftwire import cli
 
     gamma, workers, size = 3, 2, 16
-    state = {"decoding": False, "records": 0, "scored": 0}
+    events = watch_records(monkeypatch)[0]
+    scored, blocks = [], []
     decode, score = cli.run_reference_sample, cli.block_step_metrics
 
     def counted_decode(*args, **kwargs):
-        state["decoding"] = True
-        try:
-            res = decode(*args, **kwargs)
-        finally:
-            state["decoding"] = False
-        state["records"] += len(res.records)
+        res = decode(*args, **kwargs)
+        assert res.records == ()  # each went to the sweep's consumer
+        blocks.append(res.blocks)
         return res
 
-    def counted_score(*args, **kwargs):
-        assert not state["decoding"]
-        state["scored"] += 1
-        return score(*args, **kwargs)
+    def counted_score(record, *args, **kwargs):
+        events.append("s")
+        scored.append(record)
+        return score(record, *args, **kwargs)
 
     monkeypatch.setattr(cli, "run_reference_sample", counted_decode)
     monkeypatch.setattr(cli, "block_step_metrics", counted_score)
@@ -164,9 +173,14 @@ def check_sweep_orders_each_shadow_once(monkeypatch, tmp_path, ks):
                      "--sweep_ks", ",".join(map(str, ks)), "--sweep_temperatures", "0.8,1.2",
                      "--csv", str(tmp_path / "sweep.csv")])
     assert code == 0
-    records = state["records"]
+    records = sum(blocks)  # a reference run records every block
     assert records > 0
-    assert state["scored"] == records * len(ks)
+    # each block drafts, then its record is scored at every K
+    assert "".join(events) == ("D" + "s" * len(ks)) * records
+    assert len(scored) == records * len(ks)
+    for b in range(records):
+        group = scored[b * len(ks):(b + 1) * len(ks)]
+        assert all(rec is group[0] for rec in group)
     if max(ks) == size:
         assert row_sorts == [(gamma + 1) * workers] * records
         assert truncations == []
@@ -175,28 +189,74 @@ def check_sweep_orders_each_shadow_once(monkeypatch, tmp_path, ks):
         assert len(truncations) == records * (gamma + 1) * workers
 
 
+def test_untraced_sweep_cuts_a_block_per_draft_around_its_scorings(tmp_path, capsys):
+    """An untraced sweep workload wraps three sites: it cuts reference blocks
+    at ``generate_draft`` spans directly inside ``run_reference_sample``
+    spans, times ``block_step_metrics`` spans, and raises unless there are
+    one block per recorded block and |K| scorings per block. Scoring runs
+    inside the reference span, at the end of each block: the cut must
+    still count one block per draft, and each block must hold its own |K|
+    scorings."""
+    from draftwire import cli, engine
+
+    tracing, workload = load_tracing(), load_module("perfbench_workload", WORKLOAD)
+    sites = [(engine, "generate_draft", workload.DRAFT),
+             (cli, "run_reference_sample", workload.REFERENCE),
+             (cli, "block_step_metrics", workload.STEP)]
+    source = WORKLOAD.read_text()
+    for owner, attr, name in sites:  # the sites as the workload lists them
+        constant = next(c for c in ("DRAFT", "REFERENCE", "STEP") if getattr(workload, c) == name)
+        assert f'({owner.__name__.rpartition(".")[2]}, "{attr}", {constant})' in source
+
+    ks = (1, 4, 16)
+    tracer = tracing.Tracer(keep={workload.REFERENCE: lambda res: res.blocks})
+    tracer.install(sites)
+    start = time.perf_counter_ns()
+    try:
+        code = cli.main(["sweep", "--vocab_size", "16", "--workers", "2", "--k", "4",
+                         "--gamma", "3", "--samples", "2", "--max_tokens", "12",
+                         "--sweep_ks", ",".join(map(str, ks)), "--sweep_temperatures", "0.8,1.2",
+                         "--csv", str(tmp_path / "sweep.csv")])
+    finally:
+        tracer.uninstall()
+    end = time.perf_counter_ns()
+    capsys.readouterr()
+    assert code == 0
+    table = tracing.SpanTable(tracer.spans, (start, end))
+    blocks = tracing.blocks_of(table, workload.REFERENCE, workload.DRAFT)
+    steps = table.named(workload.STEP)
+    recorded = sum(tracer.results[workload.REFERENCE])
+    assert recorded > 0
+    assert len(blocks) == recorded
+    assert len(steps) == recorded * len(ks)
+    assert [sum(lo <= s[tracing.START] and s[tracing.END] <= hi for s in steps)
+            for lo, hi in blocks] == [len(ks)] * recorded
+
+
 def test_instrumented_run_truncates_each_shadow_once(monkeypatch, tmp_path):
     """Scored at its one K, an instrumented run truncates each recorded
-    shadow once in ``metrics``, as it did before the sweep's cache."""
+    shadow once in ``metrics``, as it did before the sweep's cache, and
+    it does so for each block before the next block drafts."""
     from draftwire import cli
 
     gamma, workers = 3, 2
-    records = []
+    events, blocks = watch_records(monkeypatch)[0], []
     run = cli.run_sample
 
     def counted_run(*args, **kwargs):
         res = run(*args, **kwargs)
-        records.extend(res.records)
+        assert res.records == ()  # each went to the run's consumer
+        blocks.append(res.blocks)
         return res
 
     monkeypatch.setattr(cli, "run_sample", counted_run)
-    truncations = count_truncations(monkeypatch)
+    count_truncations(monkeypatch, events)
     code = cli.main(["run", "--mode", "instrumented", "--vocab_size", "64",
                      "--workers", str(workers), "--k", "8", "--gamma", str(gamma),
                      "--samples", "2", "--max_tokens", "16"])
     assert code == 0
-    assert records
-    assert len(truncations) == len(records) * (gamma + 1) * workers
+    assert len(blocks) == 2 and all(blocks)
+    assert "".join(events) == ("D" + "t" * (gamma + 1) * workers) * sum(blocks)
 
 
 def test_one_score_call_per_block(monkeypatch):

@@ -5,14 +5,16 @@
 to drawn values: 0, negatives, inf, nan, 1e-320, 2^64 and beyond, lists
 with repeats, and random text. Keys that size the work (|V|, workers, gamma,
 samples, max_tokens) draw only small or invalid values, so that no example
-is expensive; workers also draws values above its cap. Keys that name
-files are left out: their runtime failures rightly exit 1. For the same
-reason endpoints draws only ports outside [1, 65535], which no run may
-connect to.
+is expensive; workers also draws values above its cap, and |V| and gamma
+huge values such as 2^40 and 10^12, whose block the size rule refuses
+before any array is built. Keys that name files are left out: their
+runtime failures rightly exit 1. For the same reason endpoints draws only
+ports outside [1, 65535], which no run may connect to.
 
 Every outcome is exit 0 with its output lines, or exit 2 with a
-``config error:`` line and no ``sample 0:`` line. No exception leaves
-``main``, no command exits 1 or 3, and no RuntimeWarning is raised.
+``config error:`` line and no ``sample 0:`` line; a huge |V| or gamma is
+always exit 2. No exception leaves ``main``, no command exits 1 or 3, and
+no RuntimeWarning is raised.
 """
 
 import contextlib
@@ -42,7 +44,12 @@ NUMBER = st.one_of(
 SIZE = st.one_of(SPECIAL, st.integers(-3, 6).map(str), TEXT)
 # workers also draws values above the cap, never a large valid one
 WORKERS = st.one_of(SIZE, st.integers(MAX_WORKERS + 1, 2**80).map(str))
-VOCAB = st.one_of(SPECIAL, st.integers(-3, 24).map(str), TEXT)
+# |V| and gamma also draw values whose block is far past MAX_BLOCK_BYTES
+# at any workers and gamma >= 0
+HUGE = ["1099511627776", "1000000000000"]  # 2^40, 10^12
+LARGE = st.one_of(st.sampled_from(HUGE), st.integers(2**40, 2**80).map(str))
+VOCAB = st.one_of(SPECIAL, st.integers(-3, 24).map(str), TEXT, LARGE)
+GAMMA = st.one_of(SIZE, LARGE)
 
 
 def lists(item):
@@ -60,7 +67,7 @@ def choices(*names):
 KEYS = {
     "vocab_size": VOCAB,
     "workers": WORKERS,
-    "gamma": SIZE,
+    "gamma": GAMMA,
     "samples": SIZE,
     "max_tokens": SIZE,
     "markov_order": SIZE,
@@ -102,6 +109,8 @@ def test_any_setting_exits_0_or_is_a_config_error(tmp_path_factory, command, val
     out, err = out.getvalue(), err.getvalue()
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert "Traceback" not in err
+    if values.get("vocab_size") in HUGE or values.get("gamma") in HUGE:
+        assert code == 2, (code, err)
     if code == 0:
         assert ("sample 0:" if command == "run" else "wrote ") in out
     else:

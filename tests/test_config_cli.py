@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tcp_workers
+from conftest import tcp_workers, watch_records
 from draftwire import cli, models
 from draftwire.cli import main
 from draftwire.compression import Strategy
 from draftwire.config import (
     DEFAULTS,
+    MAX_BLOCK_BYTES,
     MAX_WORKERS,
     ConfigError,
     RunConfig,
@@ -170,6 +171,38 @@ RUN_ARGS = ["--vocab_size", "16", "--samples", "2", "--max_tokens", "8",
             "--gamma", "2", "--k", "4"]
 
 
+def block_error(vocab_size, workers, gamma):
+    return (f"config error: one block's float64 rows, (gamma + workers x (gamma + 1)) x "
+            f"vocab_size x 8 B, take {(gamma + workers * (gamma + 1)) * vocab_size * 8} B at "
+            f"vocab_size = {vocab_size}, workers = {workers}, gamma = {gamma}: more than the "
+            f"{MAX_BLOCK_BYTES} B budget\n")
+
+
+class TestBlockSizeRule:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("vocab_size, gamma", [(2**40, 4), (16, 10**12), (10**12, 10**12)])
+    def test_a_block_past_the_budget_exits_2_before_any_array(self, monkeypatch, capsys,
+                                                               command, vocab_size, gamma):
+        for name in ("_make_pool", "run_reference_sample"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("decoding started"))
+        code = main([command, "--mode", "inprocess", "--vocab_size", str(vocab_size),
+                     "--gamma", str(gamma), "--k", "4", "--sweep_ks", "4"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == block_error(vocab_size, 2, gamma)
+        assert out == ""
+
+    # at (2, 2) the rows take exactly the budget at the widest vocabulary
+    @pytest.mark.parametrize("workers, gamma", [(1, 1), (2, 2), (2, 4), (MAX_WORKERS, 9)])
+    def test_the_budget_is_inclusive(self, workers, gamma):
+        rows = gamma + workers * (gamma + 1)
+        widest = MAX_BLOCK_BYTES // (rows * 8)
+        assert config_from(vocab_size=widest, workers=workers, gamma=gamma).vocab_size == widest
+        with pytest.raises(ConfigError) as exc:
+            config_from(vocab_size=widest + 1, workers=workers, gamma=gamma)
+        assert f"config error: {exc.value}\n" == block_error(widest + 1, workers, gamma)
+
+
 class TestCliRun:
     @pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 10**6, 2**64])
     def test_workers_above_the_cap_exit_2_before_any_pool(self, workers, monkeypatch,
@@ -196,32 +229,30 @@ class TestCliRun:
         assert rows[0]["thm1_violations"] == "0"
         assert rows[0]["thm2_violations"] == "0"
 
-    def test_instrumented_run_scores_each_sample_before_the_next(self, monkeypatch, capsys):
-        # A sample's records are scored once it is decoded and are gone by
-        # the time the next sample decodes, so a run holds one sample's.
-        import weakref
-
-        events, alive = [], []
+    def test_instrumented_run_scores_each_block_before_the_next(self, monkeypatch, capsys):
+        # A block's record is scored once the block is verified and is gone
+        # by the time the next block drafts, so a run holds one block's.
+        events, alive, held = watch_records(monkeypatch)
+        blocks = []
         run, score = cli.run_sample, cli.block_step_metrics
 
         def decode(*args, **kwargs):
-            events.append("decode")
-            assert not any(ref() is not None for ref in alive)
             res = run(*args, **kwargs)
-            alive.extend(weakref.ref(rec) for rec in res.records)
+            blocks.append(res.blocks)
             return res
 
         def scored(*args, **kwargs):
-            events.append("score")
+            events.append("s")
             return score(*args, **kwargs)
 
         monkeypatch.setattr(cli, "run_sample", decode)
         monkeypatch.setattr(cli, "block_step_metrics", scored)
         assert main(["run", *RUN_ARGS, "--samples", "3"]) == 0
         capsys.readouterr()
-        runs = "".join("D" if e == "decode" else "s" for e in events)
-        assert runs.count("D") == 3 and runs.startswith("Ds") and "DD" not in runs
-        assert len(alive) == runs.count("s")
+        assert len(blocks) == 3
+        assert "".join(events) == "Ds" * sum(blocks)
+        assert held == [0] * sum(blocks)
+        assert len(alive) == sum(blocks)
 
     def test_plain_mode_skips_metrics(self, capsys):
         code = main(["run", *RUN_ARGS, "--mode", "inprocess"])
@@ -584,30 +615,28 @@ class TestCliSweep:
         assert message in capsys.readouterr().err
         assert not csv_path.exists()
 
-    def test_sweep_releases_each_sample_before_decoding_the_next(self, monkeypatch, tmp_path,
-                                                                capsys):
-        # Scored at every K once decoded, a sample's records are gone by the
-        # time the next sample decodes, at the same temperature or the next.
-        import weakref
-
-        from draftwire import cli
-
-        alive, decodes = [], []
+    def test_sweep_releases_each_block_before_drafting_the_next(self, monkeypatch, tmp_path,
+                                                               capsys):
+        # Scored at every K once verified, a block's record is gone by the
+        # time the next block drafts, in the same sample or the next, at
+        # the same temperature or the next.
+        _, alive, held = watch_records(monkeypatch)
+        blocks = []
         decode = cli.run_reference_sample
 
-        def watched(*args, **kwargs):
-            decodes.append(sum(ref() is not None for ref in alive))
+        def decoded(*args, **kwargs):
             res = decode(*args, **kwargs)
-            alive.extend(weakref.ref(rec) for rec in res.records)
+            blocks.append(res.blocks)
             return res
 
-        monkeypatch.setattr(cli, "run_reference_sample", watched)
+        monkeypatch.setattr(cli, "run_reference_sample", decoded)
         argv = [*SWEEP_ARGS, "--samples", "3", "--sweep_temperatures", "0.8,1.2",
                 "--csv", str(tmp_path / "sweep.csv")]
         assert main(argv) == 0
         capsys.readouterr()
-        assert decodes == [0] * 6
-        assert alive and all(ref() is None for ref in alive)
+        assert len(blocks) == 6
+        assert held == [0] * sum(blocks)
+        assert len(alive) == sum(blocks) and all(ref() is None for ref in alive)
 
     def test_sweep_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -13,7 +13,10 @@ cut.
 Over drawn settings it must reproduce ``run_sample`` on an
 ``InProcessPool`` (tokens, counters, per-worker uplink bytes and, when
 instrumented, every recorded array bit for bit) and, at a lossless k,
-``run_reference_sample``. A few settings also run over a ``TcpPool``
+``run_reference_sample``. When a setting streams its records, both
+engine paths run once more with an ``on_record`` consumer: they must
+deliver, bit for bit, the records they collected, and collect none. A few
+settings also run over a ``TcpPool``
 against workers on threads of this process. And a recording made at drawn
 settings, replayed at k = |V| through ``run_sample`` with its
 ``TraceModel``s, must give back its transcript and its blocks, as the
@@ -143,6 +146,7 @@ def cases(draw):
         "eos": draw(st.one_of(st.none(), st.integers(0, vocab - 1))),
         "seed": draw(st.integers(0, 2**32)),
         "instrumented": draw(st.booleans()),
+        "streamed": draw(st.booleans()),
         "model": draw(st.sampled_from(["synthetic", "synthetic", "markov"])),
     }
     if case["model"] == "markov":
@@ -190,10 +194,27 @@ def bits(dists):
     return [d.probs.view(np.uint64).tolist() for d in dists]
 
 
+def record_bits(records):
+    return [(rec.prefix, rec.draft_tokens, bits(rec.q_dists), [bits(d) for d in rec.worker_dists])
+            for rec in records]
+
+
 def assert_same_records(got, want):
     assert [(rec.draft_tokens, bits(rec.q_dists), [bits(d) for d in rec.worker_dists])
             for rec in got] == [(tuple(tokens), bits(qs), [bits(d) for d in shadows])
                                 for tokens, qs, shadows in want]
+
+
+def assert_streams_as_collected(run, collected):
+    """``run(on_record)`` repeats the run that gave ``collected``: it must
+    hand ``on_record`` the records ``collected`` holds, bit for bit, and
+    keep none itself."""
+    delivered = []
+    res = run(delivered.append)
+    assert res.records == ()
+    assert (res.tokens, res.blocks, res.accepted, res.uplink_bytes) == \
+        (collected.tokens, collected.blocks, collected.accepted, collected.uplink_bytes)
+    assert record_bits(delivered) == record_bits(collected.records)
 
 
 @pytest.fixture(scope="module")
@@ -201,18 +222,26 @@ def corpus_path(tmp_path_factory):
     return tmp_path_factory.mktemp("oracle") / "corpus.txt"
 
 
-def assert_sample_matches(cfg, pool, models, sample_seed, instrumented):
+def assert_sample_matches(cfg, pool, models, sample_seed, instrumented, streamed=False):
     """One sample through ``pool`` against the decoder on ``models``, built
     for ``sample_seed``; return the pool's result and the decoder's
-    per-worker uplink bytes."""
+    per-worker uplink bytes for all the pool's runs. ``streamed`` runs the
+    sample through the pool a second time, with an ``on_record``."""
     s = cfg.settings()
-    got = run_sample(cfg.draft_model(sample_seed), pool, s, sample_seed,
-                     instrumented=instrumented)
+
+    def run(on_record=None):
+        return run_sample(cfg.draft_model(sample_seed), pool, s, sample_seed,
+                          instrumented=instrumented, on_record=on_record)
+
+    got = run()
     tokens, blocks, accepted, uplink, records = decode(*models, s, sample_seed)
     assert (got.tokens, got.blocks, got.accepted) == (tokens, blocks, accepted)
     assert got.uplink_bytes == sum(uplink)
     if instrumented:
         assert_same_records(got.records, records)
+    if streamed:
+        assert_streams_as_collected(run, got)
+        uplink = [2 * b for b in uplink]
     return got, uplink
 
 
@@ -228,14 +257,20 @@ def test_engine_matches_straight_line_decoder(corpus_path, case):
         for index in range(SAMPLES):
             ss = sample_seed_for(cfg.seed, index)
             _, sample_uplink = assert_sample_matches(cfg, pool, oracle_models(case, ss), ss,
-                                                     case["instrumented"])
+                                                     case["instrumented"], case["streamed"])
             uplink = [a + b for a, b in zip(uplink, sample_uplink)]
 
-            ref = run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss), s, ss)
+            def reference(on_record=None):
+                return run_reference_sample(cfg.draft_model(ss), cfg.worker_models(ss), s, ss,
+                                            on_record=on_record)
+
+            ref = reference()
             tokens, blocks, accepted, _, records = decode(*oracle_models(case, ss),
                                                           lossless, ss)
             assert (ref.tokens, ref.blocks, ref.accepted) == (tokens, blocks, accepted)
             assert_same_records(ref.records, records)
+            if case["streamed"]:
+                assert_streams_as_collected(reference, ref)
     finally:
         pool.close()
     assert pool.uplink_totals == uplink
