@@ -93,11 +93,10 @@ def _resolve(args: argparse.Namespace) -> dict[str, str]:
     return merge_config(*layers)
 
 
-def _make_pool(cfg: RunConfig) -> WorkerPool:
+def _make_pool(cfg: RunConfig, instrumented: bool) -> WorkerPool:
     if cfg.mode == "networked":
         return TcpPool(cfg.endpoints, timeout=cfg.timeout)
-    return InProcessPool(cfg.workers, cfg.worker_factory(),
-                         instrumented=cfg.mode == "instrumented")
+    return InProcessPool(cfg.workers, cfg.worker_factory(), instrumented=instrumented)
 
 
 def _report_point(cfg: RunConfig, row: SweepTally) -> int:
@@ -136,7 +135,7 @@ def _tallier(weights: WeightVector, scoring: Sequence[tuple[TopKProfile, Sequenc
     def tally(rec: BlockRecord) -> None:
         cache = RecordCache()
         for k_profile, tallies in scoring:
-            for step in block_step_metrics(rec, weights, k_profile, cache=cache):
+            for step in block_step_metrics(rec, weights, k_profile, cache):
                 for row in tallies:
                     row.add(step)
 
@@ -148,15 +147,15 @@ def cmd_run(cfg: RunConfig) -> int:
     instrumented = cfg.mode == "instrumented"
     # a metrics row needs a homogeneous k: refuse before decoding anything
     row = _row(cfg, cfg.samples) if instrumented else None
-    # each instrumented block is scored as soon as it is verified
+    # each instrumented block is scored as soon as it is verified; the pool
+    # exposes the shadows only when there is this consumer for them
     on_record = None if row is None else _tallier(cfg.weights, [(settings.k_profile, [row])])
-    pool = _make_pool(cfg)
+    pool = _make_pool(cfg, instrumented)
     drafted = accepted = uplink = blocks = 0
     try:
         for s in range(cfg.samples):
             ss = sample_seed_for(cfg.seed, s)
-            res = run_sample(cfg.draft_model(ss), pool, settings, ss,
-                             instrumented=instrumented, on_record=on_record)
+            res = run_sample(cfg.draft_model(ss), pool, settings, ss, on_record=on_record)
             print(f"sample {s}: {' '.join(str(t) for t in res.tokens)}")
             drafted += res.drafted
             accepted += res.accepted

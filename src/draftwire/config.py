@@ -21,7 +21,7 @@ from .engine import SessionSettings
 from .models import MarkovModel, NormalMemo, SyntheticModel, TraceModel, load_corpus
 from .seeding import ROLE_DRAFT_MODEL, ROLE_WORKER_MODEL_BASE, derive_seed
 from .specdec import ModelProvider
-from .transport import DEFAULT_TIMEOUT, ModelFactory
+from .transport import DEFAULT_TIMEOUT, MAX_BLOCK_BYTES, ModelFactory
 
 
 class ConfigError(ValueError):
@@ -116,13 +116,6 @@ _MODES = ("instrumented", "inprocess", "networked")
 # thread per worker after the first, so an unbounded M would start that
 # many threads; every configuration in the tests and the README has M <= 5.
 MAX_WORKERS = 64
-
-# The most bytes one block's float64 rows may take: gamma draft rows and
-# M (gamma + 1) shadow rows of |V| floats. Checked before any array is
-# built, so a |V| or gamma too large for memory is a config error, not a
-# MemoryError or a draft that never ends. The configurations in the tests,
-# the README and the benchmark take at most 3.6 MB.
-MAX_BLOCK_BYTES = 256 * 2**20
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -237,6 +230,15 @@ class RunConfig:
                 f"one block's float64 rows, (gamma + workers x (gamma + 1)) x vocab_size x 8 B, "
                 f"take {block_bytes} B at vocab_size = {vocab_size}, workers = {workers}, "
                 f"gamma = {gamma}: more than the {MAX_BLOCK_BYTES} B budget")
+        max_tokens, prompt = values["max_tokens"], values["prompt"]
+        # a gamma or max_tokens below 1 is refused later, by its own rule
+        prefix_bytes = (workers + 1) * (gamma + 1) * max(0, len(prompt) + max_tokens + gamma) * 8
+        if prefix_bytes > MAX_BLOCK_BYTES:
+            raise ConfigError(
+                f"one block's scored prefixes, (workers + 1) x (gamma + 1) x (prompt + "
+                f"max_tokens + gamma) x 8 B, take {prefix_bytes} B at workers = {workers}, "
+                f"gamma = {gamma}, max_tokens = {max_tokens} and a {len(prompt)}-token "
+                f"prompt: more than the {MAX_BLOCK_BYTES} B budget")
 
         k_raw = values.pop("k")
         if k_raw == "full":

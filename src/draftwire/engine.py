@@ -5,8 +5,9 @@ tokens, scores them, verifies the block, and commits the emitted tokens.
 The loop (``_decode``) owns the RNG streams, the prefix, the EOS and
 max_tokens stop rules, the block records and the counters; its two callers
 differ only in the scorer and the commit they pass it. A block's record
-goes to the caller's ``on_record`` as soon as the block is verified, or,
-without one, into ``SampleResult.records``:
+goes to the caller's ``on_record`` as soon as the block is verified.
+Without one, ``run_sample`` records nothing and ``run_reference_sample``
+collects its records into ``SampleResult.records``:
 
 * ``run_sample`` sends the draft and the hash of the committed prefix to a
   worker pool, which checks each worker's prefix-mirror checksum against
@@ -117,7 +118,7 @@ class SampleResult:
     drafted: int
     accepted: int
     uplink_bytes: int
-    records: tuple[BlockRecord, ...]  # () when each went to an on_record
+    records: tuple[BlockRecord, ...]  # a reference run's, when it had no on_record
 
 
 def sample_seed_for(seed: int, sample_index: int) -> int:
@@ -216,18 +217,18 @@ def run_sample(
     settings: SessionSettings,
     sample_seed: int,
     *,
-    instrumented: bool = False,
     on_record: Callable[[BlockRecord], None] | None = None,
 ) -> SampleResult:
-    """One seeded generation through a worker pool; an instrumented one
-    records each block, to ``on_record`` as ``_decode`` says."""
+    """One seeded generation through a worker pool. Given an ``on_record``,
+    it records each block to it, from the shadows the pool must expose;
+    without one it records nothing, so ``records`` is ()."""
     pool.configure(settings.worker_configs(sample_seed))
     pool.commit(settings.prompt)
 
     def score(prefix: Prefix, draft: tuple[int, ...]) -> _BlockScores:
         # every upload is decoded and checked here, before verification
         result = pool.score_block(prefix.hash, draft)
-        if instrumented and result.shadows is None:
+        if on_record is not None and result.shadows is None:
             raise WorkerFailureError("pool does not expose shadow distributions")
         payloads = result.payloads  # the targets keep these, not the result
 
@@ -236,7 +237,7 @@ def run_sample(
                                         settings.strategy)
 
         return (_Targets(settings.gamma + 1, target),
-                result.shadows if instrumented else None, sum(result.uplink_bytes))
+                None if on_record is None else result.shadows, sum(result.uplink_bytes))
 
     return _decode(draft_model, settings, sample_seed, score, pool.commit, on_record)
 
@@ -290,8 +291,7 @@ def block_step_metrics(
     record: BlockRecord,
     weights: WeightVector,
     k_profile: TopKProfile,
-    *,
-    cache: RecordCache | None = None,
+    cache: RecordCache,
 ) -> list[StepMetrics]:
     """Score every position of a recorded block at the given k profile.
 
@@ -301,16 +301,13 @@ def block_step_metrics(
     scores all positions in one array pass, then ``instrument_position``
     builds each position's record.
 
-    ``cache``, when given, keeps the record's ``ShadowBlock`` (its stacked
-    shadows, exact aggregates and payload stack) from one call to the
-    next. Pass one new cache per record and score its profiles widest
+    ``cache`` is the record's own: the first call builds the record's
+    ``ShadowBlock`` (its stacked shadows, exact aggregates and payload
+    stack) into it, and later calls reuse it. Score the profiles widest
     first, and each shadow is stacked and truncated once; the narrower
     profiles slice its payloads.
     """
-    shadows = None if cache is None else cache.shadows
-    if shadows is None:
-        shadows = ShadowBlock(record.worker_dists, record.q_dists, weights)
-        if cache is not None:
-            cache.shadows = shadows
-    scores = score_block(shadows, k_profile)
+    if cache.shadows is None:
+        cache.shadows = ShadowBlock(record.worker_dists, record.q_dists, weights)
+    scores = score_block(cache.shadows, k_profile)
     return [instrument_position(scores, t) for t in range(len(record.draft_tokens) + 1)]

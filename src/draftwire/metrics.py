@@ -35,7 +35,7 @@ import csv
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,27 +47,6 @@ BOUND_TOLERANCE = 1e-9
 
 # The reconstructions in the order ``score_block`` stacks them.
 _LAYERS = tuple(Strategy)
-
-CSV_COLUMNS = [
-    "strategy",
-    "M",
-    "gamma",
-    "vocab_size",
-    "K",
-    "K_pct",
-    "temperature",
-    "seed",
-    "samples",
-    "steps",
-    "delta_bar",
-    "eps_bar",
-    "two_eps_bar",
-    "delta_alpha_bar",
-    "half_delta_bar",
-    "lemma1_violations",
-    "thm1_violations",
-    "thm2_violations",
-]
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,42 +392,37 @@ class SweepTally:
         return self._mean(self.dalpha_sum, self.dalpha_n)
 
     @property
-    def k_pct(self) -> float:
-        return 100.0 * self.k / self.vocab_size
-
-    @property
-    def two_eps_bar(self) -> float:
-        return 2.0 * self.eps_bar
-
-    @property
-    def half_delta_bar(self) -> float:
-        return self.delta_bar / 2.0
-
-    @property
     def violations(self) -> int:
         return self.lemma1_violations + self.thm1_violations + self.thm2_violations
 
     def to_row(self) -> dict[str, object]:
-        return {
-            "strategy": self.strategy.name.lower(),
-            "M": self.m,
-            "gamma": self.gamma,
-            "vocab_size": self.vocab_size,
-            "K": self.k,
-            "K_pct": repr(self.k_pct),
-            "temperature": repr(self.temperature),
-            "seed": self.seed,
-            "samples": self.samples,
-            "steps": self.steps,
-            "delta_bar": repr(self.delta_bar),
-            "eps_bar": repr(self.eps_bar),
-            "two_eps_bar": repr(self.two_eps_bar),
-            "delta_alpha_bar": repr(self.delta_alpha_bar),
-            "half_delta_bar": repr(self.half_delta_bar),
-            "lemma1_violations": self.lemma1_violations,
-            "thm1_violations": self.thm1_violations,
-            "thm2_violations": self.thm2_violations,
-        }
+        return {column: value(self) for column, value in _CSV_SCHEMA}
+
+
+# The CSV schema: each column of a sweep row, in order, and its value. The
+# csv module writes a float as its repr() and any other value as its str().
+_CSV_SCHEMA: tuple[tuple[str, Callable[[SweepTally], object]], ...] = (
+    ("strategy", lambda row: row.strategy.name.lower()),
+    ("M", lambda row: row.m),
+    ("gamma", lambda row: row.gamma),
+    ("vocab_size", lambda row: row.vocab_size),
+    ("K", lambda row: row.k),
+    ("K_pct", lambda row: 100.0 * row.k / row.vocab_size),
+    ("temperature", lambda row: row.temperature),
+    ("seed", lambda row: row.seed),
+    ("samples", lambda row: row.samples),
+    ("steps", lambda row: row.steps),
+    ("delta_bar", lambda row: row.delta_bar),
+    ("eps_bar", lambda row: row.eps_bar),
+    ("two_eps_bar", lambda row: 2.0 * row.eps_bar),
+    ("delta_alpha_bar", lambda row: row.delta_alpha_bar),
+    ("half_delta_bar", lambda row: row.delta_bar / 2.0),
+    ("lemma1_violations", lambda row: row.lemma1_violations),
+    ("thm1_violations", lambda row: row.thm1_violations),
+    ("thm2_violations", lambda row: row.thm2_violations),
+)
+
+CSV_COLUMNS = [column for column, _ in _CSV_SCHEMA]
 
 
 def sweep_aggregate(steps: Sequence[StepMetrics], *, strategy: Strategy,

@@ -60,6 +60,13 @@ if TYPE_CHECKING:
 
 PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+# The most bytes one block may take as float64 rows (gamma draft rows and
+# M (gamma + 1) worker rows of |V| floats), and again as scored prefixes
+# (gamma + 1 for each worker and the orchestrator, of up to |prompt| +
+# max_tokens + gamma 8-byte slots). ``config`` refuses a run past either
+# before anything is built; a worker refuses a peer that would take its own
+# share past either, which no valid run does.
+MAX_BLOCK_BYTES = 256 * 2**20
 FRAME_HEADER = struct.Struct("<IBQ")  # body length, kind, correlation id
 CONFIGURE_BODY = struct.Struct("<IIIQ")  # vocab, k, gamma, seed
 DEFAULT_TIMEOUT = 5.0
@@ -230,6 +237,17 @@ ModelFactory = Callable[[int, int, int], ModelProvider]
 """(vocab_size, seed_material, worker_index) -> provider."""
 
 
+def _check_share(cfg: WorkerConfig, mirror: int) -> None:
+    """Refuse a block whose gamma + 1 float64 rows, or gamma + 1 scored
+    prefixes after a ``mirror``-token prefix, take more than the budget."""
+    gamma = cfg.gamma
+    rows, prefixes = (gamma + 1) * cfg.vocab_size * 8, (gamma + 1) * (mirror + gamma) * 8
+    if max(rows, prefixes) > MAX_BLOCK_BYTES:
+        raise ProtocolError(f"at gamma = {gamma}, the rows of vocab_size {cfg.vocab_size} "
+                            f"take {rows} B and the scored prefixes after a {mirror}-token "
+                            f"mirror {prefixes} B: more than the {MAX_BLOCK_BYTES} B budget")
+
+
 class WorkerCore:
     """Scoring state machine shared by the TCP worker and in-process mode.
 
@@ -252,6 +270,7 @@ class WorkerCore:
             raise ProtocolError(f"k={cfg.k} out of range [1, {cfg.vocab_size}]")
         if cfg.gamma < 1:
             raise ProtocolError("gamma must be >= 1")
+        _check_share(cfg, 0)
         self._model = self._factory(cfg.vocab_size, cfg.seed_material, self.index)
         self._config = cfg
         self._mirror = Prefix.of(())
@@ -266,6 +285,7 @@ class WorkerCore:
         cfg = self._config
         if len(draft) != cfg.gamma:
             raise ProtocolError(f"expected {cfg.gamma} draft tokens, got {len(draft)}")
+        _check_share(cfg, len(self._mirror) + len(delta))
         self._mirror = self._mirror.extend(delta)
         bodies: list[bytes] = []
         shadows: list[Distribution] | None = [] if self._expose_shadows else None

@@ -283,6 +283,44 @@ def test_one_score_call_per_block(monkeypatch):
     assert calls == [cfg.gamma] * res.blocks
 
 
+def shadow_pool_sample(on_record=None):
+    """Sample 0 of the decode workload's config, run as its untimed sample
+    0 is: on a pool that exposes the shadows."""
+    from draftwire import InProcessPool, run_sample, sample_seed_for
+    from draftwire.config import RunConfig, merge_config
+
+    cfg = RunConfig.from_mapping(merge_config({"vocab_size": "64", "max_tokens": "24",
+                                               "mode": "inprocess"}))
+    pool = InProcessPool(cfg.workers, cfg.worker_factory(), instrumented=True)
+    ss = sample_seed_for(cfg.seed, 0)
+    try:
+        return run_sample(cfg.draft_model(ss), pool, cfg.settings(), ss, on_record=on_record)
+    finally:
+        pool.close()
+
+
+def test_a_shadow_pool_sample_without_a_consumer_records_nothing(monkeypatch):
+    """The decode workload's ``peak_rss_mb`` counts on its untimed sample 0,
+    run through a shadow-exposing pool with no ``on_record``, building no
+    ``BlockRecord``: a collected sample would hold every block's shadows."""
+    events, alive, _ = watch_records(monkeypatch)
+    res = shadow_pool_sample()
+    assert res.blocks > 1 and events == ["D"] * res.blocks
+    assert alive == []
+    assert res.records == ()
+
+
+def test_a_consumer_gets_every_block_of_a_shadow_pool_sample(monkeypatch):
+    """Given an ``on_record``, the sample hands it one record per block, as
+    it is verified, and keeps none itself."""
+    alive = watch_records(monkeypatch)[1]
+    got = []
+    res = shadow_pool_sample(got.append)
+    assert res.blocks > 1 and len(got) == res.blocks
+    assert [id(rec) for rec in got] == [id(ref()) for ref in alive]
+    assert res.records == ()
+
+
 def test_one_draft_per_reference_block(monkeypatch):
     """The sweep workload cuts reference blocks at ``engine.generate_draft``
     calls directly inside ``run_reference_sample`` and raises when their

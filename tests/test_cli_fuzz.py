@@ -7,14 +7,18 @@ with repeats, and random text. Keys that size the work (|V|, workers, gamma,
 samples, max_tokens) draw only small or invalid values, so that no example
 is expensive; workers also draws values above its cap, and |V| and gamma
 huge values such as 2^40 and 10^12, whose block the size rule refuses
-before any array is built. Keys that name files are left out: their
-runtime failures rightly exit 1. For the same reason endpoints draws only
-ports outside [1, 65535], which no run may connect to.
+before any array is built. gamma also draws values in [10^5, 7 x 10^5],
+whose rows mostly fit at |V| = 16, and max_tokens values in [10^7, 2^63]:
+their scored prefixes do not fit, and the size rule refuses them too. Keys
+that name files are left out: their runtime failures rightly exit 1. For
+the same reason endpoints draws only ports outside [1, 65535], which no run
+may connect to.
 
 Every outcome is exit 0 with its output lines, or exit 2 with a
-``config error:`` line and no ``sample 0:`` line; a huge |V| or gamma is
-always exit 2. No exception leaves ``main``, no command exits 1 or 3, and
-no RuntimeWarning is raised.
+``config error:`` line and no ``sample 0:`` line; a huge |V| or gamma, and
+a gamma or max_tokens past the prefix budget, is always exit 2. No
+exception leaves ``main``, no command exits 1 or 3, and no RuntimeWarning
+is raised.
 """
 
 import contextlib
@@ -49,7 +53,19 @@ WORKERS = st.one_of(SIZE, st.integers(MAX_WORKERS + 1, 2**80).map(str))
 HUGE = ["1099511627776", "1000000000000"]  # 2^40, 10^12
 LARGE = st.one_of(st.sampled_from(HUGE), st.integers(2**40, 2**80).map(str))
 VOCAB = st.one_of(SPECIAL, st.integers(-3, 24).map(str), TEXT, LARGE)
-GAMMA = st.one_of(SIZE, LARGE)
+# gamma and max_tokens also draw values whose rows fit at |V| = 16 but
+# whose scored prefixes are far past MAX_BLOCK_BYTES
+LONG_GAMMA, LONG_OUTPUT = 10**5, 10**7
+GAMMA = st.one_of(SIZE, LARGE, st.integers(LONG_GAMMA, 7 * 10**5).map(str))
+MAX_TOKENS = st.one_of(SIZE, st.integers(LONG_OUTPUT, 2**63).map(str))
+
+
+def at_least(values, key, low):
+    """Whether ``values`` sets ``key`` to an integer of at least ``low``."""
+    try:
+        return int(values[key]) >= low
+    except (KeyError, ValueError):
+        return False
 
 
 def lists(item):
@@ -69,7 +85,7 @@ KEYS = {
     "workers": WORKERS,
     "gamma": GAMMA,
     "samples": SIZE,
-    "max_tokens": SIZE,
+    "max_tokens": MAX_TOKENS,
     "markov_order": SIZE,
     "k": st.one_of(NUMBER, lists(NUMBER), st.just("full")),
     "strategy": choices("renormalized", "residual_uniform"),
@@ -109,7 +125,8 @@ def test_any_setting_exits_0_or_is_a_config_error(tmp_path_factory, command, val
     out, err = out.getvalue(), err.getvalue()
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert "Traceback" not in err
-    if values.get("vocab_size") in HUGE or values.get("gamma") in HUGE:
+    if (values.get("vocab_size") in HUGE or at_least(values, "gamma", LONG_GAMMA)
+            or at_least(values, "max_tokens", LONG_OUTPUT)):
         assert code == 2, (code, err)
     if code == 0:
         assert ("sample 0:" if command == "run" else "wrote ") in out

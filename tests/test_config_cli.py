@@ -178,6 +178,14 @@ def block_error(vocab_size, workers, gamma):
             f"{MAX_BLOCK_BYTES} B budget\n")
 
 
+def prefix_error(workers, gamma, max_tokens):
+    size = (workers + 1) * (gamma + 1) * (1 + max_tokens + gamma) * 8
+    return (f"config error: one block's scored prefixes, (workers + 1) x (gamma + 1) x "
+            f"(prompt + max_tokens + gamma) x 8 B, take {size} B at workers = {workers}, "
+            f"gamma = {gamma}, max_tokens = {max_tokens} and a 1-token prompt: more than the "
+            f"{MAX_BLOCK_BYTES} B budget\n")
+
+
 class TestBlockSizeRule:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("vocab_size, gamma", [(2**40, 4), (16, 10**12), (10**12, 10**12)])
@@ -201,6 +209,33 @@ class TestBlockSizeRule:
         with pytest.raises(ConfigError) as exc:
             config_from(vocab_size=widest + 1, workers=workers, gamma=gamma)
         assert f"config error: {exc.value}\n" == block_error(widest + 1, workers, gamma)
+
+    # gamma = 4000 peaked at 226 MiB in a run at |V| = 16; gamma = 699050 is
+    # the widest whose rows fit there
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("gamma, max_tokens", [(4000, 1), (699050, 1), (4, 10**8),
+                                                   (1, 2**63)])
+    def test_prefixes_past_the_budget_exit_2_before_any_array(self, monkeypatch, capsys,
+                                                              command, gamma, max_tokens):
+        with pytest.raises(ConfigError):  # checked first: the command would decode
+            config_from(vocab_size=16, k=4, gamma=gamma, max_tokens=max_tokens)
+        for name in ("_make_pool", "run_reference_sample"):
+            monkeypatch.setattr(cli, name, lambda *a, **kw: pytest.fail("decoding started"))
+        code = main([command, "--mode", "inprocess", "--vocab_size", "16", "--k", "4",
+                     "--gamma", str(gamma), "--max_tokens", str(max_tokens), "--sweep_ks", "4"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == prefix_error(2, gamma, max_tokens)
+        assert out == ""
+
+    @pytest.mark.parametrize("workers, gamma", [(1, 1), (2, 4), (MAX_WORKERS, 9)])
+    def test_the_prefix_budget_is_inclusive(self, workers, gamma):
+        longest = MAX_BLOCK_BYTES // ((workers + 1) * (gamma + 1) * 8) - 1 - gamma
+        cfg = config_from(vocab_size=16, k=4, workers=workers, gamma=gamma, max_tokens=longest)
+        assert cfg.max_tokens == longest
+        with pytest.raises(ConfigError) as exc:
+            config_from(vocab_size=16, k=4, workers=workers, gamma=gamma, max_tokens=longest + 1)
+        assert f"config error: {exc.value}\n" == prefix_error(workers, gamma, longest + 1)
 
 
 class TestCliRun:

@@ -12,10 +12,11 @@ cut.
 
 Over drawn settings it must reproduce ``run_sample`` on an
 ``InProcessPool`` (tokens, counters, per-worker uplink bytes and, when
-instrumented, every recorded array bit for bit) and, at a lossless k,
-``run_reference_sample``. When a setting streams its records, both
-engine paths run once more with an ``on_record`` consumer: they must
-deliver, bit for bit, the records they collected, and collect none. A few
+instrumented, every array it hands its ``on_record`` bit for bit) and, at
+a lossless k, ``run_reference_sample``. When a setting streams its
+records, both engine paths run once more with an ``on_record`` consumer:
+they must deliver, bit for bit, the records of their first run, and
+collect none. A few
 settings also run over a ``TcpPool``
 against workers on threads of this process. And a recording made at drawn
 settings, replayed at k = |V| through ``run_sample`` with its
@@ -205,16 +206,16 @@ def assert_same_records(got, want):
                                 for tokens, qs, shadows in want]
 
 
-def assert_streams_as_collected(run, collected):
-    """``run(on_record)`` repeats the run that gave ``collected``: it must
-    hand ``on_record`` the records ``collected`` holds, bit for bit, and
+def assert_streams_as_collected(run, collected, records):
+    """``run(on_record)`` repeats the run that gave ``collected`` and its
+    ``records``: it must hand ``on_record`` those records, bit for bit, and
     keep none itself."""
     delivered = []
     res = run(delivered.append)
     assert res.records == ()
     assert (res.tokens, res.blocks, res.accepted, res.uplink_bytes) == \
         (collected.tokens, collected.blocks, collected.accepted, collected.uplink_bytes)
-    assert record_bits(delivered) == record_bits(collected.records)
+    assert record_bits(delivered) == record_bits(records)
 
 
 @pytest.fixture(scope="module")
@@ -229,18 +230,20 @@ def assert_sample_matches(cfg, pool, models, sample_seed, instrumented, streamed
     sample through the pool a second time, with an ``on_record``."""
     s = cfg.settings()
 
-    def run(on_record=None):
+    def run(on_record):
+        # only an instrumented run records, through its consumer
         return run_sample(cfg.draft_model(sample_seed), pool, s, sample_seed,
-                          instrumented=instrumented, on_record=on_record)
+                          on_record=on_record if instrumented else None)
 
-    got = run()
+    recorded = []
+    got = run(recorded.append)
     tokens, blocks, accepted, uplink, records = decode(*models, s, sample_seed)
     assert (got.tokens, got.blocks, got.accepted) == (tokens, blocks, accepted)
     assert got.uplink_bytes == sum(uplink)
     if instrumented:
-        assert_same_records(got.records, records)
+        assert_same_records(recorded, records)
     if streamed:
-        assert_streams_as_collected(run, got)
+        assert_streams_as_collected(run, got, recorded)
         uplink = [2 * b for b in uplink]
     return got, uplink
 
@@ -270,7 +273,7 @@ def test_engine_matches_straight_line_decoder(corpus_path, case):
             assert (ref.tokens, ref.blocks, ref.accepted) == (tokens, blocks, accepted)
             assert_same_records(ref.records, records)
             if case["streamed"]:
-                assert_streams_as_collected(reference, ref)
+                assert_streams_as_collected(reference, ref, ref.records)
     finally:
         pool.close()
     assert pool.uplink_totals == uplink

@@ -7,6 +7,7 @@ from draftwire.compression import Strategy
 from draftwire.config import synthetic_worker_factory
 from draftwire.dist import Distribution
 from draftwire.engine import (
+    RecordCache,
     SessionSettings,
     block_step_metrics,
     run_reference_sample,
@@ -245,9 +246,10 @@ class TestInstrumentedRecords:
     def test_shapes_and_validity(self):
         settings = make_settings(gamma=3, k=2, max_tokens=9)
         pool = InProcessPool(2, FACTORY, instrumented=True)
-        res = run_sample(draft_model_for(13), pool, settings, 13, instrumented=True)
-        assert len(res.records) == res.blocks
-        for rec in res.records:
+        records = []
+        res = run_sample(draft_model_for(13), pool, settings, 13, on_record=records.append)
+        assert len(records) == res.blocks
+        for rec in records:
             assert len(rec.draft_tokens) == 3
             assert len(rec.q_dists) == 3
             assert len(rec.worker_dists) == 2
@@ -260,13 +262,14 @@ class TestInstrumentedRecords:
         settings = make_settings()
         pool = InProcessPool(2, FACTORY)  # no shadows
         with pytest.raises(WorkerFailureError):
-            run_sample(draft_model_for(13), pool, settings, 13, instrumented=True)
+            run_sample(draft_model_for(13), pool, settings, 13, on_record=[].append)
 
     def test_block_step_metrics_layout(self):
         settings = make_settings(gamma=3, k=2, max_tokens=9)
         workers = [FACTORY(8, 14, i) for i in range(2)]
         ref = run_reference_sample(draft_model_for(14), workers, settings, 14)
-        steps = block_step_metrics(ref.records[0], settings.weights, settings.k_profile)
+        steps = block_step_metrics(ref.records[0], settings.weights, settings.k_profile,
+                                   RecordCache())
         assert len(steps) == 4
         assert all(s.alpha_exact is not None for s in steps[:3])
         assert steps[3].alpha_exact is None
@@ -281,11 +284,12 @@ class TestInstrumentedRecords:
         draft = draft_model_for(sample_seed, vocab_size=vocab)
         workers = [FACTORY(vocab, sample_seed, i) for i in range(2)]
         pool = InProcessPool(2, FACTORY, instrumented=True)
-        live = run_sample(draft, pool, settings, sample_seed, instrumented=True)
+        live_records = []
+        live = run_sample(draft, pool, settings, sample_seed, on_record=live_records.append)
         ref = run_reference_sample(draft, workers, settings, sample_seed)
         assert live.tokens == ref.tokens
-        assert len(live.records) == len(ref.records)
-        for lrec, rrec in zip(live.records, ref.records):
+        assert len(live_records) == len(ref.records)
+        for lrec, rrec in zip(live_records, ref.records):
             assert lrec.draft_tokens == rrec.draft_tokens
             for lw, rw in zip(lrec.worker_dists, rrec.worker_dists):
                 for ld, rd in zip(lw, rw):
@@ -302,7 +306,8 @@ class TestTraceCrossPath:
 
         live_steps = [
             s for rec in ref.records
-            for s in block_step_metrics(rec, settings.weights, settings.k_profile)
+            for s in block_step_metrics(rec, settings.weights, settings.k_profile,
+                                        RecordCache())
         ]
 
         # store each worker's shadow rows in an f32 trace and re-score
@@ -406,7 +411,7 @@ class TestTargetsOnDemand:
             for ss in range(5):
                 calls.clear()
                 res = run_sample(draft_model_for(ss, vocab_size=16), pool, settings, ss,
-                                 instrumented=instrumented)
+                                 on_record=[].append if instrumented else None)
                 assert res.blocks > 1
                 assert len(calls) == res.accepted + res.blocks
         finally:

@@ -202,9 +202,10 @@ class TestSweepAggregate:
 
     def test_derived_properties(self):
         rec = self.record([reference_step()])
-        assert rec.k_pct == pytest.approx(50.0, abs=1e-12)
-        assert rec.two_eps_bar == pytest.approx(2 * rec.eps_bar, abs=1e-15)
-        assert rec.half_delta_bar == pytest.approx(rec.delta_bar / 2, abs=1e-15)
+        row = rec.to_row()
+        assert row["K_pct"] == pytest.approx(50.0, abs=1e-12)
+        assert row["two_eps_bar"] == pytest.approx(2 * rec.eps_bar, abs=1e-15)
+        assert row["half_delta_bar"] == pytest.approx(rec.delta_bar / 2, abs=1e-15)
 
     def test_average_within_step_range(self):
         rng = np.random.default_rng(71)
@@ -441,9 +442,10 @@ class TestBlockScorerMatchesOracle:
     def test_every_position(self, block, cached):
         record, w, profiles = block
         gamma = len(record.draft_tokens)
-        cache = RecordCache() if cached else None
+        cache = RecordCache()
         for profile in profiles:
-            steps = block_step_metrics(record, w, profile, cache=cache)
+            # uncached: a new cache per profile
+            steps = block_step_metrics(record, w, profile, cache if cached else RecordCache())
             assert len(steps) == gamma + 1
             for t, step in enumerate(steps):
                 q = record.q_dists[t] if t < gamma else None
@@ -538,7 +540,7 @@ class TestBlockScorerPaths:
                              worker_dists=tuple(tuple(rows) for rows in dists))
         cache = RecordCache()
         for profile in (TopKProfile.homogeneous(size, m, size), TopKProfile(ks, size)):
-            for t, step in enumerate(block_step_metrics(record, w, profile, cache=cache)):
+            for t, step in enumerate(block_step_metrics(record, w, profile, cache)):
                 q = qs[t] if t < len(qs) else None
                 assert_same_step(step, oracle_instrument_position(
                     [rows[t] for rows in dists], q, w, profile))

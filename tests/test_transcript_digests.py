@@ -13,6 +13,7 @@ the sweep, trace files and gate 5, which compares the two decode paths.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -136,8 +137,9 @@ def record_digest(overrides: dict[str, str], samples: int) -> str:
     h = hashlib.sha256()
     for s in range(samples):
         ss = sample_seed_for(cfg.seed, s)
-        hash_result(h, run_sample(cfg.draft_model(ss), pool, cfg.settings(), ss,
-                                  instrumented=True))
+        records = []
+        res = run_sample(cfg.draft_model(ss), pool, cfg.settings(), ss, on_record=records.append)
+        hash_result(h, replace(res, records=tuple(records)))
     return h.hexdigest()
 
 

@@ -200,6 +200,26 @@ class TestWorkerCore:
             top = np.argsort(-d.probs, kind="stable")[:3]
             assert set(payload.ids) == set(int(t) for t in top)
 
+    @pytest.mark.parametrize("cfg, past", [
+        (WorkerConfig(2**31, 3, 2, 5), f"take {3 * 2**31 * 8} B"),  # rows of 2^31 float64s
+        (WorkerConfig(2, 1, 6000, 5), f"mirror {6001 * 6000 * 8} B"),  # 6001 prefixes of 6000
+    ])
+    def test_configure_past_the_budget_is_refused(self, cfg, past):
+        core = WorkerCore(0, lambda v, s, i: pytest.fail("a model was built"))
+        with pytest.raises(ProtocolError, match=f"{past}.* budget"):
+            core.configure(cfg)
+
+    def test_a_delta_past_the_budget_is_refused_before_the_mirror_grows(self, monkeypatch):
+        # at gamma = 2: 3 prefixes of up to 10 + 2 tokens
+        monkeypatch.setattr(transport, "MAX_BLOCK_BYTES", 3 * (10 + 2) * 8)
+        core = WorkerCore(0, FACTORY)
+        core.configure(self.CFG)
+        core.handle_draft((0,) * 8, (1, 2))
+        with pytest.raises(ProtocolError, match="scored prefixes after a 11-token mirror"):
+            core.handle_draft((3, 4, 5), (1, 2))
+        body, _ = core.handle_draft((6, 7), (1, 2))  # exactly the budget
+        assert unpack_scores(body)[0] == stable_prefix_hash((0,) * 8 + (6, 7))
+
     def test_model_vocab_mismatch(self):
         core = WorkerCore(0, lambda v, s, i: SyntheticModel(vocab_size=4, seed=1))
         core.configure(self.CFG)  # configured vocab 8, model yields 4
@@ -287,10 +307,10 @@ class FailingModel:
             self.in_flight.remove(self.index)
 
 
-def record_bytes(res):
+def record_bytes(records):
     return [(rec.draft_tokens, [d.probs.tobytes() for d in rec.q_dists],
              [[d.probs.tobytes() for d in dists] for dists in rec.worker_dists])
-            for rec in res.records]
+            for rec in records]
 
 
 class TestInProcessPoolConcurrency:
@@ -347,20 +367,24 @@ class TestInProcessPoolConcurrency:
         factory = cfg.worker_factory()  # shares the draft model's noise memo
         ss = sample_seed_for(cfg.seed, 0)
         oracle = SequentialPool(cfg.workers, factory)
-        want = run_sample(cfg.draft_model(ss), oracle, settings, ss, instrumented=True)
+        want_records = []
+        want = run_sample(cfg.draft_model(ss), oracle, settings, ss,
+                          on_record=want_records.append)
         assert want.blocks > 2
         rng = random.Random(99)
         for _ in range(20):
             pool = InProcessPool(cfg.workers, lambda v, s, i: SleepyModel(
                 factory(v, s, i), random.Random(rng.random())), instrumented=True)
             try:
-                got = run_sample(cfg.draft_model(ss), pool, settings, ss, instrumented=True)
+                got_records = []
+                got = run_sample(cfg.draft_model(ss), pool, settings, ss,
+                                 on_record=got_records.append)
             finally:
                 pool.close()
             assert (got.tokens, got.blocks, got.accepted) == (want.tokens, want.blocks,
                                                               want.accepted)
             assert pool.uplink_totals == oracle.uplink_totals
-            assert record_bytes(got) == record_bytes(want)
+            assert record_bytes(got_records) == record_bytes(want_records)
 
 
 def start_worker(factory, index=0):
@@ -518,6 +542,39 @@ class TestWorkerServer:
         finally:
             shutdown_worker(thread, port)
 
+    def test_configure_past_the_budget_is_an_error_and_next_session_is_served(self):
+        thread, port = start_worker(FACTORY)
+        try:
+            with connect(port) as sock:
+                send(sock, Kind.HELLO, 1, pack_hello())
+                assert recv(sock).kind == Kind.HELLO
+                # rows of 2^31 float64s; no DRAFT_BROADCAST follows, so a
+                # worker that accepted it would build none of them
+                send(sock, Kind.CONFIGURE, 2, pack_configure(WorkerConfig(2**31, 3, 2, 5)))
+                reply = recv(sock)
+                assert reply.kind == Kind.ERROR and reply.corr_id == 2
+                assert b"budget" in reply.body
+            assert_serves_a_block(port)
+        finally:
+            shutdown_worker(thread, port)
+
+    def test_delta_past_the_budget_is_an_error_and_next_session_is_served(self, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_BLOCK_BYTES", 3 * (10 + 2) * 8)
+        thread, port = start_worker(FACTORY)
+        try:
+            with connect(port) as sock:
+                send(sock, Kind.HELLO, 1, pack_hello())
+                assert recv(sock).kind == Kind.HELLO
+                send(sock, Kind.CONFIGURE, 2, pack_configure(self.CFG))
+                assert recv(sock).kind == Kind.CONFIGURE
+                send(sock, Kind.DRAFT_BROADCAST, 3, pack_draft_broadcast((0,) * 11, (1, 2)))
+                reply = recv(sock)
+                assert reply.kind == Kind.ERROR and reply.corr_id == 3
+                assert b"budget" in reply.body
+            assert_serves_a_block(port)
+        finally:
+            shutdown_worker(thread, port)
+
     def test_server_survives_peer_reset(self):
         thread, port = start_worker(FACTORY)
         try:
@@ -545,9 +602,12 @@ REPLY_KINDS = {Kind.HELLO, Kind.CONFIGURE, Kind.SCORES_UPLOAD, Kind.ERROR}
 # requests that are well formed but for their field values
 REQUESTS = st.one_of(
     st.tuples(st.just(int(Kind.HELLO)), st.just(pack_hello())),
+    # a vocabulary or gamma past the worker's budget too, which it refuses
     st.tuples(st.just(int(Kind.CONFIGURE)), st.builds(
-        CONFIGURE_BODY.pack, st.sampled_from((0, 1, 2, 8, 24)), st.sampled_from((0, 1, 3, 30)),
-        st.sampled_from((0, 1, 2)), st.integers(0, 2**64 - 1))),
+        CONFIGURE_BODY.pack, st.sampled_from((0, 1, 2, 8, 24, 2**31, 2**32 - 1)),
+        st.sampled_from((0, 1, 3, 30)),
+        st.one_of(st.sampled_from((0, 1, 2)), st.integers(0, 2**32 - 1)),
+        st.integers(0, 2**64 - 1))),
     st.tuples(st.just(int(Kind.DRAFT_BROADCAST)), st.builds(
         pack_draft_broadcast, st.lists(st.integers(0, 40), max_size=3),
         st.lists(st.integers(0, 40), min_size=1, max_size=3))),
