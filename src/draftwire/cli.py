@@ -1,24 +1,9 @@
-"""Command-line harness.
-
-Subcommands:
-
-* ``run``          - seeded generations at one config point; transcript out,
-                     metrics row (instrumented mode) to CSV/stdout.
-* ``sweep``        - cross product of sweep_ks x sweep_temperatures x both
-                     strategies from one recorded uncompressed run per
-                     temperature; CSV out plus a monotonicity summary.
-* ``serve-worker`` - one TCP worker process; prints LISTENING <port>, then
-                     serves runs one after another until SHUTDOWN.
-* ``launch-demo``  - spawns local worker processes, runs a networked
-                     generation, reruns it in-process, checks the
-                     transcripts match, prints uplink accounting; shuts
-                     the workers down.
-* ``trace-record`` - records an uncompressed run's distributions to files.
-* ``trace-replay`` - recomputes metrics offline from recorded traces.
+"""Command-line harness: ``COMMANDS`` lists the subcommands, and ``main``
+decides how each one ends.
 
 Exit codes: 0 success and zero bound violations; 1 runtime failure
-(worker unreachable, divergence, bad or exhausted trace); 2 usage/config error;
-3 bound violations.
+(worker unreachable, divergence, bad or exhausted trace, a local file that
+cannot be written); 2 usage/config error; 3 bound violations.
 """
 
 from __future__ import annotations
@@ -27,7 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .aggregation import TopKProfile, WeightVector
 from .compression import Strategy
@@ -70,13 +55,6 @@ EXIT_USAGE = 2
 EXIT_VIOLATION = 3
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    for key in sorted(KNOWN_KEYS):
-        parser.add_argument(f"--{key}", metavar="V", default=None,
-                            help=f"override {key} (default {DEFAULTS[key] or 'empty'})")
-
-
 def _port(text: str) -> int:
     port = int(text)
     if not 0 <= port <= 65535:
@@ -110,8 +88,13 @@ def _report_point(cfg: RunConfig, row: SweepTally) -> int:
     if cfg.csv:
         write_sweep_csv([row], cfg.csv)
         print(f"wrote {cfg.csv}")
-    if row.violations:
-        print(f"BOUND VIOLATIONS: {row.violations}", file=sys.stderr)
+    return _verdict(row.violations)
+
+
+def _verdict(violations: int) -> int:
+    """Exit 3, saying so on stderr, when any bound was violated; else 0."""
+    if violations:
+        print(f"BOUND VIOLATIONS: {violations}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -204,20 +187,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
             mono = all(a >= b - 1e-12 for a, b in zip(deltas, deltas[1:]))
             print(f"{strategy.name.lower()} T={temp}: delta_bar by K "
                   f"{['%.5g' % d for d in deltas]} non-increasing={mono}")
-    violations = sum(row.violations for row in rows)
-    if violations:
-        print(f"BOUND VIOLATIONS: {violations}", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _verdict(sum(row.violations for row in rows))
 
 
 def cmd_serve_worker(cfg: RunConfig, host: str, port: int, worker_index: int) -> int:
+    """One TCP worker process: prints LISTENING <port>, then serves runs one
+    after another until SHUTDOWN."""
     worker_serve(host, port, cfg.worker_factory(), worker_index=worker_index,
                  ready=lambda p: print(f"LISTENING {p}", flush=True))
     return EXIT_OK
 
 
-def _spawn_worker(raw: dict[str, str], index: int) -> tuple[subprocess.Popen, int]:
+def _spawn_worker(raw: dict[str, str], index: int) -> subprocess.Popen:
     import subprocess  # only launch-demo starts processes
 
     # every key as the parent resolved it, so the worker accepts what the
@@ -230,25 +211,22 @@ def _spawn_worker(raw: dict[str, str], index: int) -> tuple[subprocess.Popen, in
     env = dict(os.environ)
     package_root = str(Path(__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
-    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
-    line = proc.stdout.readline().strip()
-    if not line.startswith("LISTENING "):
-        proc.kill()
-        raise WorkerFailureError(f"worker {index} failed to start (got {line!r})")
-    return proc, int(line.split()[1])
+    return subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, env=env)
 
 
 def cmd_launch_demo(cfg: RunConfig, raw: dict[str, str]) -> int:
-    import subprocess
-
+    """Spawns local workers, runs a networked generation, reruns it
+    in-process, checks the transcripts match and prints uplink accounting."""
     settings = cfg.settings()
     procs: list[subprocess.Popen] = []
     try:
         endpoints = []
         for i in range(cfg.workers):
-            proc, port = _spawn_worker(raw, i)
-            procs.append(proc)
-            endpoints.append(("127.0.0.1", port))
+            procs.append(_spawn_worker(raw, i))
+            line = procs[-1].stdout.readline().strip()
+            if not line.startswith("LISTENING "):
+                raise WorkerFailureError(f"worker {i} failed to start (got {line!r})")
+            endpoints.append(("127.0.0.1", int(line.split()[1])))
         print(f"workers listening on {[p for _, p in endpoints]}")
 
         ss = sample_seed_for(cfg.seed, 0)
@@ -286,11 +264,13 @@ def cmd_launch_demo(cfg: RunConfig, raw: dict[str, str]) -> int:
         print(f"demo failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     finally:
+        # a worker that got no SHUTDOWN (the demo failed) would serve on:
+        # kill each that still runs, then reap them all
         for proc in procs:
-            try:
-                proc.wait(timeout=cfg.timeout)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+            proc.kill()
+        for proc in procs:
+            proc.wait()
+            proc.stdout.close()
 
 
 def cmd_trace_record(cfg: RunConfig) -> int:
@@ -409,60 +389,74 @@ def cmd_trace_replay(cfg: RunConfig) -> int:
     return _report_point(cfg, row)
 
 
+class Command(NamedTuple):
+    """A subcommand: its help line; its handler, called with the typed config,
+    the parsed arguments and the resolved mapping; its own flags."""
+    help: str
+    handler: Callable[[RunConfig, argparse.Namespace, dict[str, str]], int]
+    flags: tuple[tuple[str, dict], ...] = ()
+
+
+COMMANDS: dict[str, Command] = {
+    "run": Command("seeded generations at one config point", lambda cfg, *_: cmd_run(cfg)),
+    "sweep": Command("K x temperature x strategy sweep to CSV", lambda cfg, *_: cmd_sweep(cfg)),
+    "serve-worker": Command(
+        "run one TCP scoring worker",
+        lambda cfg, args, _: cmd_serve_worker(cfg, args.host, args.port, args.worker_index),
+        flags=(("--host", {"default": "127.0.0.1"}),
+               ("--port", {"type": _port, "default": 0}),
+               ("--worker_index", {"type": int, "default": 0}))),
+    "launch-demo": Command("spawn local workers, run networked vs in-process",
+                           lambda cfg, _, raw: cmd_launch_demo(cfg, raw)),
+    "trace-record": Command("record an uncompressed run's distributions",
+                            lambda cfg, *_: cmd_trace_record(cfg)),
+    "trace-replay": Command("recompute metrics from recorded traces",
+                            lambda cfg, *_: cmd_trace_replay(cfg)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="draftwire",
         description="Federated speculative decoding simulator with top-K uplink compression.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("run", "seeded generations at one config point"),
-        ("sweep", "K x temperature x strategy sweep to CSV"),
-        ("serve-worker", "run one TCP scoring worker"),
-        ("launch-demo", "spawn local workers, run networked vs in-process"),
-        ("trace-record", "record an uncompressed run's distributions"),
-        ("trace-replay", "recompute metrics from recorded traces"),
-    ):
-        p = sub.add_parser(name, help=desc)
-        _add_config_flags(p)
-        if name == "serve-worker":
-            p.add_argument("--host", default="127.0.0.1")
-            p.add_argument("--port", type=_port, default=0)
-            p.add_argument("--worker_index", type=int, default=0)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", metavar="PATH", help="flat key = value config file")
+        for key in sorted(KNOWN_KEYS):
+            p.add_argument(f"--{key}", metavar="V", default=None,
+                           help=f"override {key} (default {DEFAULTS[key] or 'empty'})")
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _failure(exc: Exception) -> tuple[str, int] | None:
+    """The stderr label and exit code of a command that raised ``exc``;
+    None for any other exception, which is a bug and keeps its traceback."""
+    if isinstance(exc, ConfigError):
+        return "config error", EXIT_USAGE
+    if isinstance(exc, TraceError):
+        return "trace error", EXIT_FAILURE
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return "file error", EXIT_FAILURE  # a local file, such as a --csv path
+    if isinstance(exc, (WorkerFailureError, OSError)):
+        return "worker failure", EXIT_FAILURE  # a socket's OSError names no file
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = _resolve(args)
-        cfg = RunConfig.from_mapping(raw)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "serve-worker":
-            return cmd_serve_worker(cfg, args.host, args.port, args.worker_index)
-        if args.command == "launch-demo":
-            return cmd_launch_demo(cfg, raw)
-        if args.command == "trace-record":
-            return cmd_trace_record(cfg)
-        if args.command == "trace-replay":
-            return cmd_trace_replay(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (WorkerFailureError, OSError) as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except TraceError as exc:
-        print(f"trace error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    raise AssertionError(f"unhandled command {args.command}")
+        return COMMANDS[args.command].handler(RunConfig.from_mapping(raw), args, raw)
+    except Exception as exc:
+        if (failure := _failure(exc)) is None:
+            raise
+        label, code = failure
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

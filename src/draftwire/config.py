@@ -12,6 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import Callable, Iterator, Mapping
 
 from .aggregation import TopKProfile, WeightVector
@@ -297,6 +298,9 @@ class RunConfig:
             raise ConfigError("samples must be >= 1")
         if not self.timeout > 0:
             raise ConfigError("timeout must be > 0")
+        if self.timeout > TIMEOUT_MAX:  # a socket or a lock refuses a longer wait
+            raise ConfigError(f"timeout must be at most threading.TIMEOUT_MAX = "
+                              f"{TIMEOUT_MAX!r} s, got {self.timeout!r}")
         self._validate_model()
 
     def _validate_model(self) -> None:

@@ -16,8 +16,8 @@ SUM_TOLERANCE = 1e-9
 class Distribution:
     """Dense probability vector over a vocabulary.
 
-    Entries are non-negative and sum to 1 within an absolute tolerance
-    (default ``1e-9``); construction renormalizes exactly once when the sum
+    Entries are non-negative and sum to 1 within the absolute tolerance
+    ``SUM_TOLERANCE``; construction renormalizes exactly once when the sum
     deviates by less than the tolerance and rejects otherwise. The backing
     array is float64 and frozen, so instances are safe to share across
     threads.
@@ -25,7 +25,7 @@ class Distribution:
 
     __slots__ = ("probs",)
 
-    def __init__(self, probs, *, tol: float = SUM_TOLERANCE) -> None:
+    def __init__(self, probs) -> None:
         arr = np.asarray(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("distribution must be a 1-D vector of length >= 2")
@@ -34,10 +34,9 @@ class Distribution:
         if np.any(arr < 0.0):
             raise ValueError("distribution entries must be non-negative")
         total = float(arr.sum())
-        if abs(total - 1.0) > tol:
-            raise ValueError(
-                f"distribution sums to {total!r}, outside tolerance {tol} of 1"
-            )
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise ValueError(f"distribution sums to {total!r}, "
+                             f"outside tolerance {SUM_TOLERANCE} of 1")
         if total != 1.0:
             arr = arr / total
         arr.setflags(write=False)

@@ -9,21 +9,24 @@ is expensive; workers also draws values above its cap, and |V| and gamma
 huge values such as 2^40 and 10^12, whose block the size rule refuses
 before any array is built. gamma also draws values in [10^5, 7 x 10^5],
 whose rows mostly fit at |V| = 16, and max_tokens values in [10^7, 2^63]:
-their scored prefixes do not fit, and the size rule refuses them too. Keys
+their scored prefixes do not fit, and the size rule refuses them too.
+timeout also draws values in [threading.TIMEOUT_MAX, 1e308] and inf: any
+above that ceiling, the longest wait a socket accepts, is refused. Keys
 that name files are left out: their runtime failures rightly exit 1. For
 the same reason endpoints draws only ports outside [1, 65535], which no run
 may connect to.
 
 Every outcome is exit 0 with its output lines, or exit 2 with a
-``config error:`` line and no ``sample 0:`` line; a huge |V| or gamma, and
-a gamma or max_tokens past the prefix budget, is always exit 2. No
-exception leaves ``main``, no command exits 1 or 3, and no RuntimeWarning
-is raised.
+``config error:`` line and no ``sample 0:`` line; a huge |V| or gamma, a
+gamma or max_tokens past the prefix budget, and a timeout past the
+ceiling, are always exit 2. No exception leaves ``main``, no command exits
+1 or 3, and no RuntimeWarning is raised.
 """
 
 import contextlib
 import io
 import warnings
+from threading import TIMEOUT_MAX
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,12 +61,21 @@ VOCAB = st.one_of(SPECIAL, st.integers(-3, 24).map(str), TEXT, LARGE)
 LONG_GAMMA, LONG_OUTPUT = 10**5, 10**7
 GAMMA = st.one_of(SIZE, LARGE, st.integers(LONG_GAMMA, 7 * 10**5).map(str))
 MAX_TOKENS = st.one_of(SIZE, st.integers(LONG_OUTPUT, 2**63).map(str))
+TIMEOUT = st.one_of(NUMBER, st.floats(TIMEOUT_MAX, 1e308).map(repr), st.just("inf"))
 
 
 def at_least(values, key, low):
     """Whether ``values`` sets ``key`` to an integer of at least ``low``."""
     try:
         return int(values[key]) >= low
+    except (KeyError, ValueError):
+        return False
+
+
+def past_ceiling(values):
+    """Whether ``values`` sets a timeout above ``threading.TIMEOUT_MAX``."""
+    try:
+        return float(values["timeout"]) > TIMEOUT_MAX
     except (KeyError, ValueError):
         return False
 
@@ -101,7 +113,7 @@ KEYS = {
     "eos": NUMBER,
     "seed": NUMBER,
     "mode": choices("instrumented", "inprocess", "networked"),
-    "timeout": NUMBER,
+    "timeout": TIMEOUT,
     "endpoints": lists(st.sampled_from([0, -1, 65536, 70000]).map(lambda p: f"127.0.0.1:{p}")),
     "sweep_ks": lists(NUMBER),
     "sweep_temperatures": lists(NUMBER),
@@ -126,7 +138,7 @@ def test_any_setting_exits_0_or_is_a_config_error(tmp_path_factory, command, val
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert "Traceback" not in err
     if (values.get("vocab_size") in HUGE or at_least(values, "gamma", LONG_GAMMA)
-            or at_least(values, "max_tokens", LONG_OUTPUT)):
+            or at_least(values, "max_tokens", LONG_OUTPUT) or past_ceiling(values)):
         assert code == 2, (code, err)
     if code == 0:
         assert ("sample 0:" if command == "run" else "wrote ") in out
@@ -134,3 +146,17 @@ def test_any_setting_exits_0_or_is_a_config_error(tmp_path_factory, command, val
         assert code == 2, (code, err)
         assert err.startswith("config error: "), err
         assert "sample 0:" not in out
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(["run", "sweep"]),
+       timeout=st.one_of(st.floats(TIMEOUT_MAX, 1e308, exclude_min=True).map(repr),
+                         st.just("inf")))
+def test_timeout_past_the_ceiling_exits_2(command, timeout):
+    # the main fuzz draws timeout in few examples; here it is always past
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([command, *BASE, f"--timeout={timeout}"])
+    assert (code, err.getvalue()) == (
+        2, f"config error: timeout must be at most threading.TIMEOUT_MAX = {TIMEOUT_MAX!r} s, "
+           f"got {float(timeout)!r}\n")

@@ -1,18 +1,23 @@
 import dataclasses
+import errno
 import hashlib
 import io
+import math
+import os
 import re
 import shutil
 import socket
 import subprocess
+import time
 from dataclasses import replace
 from pathlib import Path
+from threading import TIMEOUT_MAX
 
 import numpy as np
 import pytest
 
 from conftest import tcp_workers, watch_records
-from draftwire import cli, models
+from draftwire import cli, metrics, models
 from draftwire.cli import main
 from draftwire.compression import Strategy
 from draftwire.config import (
@@ -27,6 +32,7 @@ from draftwire.config import (
 )
 from draftwire.metrics import CSV_COLUMNS, read_sweep_csv
 from draftwire.models import MarkovModel, read_trace, write_trace
+from draftwire.transport import WorkerFailureError
 
 
 def config_from(**overrides):
@@ -165,6 +171,14 @@ class TestRunConfigTyping:
             config_from(samples="0")
         with pytest.raises(ConfigError):
             config_from(timeout="0")
+
+    def test_timeout_ceiling_is_the_longest_wait_the_os_accepts(self):
+        assert config_from(timeout=repr(TIMEOUT_MAX)).timeout == TIMEOUT_MAX
+        for above in (math.nextafter(TIMEOUT_MAX, math.inf), 1e300, math.inf):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"timeout must be at most threading.TIMEOUT_MAX = {TIMEOUT_MAX!r} s, "
+                    f"got {above!r}")):
+                config_from(timeout=repr(above))
 
 
 RUN_ARGS = ["--vocab_size", "16", "--samples", "2", "--max_tokens", "8",
@@ -379,6 +393,116 @@ class TestCliRun:
         assert code == 1
         assert "worker failure" in capsys.readouterr().err
 
+    def test_socket_error_of_serve_worker_is_a_worker_failure(self, capsys):
+        # a bind names no file, so it keeps the worker's label
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main(["serve-worker", "--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"worker failure: [Errno {errno.EADDRINUSE}]"), err
+
+
+class TestBoundViolations:
+    @pytest.mark.parametrize("argv", [
+        ["run", *RUN_ARGS],
+        ["sweep", *RUN_ARGS, "--sweep_ks", "1,4", "--sweep_temperatures", "1.0"],
+    ], ids=["run", "sweep"])
+    def test_a_violated_bound_exits_3(self, monkeypatch, tmp_path, capsys, argv):
+        # one thm1 violation per scored step, whatever the step
+        check = metrics.check_bounds
+        monkeypatch.setattr(metrics, "check_bounds",
+                            lambda step, strategy: check(step, strategy)._replace(thm1=1))
+        assert main([*argv, "--csv", str(tmp_path / "out.csv")]) == 3
+        rows = read_sweep_csv(tmp_path / "out.csv")
+        violations = sum(int(row["thm1_violations"]) for row in rows)
+        assert violations > 0
+        assert capsys.readouterr().err == f"BOUND VIOLATIONS: {violations}\n"
+
+
+class TestTimeoutCeiling:
+    """A timeout above ``threading.TIMEOUT_MAX`` is a config error, found
+    before any socket or process exists; the ceiling itself works."""
+
+    ABOVE = ["1e300", "inf", repr(math.nextafter(TIMEOUT_MAX, math.inf))]
+
+    @pytest.mark.parametrize("timeout", ABOVE)
+    def test_networked_run_above_the_ceiling_exits_2(self, monkeypatch, capsys, timeout):
+        monkeypatch.setattr(cli, "_make_pool", lambda *a: pytest.fail("a pool was built"))
+        code = main(["run", *RUN_ARGS, "--mode", "networked",
+                     "--endpoints", "127.0.0.1:1,127.0.0.1:2", "--timeout", timeout])
+        assert (code, capsys.readouterr().err) == (
+            2, f"config error: timeout must be at most threading.TIMEOUT_MAX = "
+               f"{TIMEOUT_MAX!r} s, got {float(timeout)!r}\n")
+
+    @pytest.mark.parametrize("timeout", ABOVE)
+    def test_launch_demo_above_the_ceiling_starts_no_worker(self, monkeypatch, capsys,
+                                                            timeout):
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **kw: pytest.fail("spawned"))
+        assert main(["launch-demo", "--vocab_size", "32", "--k", "4", "--max_tokens", "4",
+                     "--timeout", timeout]) == 2
+        assert capsys.readouterr().err.startswith("config error: timeout must be at most")
+
+    def test_networked_run_at_the_ceiling(self, capsys):
+        factory = config_from(vocab_size=16, gamma=2, k=4).worker_factory()
+        with tcp_workers(factory, 2) as endpoints:
+            code = main(["run", *RUN_ARGS, "--mode", "networked", "--timeout", repr(TIMEOUT_MAX),
+                         "--endpoints", ",".join(f"{host}:{port}" for host, port in endpoints)])
+        assert code == 0
+        assert "sample 1:" in capsys.readouterr().out
+
+
+class TestLocalFileErrors:
+    """A local path that cannot be written is a file error naming it, exit
+    1, and not a worker failure. Each path's parent is a regular file, which
+    no user, root included, can create entries in."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", *RUN_ARGS, "--csv", "{path}"],
+        ["sweep", *RUN_ARGS, "--sweep_ks", "1,4", "--sweep_temperatures", "1.0", "--csv", "{path}"],
+        ["trace-record", *RUN_ARGS, "--samples", "1", "--trace_dir", "{path}"],
+    ], ids=["run-csv", "sweep-csv", "trace-record-dir"])
+    def test_unwritable_path_is_a_file_error(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "out"
+        code = main([arg.format(path=path) for arg in argv])
+        assert (code, capsys.readouterr().err) == (
+            1, f"file error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{path}'\n")
+
+
+class TestLaunchDemoReaping:
+    def test_failed_demo_kills_and_reaps_its_workers(self, monkeypatch, capsys):
+        """Workers that never get SHUTDOWN are killed and reaped at once, not
+        waited on for ``timeout`` seconds each."""
+        spawned = []
+
+        class Recorded(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spawned.append(self)
+
+        def refused(endpoints, *, timeout):
+            raise WorkerFailureError("worker 0: refused")
+
+        monkeypatch.setattr(subprocess, "Popen", Recorded)
+        monkeypatch.setattr(cli, "TcpPool", refused)
+        start = time.monotonic()
+        try:
+            code = main(["launch-demo", "--timeout", "30", "--vocab_size", "32", "--k", "4",
+                         "--max_tokens", "4"])
+            elapsed = time.monotonic() - start
+            # reaped: wait() has set each return code, and no process is left
+            codes = [proc.returncode for proc in spawned]
+        finally:
+            for proc in spawned:
+                proc.kill()
+                proc.wait()
+        assert (code, capsys.readouterr().err) == (1, "demo failed: worker 0: refused\n")
+        assert len(spawned) == 2
+        assert None not in codes
+        assert elapsed < 15, elapsed
+
 
 class TestPorts:
     @pytest.mark.parametrize("port", [0, -1, 65536, 70000])
@@ -465,6 +589,9 @@ class TestLaunchDemoSpawn:
 
             def kill(self):
                 pass
+
+            def wait(self):
+                return -9
 
         monkeypatch.setattr(subprocess, "Popen", NeverStarted)
         assert main(["launch-demo", *argv]) == 1
